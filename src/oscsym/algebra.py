@@ -1,9 +1,9 @@
 """Commutator algebra: structure tables, verification, isomorphism checks.
 
-The expected bracket tables shipped here (``alge11_table``, ``o33gen_table``,
-``sp2_table``) are frozen data; the test suite recomputes every table
-numerically from the explicit matrices and fails the build if a shipped
-coefficient disagrees.
+The expected bracket tables shipped here (``o33gen_table``, its ten-generator
+restriction ``alge11_table``, and ``sp2_table``) are frozen data; the test
+suite recomputes every table numerically from the explicit matrices and
+fails the build if a shipped coefficient disagrees.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .families import GeneratorSet, build_generator_set, gamma_matrices
+from .families import TENFOLD_LABELS, GeneratorSet, build_generator_set, gamma_matrices
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -53,21 +53,23 @@ SP2_TRIPLES = (
 )
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """AB - BA for square matrices of equal dimension."""
+def _square_pair(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return a, b
+
+
+def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """AB - BA for square matrices of equal dimension."""
+    a, b = _square_pair(a, b)
     return a @ b - b @ a
 
 
 def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """AB + BA for square matrices of equal dimension."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    a, b = _square_pair(a, b)
     return a @ b + b @ a
 
 
@@ -167,30 +169,18 @@ def _put2(entries: Dict[Tuple[str, str], Tuple[Term, ...]],
 
 
 def alge11_table() -> StructureTable:
-    """The ten-generator bracket table.
+    """The ten-generator bracket table, ``o33gen_table`` on the closed TENFOLD_LABELS.
 
     [L_i, L_j] = i eps_ijk L_k         [L_i, K_j] = i eps_ijk K_k
     [L_i, Q_j] = i eps_ijk Q_k         [K_i, K_j] = [Q_i, Q_j] = -i eps_ijk L_k
     [L_i, S3] = 0                      [K_i, Q_j] = -i delta_ij S3
     [K_i, S3] = -i Q_i                 [Q_i, S3] = i K_i
     """
-    e: Dict[Tuple[str, str], Tuple[Term, ...]] = {}
-    for (i, j), (k, s) in _EPS.items():
-        if s == 1:
-            _put2(e, f"L{i}", f"L{j}", [(1j, f"L{k}")])
-            _put2(e, f"K{i}", f"K{j}", [(-1j, f"L{k}")])
-            _put2(e, f"Q{i}", f"Q{j}", [(-1j, f"L{k}")])
-        _put2(e, f"L{i}", f"K{j}", [(1j * s, f"K{k}")])
-        _put2(e, f"L{i}", f"Q{j}", [(1j * s, f"Q{k}")])
-    for i in (1, 2, 3):
-        _put2(e, f"L{i}", f"K{i}")
-        _put2(e, f"L{i}", f"Q{i}")
-        _put2(e, f"L{i}", "S3")
-        _put2(e, f"K{i}", "S3", [(-1j, f"Q{i}")])
-        _put2(e, f"Q{i}", "S3", [(1j, f"K{i}")])
-        for j in (1, 2, 3):
-            _put2(e, f"K{i}", f"Q{j}", [(-1j, "S3")] if i == j else [])
-    return StructureTable(e)
+    ten = set(TENFOLD_LABELS)
+    return StructureTable({
+        (a, b): terms for (a, b), terms in o33gen_table().entries.items()
+        if a in ten and b in ten
+    })
 
 
 def o33gen_table() -> StructureTable:

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -84,6 +86,15 @@ def _rows_csv(rows: List[Dict], columns: Sequence[str]) -> str:
     return "\n".join(lines)
 
 
+def _emit_rows(command: str, rows: List[Dict], columns: Sequence[str],
+               args: argparse.Namespace) -> None:
+    if args.format == "json":
+        _emit(json.dumps({"command": command, "rows": rows}, indent=2), args.out)
+    else:
+        render = _rows_csv if args.format == "csv" else _rows_text
+        _emit(render(rows, columns), args.out)
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -96,37 +107,23 @@ def _check_row(name: str, residual: float, tolerance: float,
     return {"name": name, "residual": float(residual), "status": status}
 
 
-def _suite_sp4(tol: float, nmax: int) -> List[Dict]:
-    rep = algebra.verify_algebra(
-        families.build_generator_set("sp4_4"), algebra.alge11_table(), tol)
-    return [_check_row("sp4:ten-generator-table", rep.max_residual, tol)]
+#: suite -> (family, expected table, row name, WARN notes)
+TABLE_SUITES = {
+    "sp4": ("sp4_4", algebra.alge11_table, "sp4:ten-generator-table", ()),
+    "o32": ("o32_5", algebra.alge11_table, "o32:ten-generator-table", ()),
+    "sl4r": ("sl4r_4", algebra.o33gen_table, "sl4r:fifteen-generator-table", (
+        "sl4r:S2 sign opposite to the (i/2) g1 g2 bilinear (required for closure)",)),
+    "o33": ("o33_6", algebra.o33gen_table, "o33:fifteen-generator-table", (
+        "o33gen:[G,G] row read as -i eps L (third slot of the printed row is a "
+        "duplicate)",)),
+}
 
 
-def _suite_o32(tol: float, nmax: int) -> List[Dict]:
-    rep = algebra.verify_algebra(
-        families.build_generator_set("o32_5"), algebra.alge11_table(), tol)
-    return [_check_row("o32:ten-generator-table", rep.max_residual, tol)]
-
-
-def _suite_sl4r(tol: float, nmax: int) -> List[Dict]:
-    rep = algebra.verify_algebra(
-        families.build_generator_set("sl4r_4"), algebra.o33gen_table(), tol)
-    return [
-        _check_row("sl4r:fifteen-generator-table", rep.max_residual, tol),
-        _check_row("sl4r:S2 sign opposite to the (i/2) g1 g2 bilinear "
-                   "(required for closure)", 0.0, tol, warn=True),
-    ]
-
-
-def _suite_o33(tol: float, nmax: int) -> List[Dict]:
-    rep = algebra.verify_algebra(
-        families.build_generator_set("o33_6"), algebra.o33gen_table(), tol)
-    return [
-        _check_row("o33:fifteen-generator-table", rep.max_residual, tol),
-        _check_row("o33gen:[G,G] row read as -i eps L "
-                   "(third slot of the printed row is a duplicate)", 0.0, tol,
-                   warn=True),
-    ]
+def _suite_table(suite: str, tol: float, nmax: int) -> List[Dict]:
+    family, table, name, notes = TABLE_SUITES[suite]
+    rep = algebra.verify_algebra(families.build_generator_set(family), table(), tol)
+    return ([_check_row(name, rep.max_residual, tol)]
+            + [_check_row(note, 0.0, tol, warn=True) for note in notes])
 
 
 def _suite_sp2(tol: float, nmax: int) -> List[Dict]:
@@ -199,10 +196,7 @@ def _clifford_rows(tol: float) -> List[Dict]:
 
 
 _SUITE_RUNNERS = {
-    "sp4": _suite_sp4,
-    "sl4r": _suite_sl4r,
-    "o33": _suite_o33,
-    "o32": _suite_o32,
+    **{suite: partial(_suite_table, suite) for suite in TABLE_SUITES},
     "sp2": _suite_sp2,
     "fock": _suite_fock,
     "table1": _suite_table1,
@@ -285,13 +279,7 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         "canonical": ps.is_canonical(m),
         "subvacuum": subvacuum,
     }
-    payload = {"command": "simulate", "rows": [row]}
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.out)
-    elif args.format == "csv":
-        _emit(_rows_csv([row], SIMULATE_COLUMNS), args.out)
-    else:
-        _emit(_rows_text([row], SIMULATE_COLUMNS), args.out)
+    _emit_rows("simulate", [row], SIMULATE_COLUMNS, args)
     return 0
 
 
@@ -304,17 +292,10 @@ def _parse_grid(text: str, parser: argparse.ArgumentParser) -> np.ndarray:
         lo, hi, step = float(lo_s), float(hi_s), float(step_s)
     except ValueError:
         parser.error(f"--eta-grid must be LO:HI:STEP, got {text!r}")
-    if step <= 0 or hi < lo or lo < 0:
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo or lo < 0:
         parser.error(f"empty or invalid grid {text!r}")
     count = int(np.floor((hi - lo) / step + 1e-9)) + 1
     return lo + step * np.arange(count)
-
-
-def _closed_entropy(eta: float) -> float:
-    if eta == 0:
-        return 0.0
-    c2, s2 = np.cosh(eta) ** 2, np.sinh(eta) ** 2
-    return float(c2 * np.log(c2) - s2 * np.log(s2))
 
 
 def _cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -338,7 +319,7 @@ def _cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         cov1 = ps.reduce_oscillator(state, 1)
         purity_g = ps.gaussian_purity(cov1)
         entropy_g = ps.gaussian_entropy(cov1)
-        closed = _closed_entropy(eta)
+        closed = ps.occupation_entropy(np.sinh(eta) ** 2)
         discrepancy = max(
             abs(m.entropy - entropy_g),
             abs(m.entropy - closed),
@@ -356,17 +337,18 @@ def _cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             "radius": radius,
             "max_discrepancy": float(discrepancy),
         })
-    payload = {"command": "table", "rows": rows}
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.out)
-    elif args.format == "text":
-        _emit(_rows_text(rows, TABLE_COLUMNS), args.out)
-    else:
-        _emit(_rows_csv(rows, TABLE_COLUMNS), args.out)
+    _emit_rows("table", rows, TABLE_COLUMNS, args)
     return 0
 
 
 # ---------------------------------------------------------------------------
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -378,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", help="run a verification suite; exit 0 iff everything passes")
     p_verify.add_argument("--suite", choices=SUITES, required=True)
-    p_verify.add_argument("--tolerance", type=float, default=1e-12)
+    p_verify.add_argument("--tolerance", type=_finite_float,
+                          default=algebra.DEFAULT_TOLERANCE)
     p_verify.add_argument("--nmax", type=int, default=8,
                           help="Fock truncation for the fock suite")
     p_verify.add_argument("--format", choices=("text", "json", "csv"),
@@ -393,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="single-generator flow, e.g. G3 or K2")
     mode.add_argument("--couple", action="store_true",
                       help="the oscillator-coupling rotation+squeeze")
-    p_sim.add_argument("--eta", type=float, default=None)
-    p_sim.add_argument("--temperature", type=float, default=None)
+    p_sim.add_argument("--eta", type=_finite_float, default=None)
+    p_sim.add_argument("--temperature", type=_finite_float, default=None)
     p_sim.add_argument("--format", choices=("text", "json", "csv"),
                        default="text")
     p_sim.add_argument("--out", default=None)
@@ -418,6 +401,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "verify":
         if args.tolerance <= 0:
             parser.error("--tolerance must be > 0")
+        if args.suite in ("fock", "all") and args.nmax < fock.MIN_NMAX:
+            parser.error(f"--nmax must be >= {fock.MIN_NMAX} for the fock suite")
         return _cmd_verify(args)
     if args.command == "simulate":
         return _cmd_simulate(args, parser)

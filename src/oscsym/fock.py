@@ -23,10 +23,12 @@ import numpy as np
 
 from .algebra import DEFAULT_TOLERANCE, VerificationReport, alge11_table
 from .families import GeneratorSet
+from .phase_space import occupation_entropy
 
 __all__ = [
     "HERMITE_KMAX",
     "SERIES_TAIL_LIMIT",
+    "MIN_NMAX",
     "destroy",
     "ladder_operators",
     "fock_index",
@@ -55,6 +57,7 @@ __all__ = [
 
 HERMITE_KMAX = 200
 SERIES_TAIL_LIMIT = 1e-12
+MIN_NMAX = 6  # smallest truncation with a nonempty safe subspace
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +147,9 @@ def verify_fock_commutators(nmax: int,
     with n1 + n2 <= nmax - 3 before taking the max-abs entry; unrestricted
     residuals are nonzero at the truncation edge.
     """
-    if nmax < 6:
-        raise ValueError(f"nmax must be >= 6 for a nonempty safe subspace check, got {nmax}")
+    if nmax < MIN_NMAX:
+        raise ValueError(
+            f"nmax must be >= {MIN_NMAX} for a nonempty safe subspace check, got {nmax}")
     gens = dirac_tenfold(nmax)
     idx = np.flatnonzero(safe_subspace_mask(nmax))
     residuals = {}
@@ -369,20 +373,15 @@ class ThermalState:
 
     @property
     def weights(self) -> np.ndarray:
-        k = np.arange(self.kmax + 1)
-        if self.temperature == 0:
-            w = np.zeros(self.kmax + 1)
-            w[0] = 1.0
-            return w
-        q = np.exp(-1.0 / self.temperature)
-        return (1.0 - q) * q ** k
+        # the vacuum's q = 0 gives the weights (1, 0, 0, ...)
+        q = np.exp(-1.0 / self.temperature) if self.temperature else 0.0
+        return (1.0 - q) * q ** np.arange(self.kmax + 1)
 
     def entropy(self) -> float:
-        """Closed form S(T) = (1/T)/(e^{1/T} - 1) - ln(1 - e^{-1/T})."""
+        """Closed form S(T) at the mean occupation v = 1/(e^{1/T} - 1)."""
         if self.temperature == 0:
             return 0.0
-        beta = 1.0 / self.temperature
-        return float(beta / np.expm1(beta) - np.log(-np.expm1(-beta)))
+        return occupation_entropy(1.0 / np.expm1(1.0 / self.temperature))
 
     def entropy_series(self) -> float:
         """-sum w_k ln w_k over the truncated ladder (cross-check route)."""

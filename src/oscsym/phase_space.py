@@ -7,25 +7,29 @@ Conventions, fixed once and used everywhere:
 * The vacuum is the Gaussian with zero mean and covariance I/2, whose
   Wigner function is (1/pi)^2 exp(-(x1^2 + p1^2 + x2^2 + p2^2)).
 * A generator G (purely imaginary 4x4 member of the sl4r_4 family) maps to
-  the finite transformation M(theta) = exp(-2i theta G).  The factor two
-  absorbs the 1/2 carried by every generator entry: the S3 rotation has
-  period 2 pi in theta, and the G3 flow at theta = eta scales the two
-  oscillator planes by e^{+eta} and e^{-eta}.
+  the finite transformation M(theta) = exp(-2i theta G) = exp(theta A),
+  A = 2 Im G.  The factor two absorbs the 1/2 carried by every generator
+  entry: the S3 rotation has period 2 pi in theta, and the G3 flow at
+  theta = eta scales the two oscillator planes by e^{+eta} and e^{-eta}.
+  A^2 = -I for the rotations (L, S) and +I for the squeezes (K, Q, G), so
+  M = cos(theta) I + sin(theta) A or e^theta P + e^-theta (I - P), P = (I + A)/2.
 * Purity of a 2x2 reduced covariance is 1/(2 sqrt(det)), so the vacuum
   block I/2 gives exactly 1; the phase-space area of a block is
   2 pi sqrt(det), so the vacuum area is pi.
+* Entropy is S(v) = (v + 1) ln(v + 1) - v ln v at the mean occupation
+  v = (mu - 1)/2 = 1/(e^{1/T} - 1) = sinh^2(eta) of the reduced state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import Dict, Tuple
 
 import numpy as np
-from scipy.linalg import expm
 
-from .families import GeneratorSet, build_generator_set
+from .algebra import DEFAULT_TOLERANCE
+from .families import build_generator_set
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -41,14 +45,13 @@ __all__ = [
     "gaussian_purity",
     "symplectic_eigenvalue",
     "SubVacuumError",
+    "occupation_entropy",
     "gaussian_entropy",
     "areas",
     "area_product",
     "eta_from_temperature",
     "temperature_from_eta",
 ]
-
-DEFAULT_TOLERANCE = 1e-12
 
 
 def symplectic_form() -> np.ndarray:
@@ -70,28 +73,50 @@ def is_canonical(m: np.ndarray, tolerance: float = DEFAULT_TOLERANCE) -> bool:
 
 
 @lru_cache(maxsize=1)
-def _sl4r() -> GeneratorSet:
-    return build_generator_set("sl4r_4")
+def _flows() -> Dict[str, Tuple[bool, np.ndarray, np.ndarray]]:
+    """label -> (rotation?, B1, B2): M = cos I + sin A or e^theta P + e^-theta (I - P).
+
+    The projector form keeps the small entries that cosh I + sinh A cancels.
+    A = 2 Im G has integer entries, so A^2 = +-I is checked exactly; a member
+    failing it raises ValueError.
+    """
+    eye = np.eye(4)
+    flows = {}
+    for label, g in build_generator_set("sl4r_4").members.items():
+        a = 2.0 * g.imag
+        square = a @ a
+        if np.array_equal(square, -eye):
+            flows[label] = (True, eye, a)
+        elif np.array_equal(square, eye):
+            p = 0.5 * (eye + a)
+            flows[label] = (False, p, eye - p)
+        else:
+            raise ValueError(f"sl4r_4 member {label}: (2 Im G)^2 is not +-I, "
+                             "so exp(-2i theta G) has no two-term closed form")
+    return flows
 
 
 def generator_to_transform(label: str, theta: float) -> np.ndarray:
     """Finite transformation M(theta) = exp(-2i theta G) for one generator.
 
     G is the named sl4r_4 member; since its entries are purely imaginary the
-    exponent is real and so is M.  M(0) = I and
+    exponent theta A, A = 2 Im G, is real and so is M, evaluated in the
+    closed forms of the module conventions.  M(0) = I and
     M(theta1 + theta2) = M(theta1) M(theta2) along each one-parameter flow.
 
     Raises:
         ValueError: unknown generator label.
     """
-    gens = _sl4r()
-    if label not in gens:
+    flows = _flows()
+    if label not in flows:
         raise ValueError(
-            f"unknown generator {label!r}; expected one of {list(gens.labels)}"
+            f"unknown generator {label!r}; expected one of {list(flows)}"
         )
-    g = gens[label]
-    # -2i theta G is exactly 2 theta Im(G) for purely imaginary G
-    return expm(2.0 * float(theta) * g.imag)
+    rotation, b1, b2 = flows[label]
+    theta = float(theta)
+    if rotation:
+        return np.cos(theta) * b1 + np.sin(theta) * b2
+    return np.exp(theta) * b1 + np.exp(-theta) * b2
 
 
 def coupling_transform(eta: float) -> np.ndarray:
@@ -135,18 +160,24 @@ class GaussianState:
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float).reshape(4).copy()
-        cov = np.asarray(self.cov, dtype=float).copy()
-        if cov.shape != (4, 4):
-            raise ValueError(f"covariance must be 4x4, got {cov.shape}")
-        if np.abs(cov - cov.T).max() > 1e-12:
-            raise ValueError("covariance must be symmetric (within 1e-12)")
-        cov = 0.5 * (cov + cov.T)
-        if np.linalg.eigvalsh(cov).min() <= 0:
-            raise ValueError("covariance must be positive definite")
+        cov = _checked_cov(self.cov, 4)
         mean.flags.writeable = False
         cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+
+
+def _checked_cov(cov: np.ndarray, n: int) -> np.ndarray:
+    """Symmetric part of an n x n covariance; rejects bad shape, asymmetry, non-PD."""
+    cov = np.asarray(cov, dtype=float)
+    if cov.shape != (n, n):
+        raise ValueError(f"covariance must be {n}x{n}, got {cov.shape}")
+    if np.abs(cov - cov.T).max() > 1e-12:
+        raise ValueError("covariance must be symmetric (within 1e-12)")
+    cov = 0.5 * (cov + cov.T)
+    if np.linalg.eigvalsh(cov).min() <= 0:
+        raise ValueError("covariance must be positive definite")
+    return cov
 
 
 def vacuum_state() -> GaussianState:
@@ -179,30 +210,18 @@ def reduce_oscillator(state: GaussianState, keep: int) -> np.ndarray:
     return state.cov[i:i + 2, i:i + 2].copy()
 
 
-def _check_cov2(cov2: np.ndarray) -> np.ndarray:
-    cov2 = np.asarray(cov2, dtype=float)
-    if cov2.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 covariance, got {cov2.shape}")
-    if np.abs(cov2 - cov2.T).max() > 1e-12:
-        raise ValueError("covariance must be symmetric")
-    if np.linalg.eigvalsh(cov2).min() <= 0:
-        raise ValueError("covariance must be positive definite")
-    return cov2
-
-
 def gaussian_purity(cov2: np.ndarray) -> float:
     """Tr(rho^2) of the Gaussian state with 2x2 covariance cov2.
 
     1/(2 sqrt(det cov2)) under the vacuum = I/2 convention: 1 for the
     vacuum block, 1/cosh(2 eta) for the reduced coupled ground state.
     """
-    cov2 = _check_cov2(cov2)
-    return float(1.0 / (2.0 * np.sqrt(np.linalg.det(cov2))))
+    return 1.0 / symplectic_eigenvalue(cov2)
 
 
 def symplectic_eigenvalue(cov2: np.ndarray) -> float:
     """mu = 2 sqrt(det cov2); 1 for the vacuum, cosh(2 eta) when coupled."""
-    cov2 = _check_cov2(cov2)
+    cov2 = _checked_cov(cov2, 2)
     return float(2.0 * np.sqrt(np.linalg.det(cov2)))
 
 
@@ -215,13 +234,24 @@ class SubVacuumError(ValueError):
     """
 
 
+def occupation_entropy(v: float) -> float:
+    """Entropy (v + 1) ln(v + 1) - v ln v of a mode with mean occupation v >= 0.
+
+    As log1p(v) + v log1p(1/v): no cancellation at large v, exactly 0 at
+    v = 0; below v = 1, log1p(1/v) = log1p(v) - ln v keeps 1/v from overflowing.
+    """
+    if v == 0:
+        return 0.0
+    tail = np.log1p(1.0 / v) if v >= 1.0 else np.log1p(v) - np.log(v)
+    return float(np.log1p(v) + v * tail)
+
+
 def gaussian_entropy(cov2: np.ndarray, tolerance: float = DEFAULT_TOLERANCE) -> float:
     """von Neumann entropy from the symplectic eigenvalue of cov2.
 
-    With mu = 2 sqrt(det cov2), u = (mu + 1)/2 and v = (mu - 1)/2:
-    S = u ln u - v ln v (and v ln v -> 0 as v -> 0).  For the reduced
-    coupled ground state mu = cosh(2 eta) this is exactly
-    cosh^2(eta) ln cosh^2(eta) - sinh^2(eta) ln sinh^2(eta).
+    With mu = 2 sqrt(det cov2) this is occupation_entropy((mu - 1)/2).  For
+    the reduced coupled ground state mu = cosh(2 eta), so v = sinh^2(eta)
+    and S = cosh^2(eta) ln cosh^2(eta) - sinh^2(eta) ln sinh^2(eta).
 
     Raises:
         SubVacuumError: mu < 1 - tolerance.
@@ -232,12 +262,7 @@ def gaussian_entropy(cov2: np.ndarray, tolerance: float = DEFAULT_TOLERANCE) -> 
             f"symplectic eigenvalue mu = {mu:.12g} < 1: sub-vacuum covariance "
             "has no quantum entropy"
         )
-    u = (mu + 1.0) / 2.0
-    v = max((mu - 1.0) / 2.0, 0.0)
-    s = u * np.log(u)
-    if v > 0.0:
-        s -= v * np.log(v)
-    return float(max(s, 0.0))
+    return occupation_entropy(max((mu - 1.0) / 2.0, 0.0))
 
 
 def areas(state: GaussianState) -> Tuple[float, float]:
@@ -246,9 +271,8 @@ def areas(state: GaussianState) -> Tuple[float, float]:
     A_i = 2 pi sqrt(det of the i-th 2x2 covariance block), normalized so the
     vacuum occupies area pi per oscillator (the unit-circle contour).
     """
-    c = state.cov
-    a1 = 2.0 * np.pi * np.sqrt(np.linalg.det(c[0:2, 0:2]))
-    a2 = 2.0 * np.pi * np.sqrt(np.linalg.det(c[2:4, 2:4]))
+    a1, a2 = (2.0 * np.pi * np.sqrt(np.linalg.det(reduce_oscillator(state, keep)))
+              for keep in (1, 2))
     return float(a1), float(a2)
 
 

@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import oscsym
 from oscsym.cli import main
 
 
@@ -12,6 +16,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # the child imports the same oscsym as this process
+    src = os.path.dirname(os.path.dirname(oscsym.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, oscsym.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -71,15 +86,18 @@ def test_verify_fock_respects_nmax(capsys):
 
 
 def test_verify_bad_suite_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "su5"])
-    assert exc.value.code == 2
+    for argv in (["--suite", "su5"], ["--suite", "fock", "--nmax", "3"],
+                 ["--suite", "all", "--nmax", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
 
 
 def test_verify_nonpositive_tolerance_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "sp4", "--tolerance", "-1"])
-    assert exc.value.code == 2
+    for bad in ("-1", "nan"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "sp4", "--tolerance", bad])
+        assert exc.value.code == 2
 
 
 def test_verify_out_file(tmp_path, capsys):
@@ -152,9 +170,10 @@ def test_simulate_subvacuum_flagged(capsys):
 
 
 def test_simulate_requires_parameter(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--couple"])
-    assert exc.value.code == 2
+    for argv in ([], ["--eta", "nan"], ["--eta", "inf"], ["--temperature", "nan"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--couple", *argv])
+        assert exc.value.code == 2
 
 
 def test_simulate_rejects_both_parameters(capsys):
@@ -219,7 +238,7 @@ def test_table_radius_column(capsys):
 
 
 def test_table_empty_grid_exits_2(capsys):
-    for bad in ("2:1:0.5", "0:1:0", "0:1", "a:b:c"):
+    for bad in ("2:1:0.5", "0:1:0", "0:1", "a:b:c", "0:nan:0.5"):
         with pytest.raises(SystemExit) as exc:
             main(["table", "--eta-grid", bad])
         assert exc.value.code == 2

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from mpmath import mp
 
-from oscsym.families import FIFTEEN_LABELS, TENFOLD_LABELS
+from oscsym.families import FIFTEEN_LABELS, TENFOLD_LABELS, build_generator_set
 from oscsym.phase_space import (
     GaussianState,
     SubVacuumError,
@@ -91,6 +92,39 @@ def test_s3_rotation_period_two_pi():
     assert np.abs(m - np.eye(4)).max() <= 1e-12
     # and half a period is not the identity
     assert np.abs(generator_to_transform("S3", np.pi) - np.eye(4)).max() > 1.0
+
+
+@pytest.mark.parametrize("label", FIFTEEN_LABELS)
+@pytest.mark.parametrize("theta", [-6.0, -3.0, -0.7, 0.7, 3.0, 6.0])
+def test_transform_matches_high_precision_expm(label, theta):
+    """The closed-form flow equals a 40-digit exp(theta A), A = 2 Im G,
+    entrywise to 1e-14 relative (zero entries exactly)."""
+    a = 2.0 * build_generator_set("sl4r_4")[label].imag
+    with mp.workdps(40):
+        exact = mp.expm(mp.matrix(a.tolist()) * mp.mpf(theta))
+        want = np.array([[float(exact[i, j]) for j in range(4)] for i in range(4)])
+    got = generator_to_transform(label, theta)
+    assert (np.abs(got - want) <= 1e-14 * np.abs(want)).all(), np.abs(got - want).max()
+
+
+@pytest.mark.parametrize("eta", [6.0, 7.0, 8.0])
+def test_entropy_matches_high_precision_reference(eta):
+    """Gaussian and thermal entropies of the coupled state against 50 digits.
+
+    S = cosh^2 ln cosh^2 - sinh^2 ln sinh^2 at eta, and at the temperature
+    T the thermal state is given, S(T) = b/(e^b - 1) - ln(1 - e^-b), b = 1/T.
+    """
+    from oscsym.fock import thermal_state
+    T = temperature_from_eta(eta)
+    with mp.workdps(50):
+        c2, s2 = mp.cosh(eta) ** 2, mp.sinh(eta) ** 2
+        s_eta = float(c2 * mp.log(c2) - s2 * mp.log(s2))
+        b = 1 / mp.mpf(T)
+        s_T = float(b / mp.expm1(b) - mp.log(-mp.expm1(-b)))
+    s_gauss = gaussian_entropy(reduce_oscillator(
+        evolve(vacuum_state(), coupling_transform(eta)), 1))
+    assert abs(s_gauss - s_eta) <= 1e-14 * s_eta
+    assert abs(thermal_state(T).entropy() - s_T) <= 1e-14 * s_T
 
 
 @pytest.mark.parametrize("label", TENFOLD_LABELS)
