@@ -363,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tolerance", type=_finite_float,
                           default=algebra.DEFAULT_TOLERANCE)
     p_verify.add_argument("--nmax", type=int, default=8,
-                          help="Fock truncation for the fock suite")
+                          help=f"Fock truncation for the fock suite, "
+                               f"{fock.MIN_NMAX}..{fock.MAX_NMAX}")
     p_verify.add_argument("--format", choices=("text", "json", "csv"),
                           default="text")
     p_verify.add_argument("--out", default=None)
@@ -401,8 +402,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "verify":
         if args.tolerance <= 0:
             parser.error("--tolerance must be > 0")
-        if args.suite in ("fock", "all") and args.nmax < fock.MIN_NMAX:
-            parser.error(f"--nmax must be >= {fock.MIN_NMAX} for the fock suite")
+        if args.suite in ("fock", "all") and not (
+                fock.MIN_NMAX <= args.nmax <= fock.MAX_NMAX):
+            parser.error(f"--nmax must be in [{fock.MIN_NMAX}, {fock.MAX_NMAX}] "
+                         f"for the fock suite")
         return _cmd_verify(args)
     if args.command == "simulate":
         return _cmd_simulate(args, parser)

@@ -56,8 +56,10 @@ __all__ = [
 
 def symplectic_form() -> np.ndarray:
     """The 4x4 form J, block-diagonal [[0, 1], [-1, 0]]: J^2 = -I, J^T = -J."""
-    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return np.kron(np.eye(2), j)
+    return np.array([[0.0, 1.0, 0.0, 0.0],
+                     [-1.0, 0.0, 0.0, 0.0],
+                     [0.0, 0.0, 0.0, 1.0],
+                     [0.0, 0.0, -1.0, 0.0]])
 
 
 def symplectic_deviation(m: np.ndarray) -> float:
@@ -68,8 +70,14 @@ def symplectic_deviation(m: np.ndarray) -> float:
 
 
 def is_canonical(m: np.ndarray, tolerance: float = DEFAULT_TOLERANCE) -> bool:
-    """True iff M preserves the symplectic form within tolerance."""
-    return symplectic_deviation(m) <= tolerance
+    """True iff M preserves the symplectic form within tolerance.
+
+    The deviation max|M J M^T - J| is compared with
+    tolerance * max(1, max|M|)**2: the rounding of M J M^T grows with the
+    square of the entries, which reach e^|theta| under a squeeze.
+    """
+    scale = max(1.0, float(np.abs(m).max())) ** 2
+    return symplectic_deviation(m) <= tolerance * scale
 
 
 @lru_cache(maxsize=1)

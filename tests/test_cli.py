@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oscsym
+from oscsym import fock
 from oscsym.cli import main
 
 
@@ -23,10 +24,15 @@ def test_cli_import_leaves_scipy_unloaded():
     src = os.path.dirname(os.path.dirname(oscsym.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, oscsym.cli; print('scipy' in sys.modules)"
+    # the import, then a full verification run including the Fock check
+    code = ("import contextlib, io, sys, oscsym.cli\n"
+            "imported = 'scipy' in sys.modules\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = oscsym.cli.main(['verify', '--suite', 'all'])\n"
+            "print(imported, status, 'scipy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False 0 False"
 
 
 # ---------------------------------------------------------------------------
@@ -80,14 +86,18 @@ def test_verify_json_schema_and_roundtrip(capsys):
 
 
 def test_verify_fock_respects_nmax(capsys):
-    code, out = run(capsys, "verify", "--suite", "fock", "--nmax", "10")
-    assert code == 0
-    assert "nmax=10" in out
+    for nmax in ("10", "128"):
+        code, out = run(capsys, "verify", "--suite", "fock", "--nmax", nmax)
+        assert code == 0
+        assert f"nmax={nmax}," in out
 
 
 def test_verify_bad_suite_exits_2(capsys):
+    too_big = str(fock.MAX_NMAX + 1)
     for argv in (["--suite", "su5"], ["--suite", "fock", "--nmax", "3"],
-                 ["--suite", "all", "--nmax", "5"]):
+                 ["--suite", "all", "--nmax", "5"],
+                 ["--suite", "fock", "--nmax", too_big],
+                 ["--suite", "all", "--nmax", too_big]):
         with pytest.raises(SystemExit) as exc:
             main(["verify", *argv])
         assert exc.value.code == 2
@@ -128,6 +138,13 @@ def test_simulate_g3(capsys):
     assert abs(row["area2"] - np.pi / np.e) <= 1e-12
     assert abs(row["area_product"] - np.pi ** 2) <= 1e-10
     assert row["canonical"] is False
+
+
+def test_simulate_deep_squeeze_is_canonical(capsys):
+    code, out = run(capsys, "simulate", "--generator", "K1", "--eta", "5",
+                    "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rows"][0]["canonical"] is True
 
 
 def test_simulate_couple_uncoupled_limit(capsys):

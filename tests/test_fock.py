@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from oscsym.algebra import alge11_table
 from oscsym.fock import (
+    MAX_NMAX,
     ThermalState,
     basis_state,
     destroy,
@@ -105,10 +107,56 @@ def test_tenfold_hermitian():
         assert np.abs(m - m.conj().T).max() <= 1e-14, label
 
 
-@pytest.mark.parametrize("nmax", [6, 8, 10])
+@pytest.mark.parametrize("nmax", [6, 8, 10, 128])
 def test_fock_commutators_on_safe_subspace(nmax):
     rep = verify_fock_commutators(nmax, 1e-12)
     assert rep.passed, rep.summary()
+
+
+def _dense_tenfold(nmax):
+    """Reference: the ten generators from dense kron ladders and matmuls."""
+    a = np.zeros((nmax, nmax))
+    for n in range(1, nmax):
+        a[n - 1, n] = np.sqrt(n)
+    eye = np.eye(nmax)
+    a1, a2 = np.kron(a, eye), np.kron(eye, a)
+    ad1, ad2 = a1.T, a2.T
+    return {
+        "L1": 0.5 * (ad1 @ a2 + ad2 @ a1) + 0j,
+        "L2": -0.5j * (ad1 @ a2 - ad2 @ a1),
+        "L3": 0.5 * (ad1 @ a1 - ad2 @ a2) + 0j,
+        "S3": 0.5 * (ad1 @ a1 + a2 @ ad2) + 0j,
+        "K1": -0.25 * (ad1 @ ad1 + a1 @ a1 - ad2 @ ad2 - a2 @ a2) + 0j,
+        "K2": 0.25j * (ad1 @ ad1 - a1 @ a1 + ad2 @ ad2 - a2 @ a2),
+        "K3": 0.5 * (ad1 @ ad2 + a1 @ a2) + 0j,
+        "Q1": 0.25j * (ad1 @ ad1 - a1 @ a1 - ad2 @ ad2 + a2 @ a2),
+        "Q2": 0.25 * (ad1 @ ad1 + a1 @ a1 + ad2 @ ad2 + a2 @ a2) + 0j,
+        "Q3": -0.5j * (ad1 @ ad2 - a1 @ a2),
+    }
+
+
+@pytest.mark.parametrize("nmax", range(4, 11))
+def test_tenfold_equals_dense_reference(nmax):
+    gens = dirac_tenfold(nmax)
+    ref = _dense_tenfold(nmax)
+    assert gens.labels == tuple(ref)
+    for label, m in ref.items():
+        assert gens[label].dtype == m.dtype, label
+        assert np.array_equal(gens[label], m), label
+
+
+@pytest.mark.parametrize("nmax", [6, 8, 10])
+def test_fock_residuals_match_dense_reference(nmax):
+    gens = _dense_tenfold(nmax)
+    idx = np.flatnonzero(safe_subspace_mask(nmax))
+    scale = max(1.0, *(np.abs(g[np.ix_(idx, idx)]).max() for g in gens.values())) ** 2
+    rep = verify_fock_commutators(nmax)
+    for (a, b), terms in alge11_table().entries.items():
+        r = gens[a] @ gens[b] - gens[b] @ gens[a]
+        for c, l in terms:
+            r = r - c * gens[l]
+        want = np.abs(r[np.ix_(idx, idx)]).max() / scale
+        assert abs(rep.residuals[(a, b)] - want) <= 4e-15, (a, b)
 
 
 def test_fock_k1q1_bracket_example():
@@ -128,6 +176,14 @@ def test_fock_edge_residual_nonzero_unrestricted():
 def test_verify_fock_requires_nmax_six():
     with pytest.raises(ValueError):
         verify_fock_commutators(5)
+
+
+def test_fock_refuses_large_nmax():
+    with pytest.raises(ValueError, match="nmax"):
+        verify_fock_commutators(MAX_NMAX + 1)
+    # ten dense members at nmax 51 would exceed 1 GiB; refused before allocating
+    with pytest.raises(ValueError, match="MiB"):
+        dirac_tenfold(51)
 
 
 # ---------------------------------------------------------------------------

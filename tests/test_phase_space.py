@@ -128,7 +128,7 @@ def test_entropy_matches_high_precision_reference(eta):
 
 
 @pytest.mark.parametrize("label", TENFOLD_LABELS)
-@pytest.mark.parametrize("theta", [-1.0, -0.3, 0.3, 1.0])
+@pytest.mark.parametrize("theta", [-5.0, -1.0, -0.3, 0.3, 1.0, 5.0])
 def test_sp4_exponentials_canonical(label, theta):
     assert is_canonical(generator_to_transform(label, theta), 1e-12)
 
@@ -136,6 +136,14 @@ def test_sp4_exponentials_canonical(label, theta):
 @pytest.mark.parametrize("label", EXTENSION_LABELS)
 def test_extension_exponentials_not_canonical(label):
     assert symplectic_deviation(generator_to_transform(label, 0.5)) > 0.1
+
+
+@pytest.mark.parametrize("label", EXTENSION_LABELS)
+@pytest.mark.parametrize("theta", [-5.0, 5.0])
+def test_extension_exponentials_not_canonical_when_deep(label, theta):
+    # the tolerance scales with max|M|**2 ~ e^{2|theta|}; the extension flows
+    # still miss the form by order one relative to that scale
+    assert not is_canonical(generator_to_transform(label, theta))
 
 
 @pytest.mark.parametrize("label", FIFTEEN_LABELS)
