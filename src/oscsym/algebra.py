@@ -73,21 +73,32 @@ def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b + b @ a
 
 
+def _expand(stack: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Least-squares expansion of every column of ``rhs`` over ``stack``.
+
+    ``stack`` is (dim*dim, n_members), ``rhs`` is (dim*dim, k); returns the
+    (n_members, k) coefficients from one ``lstsq`` call and the (k,) max-abs
+    reconstruction residual of each column.
+    """
+    coeffs, *_ = np.linalg.lstsq(stack, rhs, rcond=None)
+    residuals = np.abs(stack @ coeffs - rhs).max(axis=0)
+    return coeffs, residuals
+
+
 def decompose(x: np.ndarray, basis: GeneratorSet) -> Tuple[np.ndarray, float]:
     """Least-squares expansion of a matrix over a generator family.
 
     Returns the coefficient vector (aligned with ``basis.labels``) and the
     max-abs residual of the reconstruction.  A residual above tolerance means
     the matrix is not in the family's span (e.g. the identity over a
-    traceless family).
+    traceless family).  This is the one-column case of ``structure_table``'s
+    solve.
     """
     x = np.asarray(x, dtype=complex)
     if x.shape != (basis.dim, basis.dim):
         raise ValueError(f"dimension mismatch: {x.shape} vs {(basis.dim, basis.dim)}")
-    stack = basis.stack().T  # (dim*dim, n_members)
-    coeffs, *_ = np.linalg.lstsq(stack, x.ravel(), rcond=None)
-    residual = float(np.abs(stack @ coeffs - x.ravel()).max())
-    return coeffs, residual
+    coeffs, residuals = _expand(basis.stack().T, x.reshape(-1, 1))
+    return coeffs[:, 0], float(residuals[0])
 
 
 @dataclass(frozen=True)
@@ -127,6 +138,12 @@ class StructureTable:
         if not self.closure_residuals:
             return 0.0
         return max(self.closure_residuals.values())
+
+    def worst_closure_pair(self) -> Optional[Tuple[str, str]]:
+        """The pair with the largest closure residual (None without residuals)."""
+        if not self.closure_residuals:
+            return None
+        return max(self.closure_residuals, key=self.closure_residuals.__getitem__)
 
     def to_json(self) -> str:
         pairs = [
@@ -321,31 +338,37 @@ def structure_table(genset: GeneratorSet,
                     coeff_tolerance: float = COEFF_TOLERANCE) -> StructureTable:
     """Expand every ordered commutator pair in the set's own basis.
 
+    All n(n-1) off-diagonal commutators come from one broadcast product and
+    are expanded by one least-squares solve with a column per pair.
     Coefficients below ``coeff_tolerance`` are dropped.  The least-squares
     residual of each expansion is kept in ``closure_residuals``; a residual
     above tolerance marks a pair whose bracket leaves the span (non-closure)
     and is reported rather than raised.
     """
-    entries: Dict[Tuple[str, str], Tuple[Term, ...]] = {}
-    closure: Dict[Tuple[str, str], float] = {}
     labels = genset.labels
-    for a in labels:
-        for b in labels:
-            if a == b:
-                continue
-            coeffs, resid = decompose(commutator(genset[a], genset[b]), genset)
-            closure[(a, b)] = resid
-            entries[(a, b)] = tuple(
-                (complex(c), l)
-                for c, l in zip(coeffs, labels)
-                if abs(c) > coeff_tolerance
-            )
-    return StructureTable(entries, closure)
+    n, d = len(labels), genset.dim
+    mats = np.stack(list(genset.members.values()))  # (n, d, d)
+    products = mats[:, None] @ mats[None, :]  # products[i, j] = M_i M_j
+    brackets = products - products.transpose(1, 0, 2, 3)
+    rows, cols = np.nonzero(~np.eye(n, dtype=bool))  # row-major: (a, b) order
+    rhs = brackets[rows, cols].reshape(-1, d * d).T  # (d*d, n(n-1))
+    coeffs, residuals = _expand(mats.reshape(n, d * d).T, rhs)
+    keep = np.abs(coeffs) > coeff_tolerance
+    pairs = [(labels[i], labels[j]) for i, j in zip(rows.tolist(), cols.tolist())]
+    entries = {
+        pair: tuple((c, l) for c, l, k in zip(cs, labels, ks) if k)
+        for pair, cs, ks in zip(pairs, coeffs.T.tolist(), keep.T.tolist())
+    }
+    return StructureTable(entries, dict(zip(pairs, residuals.tolist())))
 
 
 @dataclass(frozen=True)
 class IsomorphismReport:
-    """Entrywise comparison of two families' numerically computed tables."""
+    """Entrywise comparison of two families' numerically computed tables.
+
+    ``worst_closure_a`` and ``worst_closure_b`` name the pair whose bracket
+    has the largest closure residual on each side.
+    """
 
     family_a: str
     family_b: str
@@ -354,6 +377,8 @@ class IsomorphismReport:
     worst: Tuple[Tuple[str, str], str]
     closure_a: float
     closure_b: float
+    worst_closure_a: Optional[Tuple[str, str]] = None
+    worst_closure_b: Optional[Tuple[str, str]] = None
 
     @property
     def passed(self) -> bool:
@@ -366,7 +391,13 @@ class IsomorphismReport:
         verdict = "PASS" if self.passed else "FAIL"
         return (f"{self.family_a} ~ {self.family_b}: {verdict} "
                 f"(worst coefficient gap {self.max_deviation:.3e} "
-                f"on [{a},{b}] -> {l})")
+                f"on [{a},{b}] -> {l}; worst closure "
+                f"{_pair_text(self.worst_closure_a)} {self.closure_a:.3e} / "
+                f"{_pair_text(self.worst_closure_b)} {self.closure_b:.3e})")
+
+
+def _pair_text(pair: Optional[Tuple[str, str]]) -> str:
+    return "[-]" if pair is None else f"[{pair[0]},{pair[1]}]"
 
 
 def check_isomorphism(set_a: GeneratorSet, set_b: GeneratorSet,
@@ -404,6 +435,8 @@ def check_isomorphism(set_a: GeneratorSet, set_b: GeneratorSet,
         worst=worst,
         closure_a=table_a.max_closure_residual(),
         closure_b=table_b.max_closure_residual(),
+        worst_closure_a=table_a.worst_closure_pair(),
+        worst_closure_b=table_b.worst_closure_pair(),
     )
 
 

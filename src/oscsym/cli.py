@@ -11,8 +11,9 @@ Subcommands::
 
 Exit status: 0 when every executed check passes (WARN rows document known
 print discrepancies and do not fail the run), 1 on any FAIL, 2 on bad
-arguments.  All output is deterministic: no randomness, stable ordering,
-floats rendered with 17 significant digits.
+arguments (a ``table`` row needing more than ``fock.MAX_KMAX`` series
+terms included).  All output is deterministic: no randomness, stable
+ordering, floats rendered with 17 significant digits.
 
 JSON reports follow
 ``{"suite": str, "results": [{"name": str, "residual": float, "status": "PASS|WARN|FAIL"}]}``
@@ -299,13 +300,18 @@ def _parse_grid(text: str, parser: argparse.ArgumentParser) -> np.ndarray:
 
 
 def _cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    grid = _parse_grid(args.eta_grid, parser)
+    grid = _parse_grid(args.eta_grid, parser).tolist()
+    if args.kmax > fock.MAX_KMAX:
+        parser.error(f"--kmax must be at most {fock.MAX_KMAX}")
+    # --kmax is a floor; deep squeezes get enough terms for the series tail
+    # to clear the dual-route tolerance.  Every row's count is checked
+    # before any series is allocated.
+    try:
+        kmaxes = [max(args.kmax, fock.kmax_for_tail(eta)) for eta in grid]
+    except ValueError as exc:
+        parser.error(str(exc))
     rows = []
-    for eta in grid:
-        eta = float(eta)
-        # --kmax is a floor; deep squeezes get enough terms for the series
-        # tail to clear the dual-route tolerance
-        kmax = max(args.kmax, fock.kmax_for_tail(eta))
+    for eta, kmax in zip(grid, kmaxes):
         m = fock.moments(eta, kmax)
         if eta > 0:
             temperature = ps.temperature_from_eta(eta)
@@ -389,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--eta-grid", required=True, metavar="LO:HI:STEP")
     p_table.add_argument("--kmax", type=int, default=200,
                          help="series truncation floor (raised per row when "
-                              "the geometric tail needs more terms)")
+                              "the geometric tail needs more terms), at most "
+                              f"{fock.MAX_KMAX}")
     p_table.add_argument("--format", choices=("text", "json", "csv"),
                          default="csv")
     p_table.add_argument("--out", default=None)

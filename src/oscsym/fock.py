@@ -33,6 +33,7 @@ __all__ = [
     "SERIES_TAIL_LIMIT",
     "MIN_NMAX",
     "MAX_NMAX",
+    "MAX_KMAX",
     "destroy",
     "ladder_operators",
     "fock_index",
@@ -63,6 +64,7 @@ HERMITE_KMAX = 200
 SERIES_TAIL_LIMIT = 1e-12
 MIN_NMAX = 6  # smallest truncation with a nonempty safe subspace
 MAX_NMAX = 256  # largest truncation the bracket check accepts (~1 s)
+MAX_KMAX = 2 ** 24  # largest series truncation kmax_for_tail returns (eta ~ 7.3)
 _DENSE_TENFOLD_BYTES = 2 ** 30  # cap on the ten dense members of dirac_tenfold
 
 
@@ -407,13 +409,23 @@ def kmax_for_tail(eta: float, limit: float = SERIES_TAIL_LIMIT) -> int:
     """Smallest truncation whose dropped tail is at most ``limit``.
 
     Grows like -ln(limit) / (2 ln tanh |eta|); about 50 terms at eta = 1,
-    about 380 at eta = 2.
+    about 380 at eta = 2, about 1.1 M at eta = 6.
+
+    Raises:
+        ValueError: tanh^2 |eta| rounds to 1 (eta above about 19), or the
+            count exceeds ``MAX_KMAX`` (eta above about 7.3).
     """
     t = np.tanh(abs(eta)) ** 2
     if t == 0.0:
         return 1
-    n = int(np.ceil(np.log(limit) / np.log(t))) - 1
-    return max(n, 1)
+    if t == 1.0:
+        raise ValueError(f"tanh^2(eta) rounds to 1 at eta={eta}: no finite "
+                         f"series truncation clears the tail {limit:.0e}")
+    n = np.ceil(np.log(limit) / np.log(t)) - 1
+    if not n <= MAX_KMAX:
+        raise ValueError(f"eta={eta} needs {n:.3g} series terms to clear the tail "
+                         f"{limit:.0e}, more than MAX_KMAX = {MAX_KMAX}")
+    return max(int(n), 1)
 
 
 def _xlogx(w: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oscsym.algebra import (
+    COEFF_TOLERANCE,
     SP2_TRIPLES,
     StructureTable,
     alge11_table,
@@ -16,7 +17,7 @@ from oscsym.algebra import (
     table1_correspondence,
     verify_algebra,
 )
-from oscsym.families import build_generator_set
+from oscsym.families import FAMILIES, GeneratorSet, build_generator_set
 
 SP4 = build_generator_set("sp4_4")
 SL4R = build_generator_set("sl4r_4")
@@ -165,11 +166,46 @@ def test_sp2_first_triple_brackets():
 # structure_table
 
 def test_structure_table_single_member_trivially_closed():
-    from oscsym.families import GeneratorSet
     solo = GeneratorSet(family="solo", dim=4, members={"L3": SP4["L3"]})
     table = structure_table(solo)
     assert table.entries == {}
     assert table.max_closure_residual() == 0.0
+    assert table.worst_closure_pair() is None
+
+
+def _reference_table(genset):
+    """One decompose per ordered pair: the plain loop the batched solve replaces."""
+    entries, closure = {}, {}
+    for a in genset.labels:
+        for b in genset.labels:
+            if a == b:
+                continue
+            coeffs, resid = decompose(commutator(genset[a], genset[b]), genset)
+            closure[(a, b)] = resid
+            entries[(a, b)] = tuple((complex(c), l) for c, l in zip(coeffs, genset.labels)
+                                    if abs(c) > COEFF_TOLERANCE)
+    return entries, closure
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_structure_table_matches_per_pair_reference(family):
+    genset = build_generator_set(family)
+    entries, closure = _reference_table(genset)
+    table = structure_table(genset)
+    assert list(table.entries) == list(entries)
+    assert dict(table.entries) == entries  # exact, coefficient by coefficient
+    assert set(table.closure_residuals) == set(closure)
+    for pair, resid in closure.items():
+        assert abs(table.closure_residuals[pair] - resid) <= 1e-15, pair
+
+
+def test_structure_table_reports_non_closure():
+    # [K1, K2] = -i L3 leaves span{K1, K2}: reported, not raised
+    pair_set = GeneratorSet(family="k1k2", dim=4,
+                            members={"K1": SP4["K1"], "K2": SP4["K2"]})
+    table = structure_table(pair_set)
+    assert table.closure_residuals == {("K1", "K2"): 0.5, ("K2", "K1"): 0.5}
+    assert table.entries == {("K1", "K2"): (), ("K2", "K1"): ()}
 
 
 def test_structure_table_drops_zero_coefficients():
@@ -215,6 +251,24 @@ def test_isomorphism_self():
     rep = check_isomorphism(SP4, SP4, 1e-12)
     assert rep.passed
     assert rep.max_deviation == 0.0
+
+
+def test_isomorphism_matches_by_label_not_position():
+    permuted = GeneratorSet(family="sl4r_reversed", dim=SL4R.dim,
+                            members=dict(reversed(list(SL4R.members.items()))))
+    assert permuted.labels == SL4R.labels[::-1]
+    rep = check_isomorphism(permuted, O33, 1e-12)
+    assert rep.passed, rep.summary()
+    assert rep.max_deviation <= 1e-15
+
+
+def test_isomorphism_names_worst_closure_pairs():
+    rep = check_isomorphism(SL4R, O33, 1e-12)
+    for genset, pair, worst in ((SL4R, rep.worst_closure_a, rep.closure_a),
+                                (O33, rep.worst_closure_b, rep.closure_b)):
+        residuals = structure_table(genset).closure_residuals
+        assert residuals[pair] == worst == max(residuals.values())
+        assert f"[{pair[0]},{pair[1]}] {worst:.3e}" in rep.summary()
 
 
 def test_isomorphism_label_mismatch_rejected():

@@ -261,6 +261,31 @@ def test_table_empty_grid_exits_2(capsys):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("grid,match", [
+    ("8:8:1", "MAX_KMAX"),      # 6.1e7 series terms
+    ("19:19:1", "rounds to 1"),  # tanh^2 == 1.0
+    ("0:8:1", "MAX_KMAX"),      # refused before the valid rows are computed
+])
+def test_table_unbounded_series_exits_2(grid, match, capsys, monkeypatch):
+    def no_series(*args, **kwargs):
+        raise AssertionError("series allocated before the refusal")
+
+    for name in ("series_weights", "moments", "thermal_state"):
+        monkeypatch.setattr(fock, name, no_series)
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--eta-grid", grid])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("oscsym: error:") and match in err[-1]
+
+
+def test_table_kmax_above_cap_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--eta-grid", "0:0:1", "--kmax", str(fock.MAX_KMAX + 1)])
+    assert exc.value.code == 2
+    assert "--kmax must be at most" in capsys.readouterr().err
+
+
 def test_table_csv_deterministic(capsys):
     _, first = run(capsys, "table", "--eta-grid", "0:1.5:0.25")
     _, second = run(capsys, "table", "--eta-grid", "0:1.5:0.25")

@@ -5,6 +5,7 @@ import pytest
 
 from oscsym.algebra import alge11_table
 from oscsym.fock import (
+    MAX_KMAX,
     MAX_NMAX,
     ThermalState,
     basis_state,
@@ -15,6 +16,7 @@ from oscsym.fock import (
     fock_index,
     gauss_hermite,
     hermite_functions,
+    kmax_for_tail,
     ladder_operators,
     moments,
     phi,
@@ -338,6 +340,24 @@ def test_moments_value_at_unit_eta():
 def test_moments_warns_on_short_series():
     with pytest.warns(UserWarning, match="tail bound"):
         moments(1.5, 5)
+
+
+def test_kmax_for_tail_clears_the_tail_up_to_eta_six():
+    for eta in (0.0, 1.0, 4.0, 6.0):
+        kmax = kmax_for_tail(eta)
+        assert 1 <= kmax <= MAX_KMAX
+        assert series_tail_bound(eta, kmax) <= 1e-12
+    assert kmax_for_tail(6.0) == 1124270
+
+
+@pytest.mark.parametrize("eta,match", [
+    (8.0, "MAX_KMAX"),          # 6.1e7 terms, about 0.5 GB per array
+    (19.0, "rounds to 1"),      # tanh^2 == 1.0: the count would be infinite
+    (float("nan"), "MAX_KMAX"),
+])
+def test_kmax_for_tail_refuses_unbounded_series(eta, match):
+    with pytest.raises(ValueError, match=match):
+        kmax_for_tail(eta)
 
 
 # ---------------------------------------------------------------------------
