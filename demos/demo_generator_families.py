@@ -49,8 +49,8 @@ for family in ("dirac_gamma", "sp4_4", "sl4r_4", "o32_5", "o33_6"):
     print(f"\n{family}: {len(gens)} members of dimension {gens.dim}")
     print(f"  max |trace|      = {trace:.2e}")
     print(f"  max |real part|  = {realpart:.2e}")
-    print(f"  rank of stack    = {gens.rank()} (independent: "
-          f"{gens.rank() == len(gens)})")
+    rank = np.linalg.matrix_rank(gens.stack())
+    print(f"  rank of stack    = {rank} (independent: {rank == len(gens)})")
 
 print()
 print("=" * 70)

@@ -12,77 +12,23 @@ Everything is dense numpy at double precision; generator entries are exact
 multiples of 1/2 and i/2, so all verification residuals are rounding-level.
 """
 
-from .families import (
-    FAMILIES,
-    FIFTEEN_LABELS,
-    GAMMA_LABELS,
-    TENFOLD_LABELS,
-    GeneratorSet,
-    build_generator_set,
-    gamma_matrices,
-)
+from .families import FIFTEEN_LABELS, build_generator_set, gamma_matrices
 from .algebra import (
-    SP2_TRIPLES,
-    TABLE1_RECIPES,
-    CorrespondenceEntry,
-    CorrespondenceReport,
-    IsomorphismReport,
-    StructureTable,
-    VerificationReport,
-    alge11_table,
-    anticommutator,
-    check_isomorphism,
-    commutator,
-    decompose,
-    o33gen_table,
-    sp2_table,
-    structure_table,
-    table1_correspondence,
-    verify_algebra,
+    SP2_TRIPLES, alge11_table, anticommutator, check_isomorphism,
+    commutator, decompose, o33gen_table, sp2_table, structure_table,
+    table1_correspondence, verify_algebra,
 )
 from .fock import (
-    SeriesMoments,
-    ThermalState,
-    basis_state,
-    destroy,
-    dirac_tenfold,
-    expansion_coefficient,
-    expansion_overlap,
-    fock_index,
-    gauss_hermite,
-    hermite_functions,
-    ladder_operators,
-    moments,
-    phi,
-    psi_eta,
-    rho_partial_trace,
-    rho_reduced,
-    rho_series,
-    safe_subspace_mask,
-    series_tail_bound,
-    series_weights,
-    thermal_state,
-    verify_fock_commutators,
-    wigner_radius,
+    basis_state, dirac_tenfold, expansion_coefficient,
+    expansion_overlap, gauss_hermite, moments, rho_partial_trace,
+    rho_reduced, rho_series, safe_subspace_mask, thermal_state,
+    verify_fock_commutators, wigner_radius,
 )
 from .phase_space import (
-    GaussianState,
-    SubVacuumError,
-    area_product,
-    areas,
-    coupling_transform,
-    eta_from_temperature,
-    evolve,
-    gaussian_entropy,
-    gaussian_purity,
-    generator_to_transform,
-    is_canonical,
-    reduce_oscillator,
-    symplectic_deviation,
-    symplectic_eigenvalue,
-    symplectic_form,
-    temperature_from_eta,
-    vacuum_state,
+    SubVacuumError, area_product, areas, coupling_transform,
+    eta_from_temperature, evolve, gaussian_entropy, gaussian_purity,
+    generator_to_transform, is_canonical, reduce_oscillator,
+    symplectic_deviation, temperature_from_eta, vacuum_state,
 )
 
 __version__ = "0.1.0"

@@ -1,40 +1,31 @@
 """Commutator algebra: structure tables, verification, isomorphism checks.
 
-The expected bracket tables shipped here (``o33gen_table``, its ten-generator
-restriction ``alge11_table``, and ``sp2_table``) are frozen data; the test
-suite recomputes every table numerically from the explicit matrices and
-fails the build if a shipped coefficient disagrees.
+Every bracket table is one (n, n, n) tensor f with
+[G_a, G_b] = i sum_c f_abc G_c, and every check is a batched contraction
+over it.  The expected tables shipped here (``o33gen_table``, its
+ten-generator restriction ``alge11_table``, and ``sp2_table``) are frozen
+integer tensors; the test suite recomputes every table numerically from the
+explicit matrices and fails the build if a shipped coefficient disagrees.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .families import TENFOLD_LABELS, GeneratorSet, build_generator_set, gamma_matrices
+from .families import (FIFTEEN_LABELS, TENFOLD_LABELS, GeneratorSet,
+                       build_generator_set, gamma_matrices)
 
 __all__ = [
-    "DEFAULT_TOLERANCE",
-    "COEFF_TOLERANCE",
-    "commutator",
-    "anticommutator",
-    "decompose",
-    "StructureTable",
-    "alge11_table",
-    "o33gen_table",
-    "sp2_table",
-    "SP2_TRIPLES",
-    "VerificationReport",
-    "verify_algebra",
-    "structure_table",
-    "IsomorphismReport",
-    "check_isomorphism",
-    "TABLE1_RECIPES",
-    "CorrespondenceEntry",
-    "CorrespondenceReport",
+    "DEFAULT_TOLERANCE", "COEFF_TOLERANCE", "commutator", "anticommutator",
+    "decompose", "StructureTable", "alge11_table", "o33gen_table",
+    "sp2_table", "SP2_TRIPLES", "VerificationReport", "verify_algebra",
+    "structure_table", "IsomorphismReport", "check_isomorphism",
+    "TABLE1_RECIPES", "CorrespondenceEntry", "CorrespondenceReport",
     "table1_correspondence",
 ]
 
@@ -54,8 +45,7 @@ SP2_TRIPLES = (
 
 
 def _square_pair(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a)
-    b = np.asarray(b)
+    a, b = np.asarray(a), np.asarray(b)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return a, b
@@ -71,6 +61,13 @@ def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """AB + BA for square matrices of equal dimension."""
     a, b = _square_pair(a, b)
     return a @ b + b @ a
+
+
+def _products(mats: np.ndarray) -> np.ndarray:
+    """products[a, b] = M_a M_b: stacked (n, d, d) members as block rows times block columns."""
+    n, d, _ = mats.shape
+    blocks = mats.reshape(n * d, d) @ mats.transpose(1, 0, 2).reshape(d, n * d)
+    return blocks.reshape(n, d, n, d).transpose(0, 2, 1, 3)
 
 
 def _expand(stack: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -101,113 +98,90 @@ def decompose(x: np.ndarray, basis: GeneratorSet) -> Tuple[np.ndarray, float]:
     return coeffs[:, 0], float(residuals[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructureTable:
-    """Commutator expansions: (label_a, label_b) -> ((coeff, label), ...).
+    """Bracket table [G_a, G_b] = i sum_c f[a, b, c] G_c over ``labels``.
 
-    An empty term tuple means the bracket vanishes.  Tables built here list
-    both orders of every pair, with entry(b, a) = -entry(a, b).  Tables
-    computed numerically additionally carry the per-pair least-squares
-    closure residual.
+    ``f`` is antisymmetric in (a, b): integer for the shipped tables (every
+    coefficient is +-i or 0), complex least-squares values for computed
+    ones, which also carry the per-pair closure residual.
     """
 
-    entries: Mapping[Tuple[str, str], Tuple[Term, ...]]
+    labels: Tuple[str, ...]
+    f: np.ndarray
     closure_residuals: Optional[Mapping[Tuple[str, str], float]] = field(default=None)
 
     def pairs(self) -> Tuple[Tuple[str, str], ...]:
-        return tuple(self.entries)
+        """Every ordered pair of distinct labels, row-major."""
+        return tuple((a, b) for a in self.labels for b in self.labels if a != b)
 
-    def terms(self, a: str, b: str) -> Tuple[Term, ...]:
-        return self.entries[(a, b)]
-
-    def coefficient(self, a: str, b: str, label: str) -> complex:
-        for c, l in self.entries.get((a, b), ()):
-            if l == label:
-                return c
-        return 0j
-
-    def labels(self) -> Tuple[str, ...]:
-        seen = []
-        for (a, b), terms in self.entries.items():
-            for name in (a, b, *(l for _, l in terms)):
-                if name not in seen:
-                    seen.append(name)
-        return tuple(sorted(seen))
+    @property
+    def entries(self) -> Dict[Tuple[str, str], Tuple[Term, ...]]:
+        """(a, b) -> ((i f_abc, c), ...) over the nonzero coefficients, row-major."""
+        n = len(self.labels)
+        coeffs, nonzero = (1j * self.f).tolist(), (self.f != 0).tolist()
+        return {(self.labels[a], self.labels[b]): tuple(
+                    (c, l) for c, l, nz in zip(coeffs[a][b], self.labels, nonzero[a][b]) if nz)
+                for a in range(n) for b in range(n) if a != b}
 
     def max_closure_residual(self) -> float:
-        if not self.closure_residuals:
-            return 0.0
-        return max(self.closure_residuals.values())
+        return max((self.closure_residuals or {}).values(), default=0.0)
 
     def worst_closure_pair(self) -> Optional[Tuple[str, str]]:
         """The pair with the largest closure residual (None without residuals)."""
-        if not self.closure_residuals:
-            return None
-        return max(self.closure_residuals, key=self.closure_residuals.__getitem__)
+        residuals = self.closure_residuals or {}
+        return max(residuals, key=residuals.__getitem__, default=None)
 
     def to_json(self) -> str:
-        pairs = [
-            {
-                "a": a,
-                "b": b,
-                "terms": [
-                    {"coeff": [c.real, c.imag], "label": l} for c, l in terms
-                ],
-            }
-            for (a, b), terms in self.entries.items()
-        ]
+        pairs = [{"a": a, "b": b,
+                  "terms": [{"coeff": [c.real, c.imag], "label": l} for c, l in terms]}
+                 for (a, b), terms in self.entries.items()]
         return json.dumps({"pairs": pairs}, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "StructureTable":
-        data = json.loads(text)
-        entries = {}
-        for pair in data["pairs"]:
-            terms = tuple(
-                (complex(t["coeff"][0], t["coeff"][1]), t["label"])
-                for t in pair["terms"]
-            )
-            entries[(pair["a"], pair["b"])] = terms
-        return cls(entries)
+        pairs = json.loads(text)["pairs"]
+        labels = tuple(dict.fromkeys(
+            l for p in pairs for l in (p["a"], p["b"], *(t["label"] for t in p["terms"]))))
+        index = {l: k for k, l in enumerate(labels)}
+        f = np.zeros((len(labels),) * 3, complex)
+        for p in pairs:
+            for t in p["terms"]:
+                f[index[p["a"]], index[p["b"]], index[t["label"]]] = -1j * complex(*t["coeff"])
+        return cls(labels, f)
 
 
-# ordered index triples with their Levi-Civita signs
-_EPS: Dict[Tuple[int, int], Tuple[int, int]] = {
-    (1, 2): (3, 1), (2, 3): (1, 1), (3, 1): (2, 1),
-    (2, 1): (3, -1), (3, 2): (1, -1), (1, 3): (2, -1),
-}
+def _antisymmetric(f: np.ndarray) -> np.ndarray:
+    """f[a, b] - f[b, a]: the full table from one entry per unordered pair, read-only."""
+    f = f - f.transpose(1, 0, 2)
+    f.flags.writeable = False
+    return f
 
 
-def _put2(entries: Dict[Tuple[str, str], Tuple[Term, ...]],
-          a: str, b: str, terms: Iterable[Term] = ()) -> None:
-    terms = tuple(terms)
-    entries[(a, b)] = terms
-    entries[(b, a)] = tuple((-c, l) for c, l in terms)
-
-
-def alge11_table() -> StructureTable:
-    """The ten-generator bracket table, ``o33gen_table`` on the closed TENFOLD_LABELS.
-
-    [L_i, L_j] = i eps_ijk L_k         [L_i, K_j] = i eps_ijk K_k
-    [L_i, Q_j] = i eps_ijk Q_k         [K_i, K_j] = [Q_i, Q_j] = -i eps_ijk L_k
-    [L_i, S3] = 0                      [K_i, Q_j] = -i delta_ij S3
-    [K_i, S3] = -i Q_i                 [Q_i, S3] = i K_i
-    """
-    ten = set(TENFOLD_LABELS)
-    return StructureTable({
-        (a, b): terms for (a, b), terms in o33gen_table().entries.items()
-        if a in ten and b in ten
-    })
+@lru_cache(maxsize=None)
+def _o33gen_f() -> np.ndarray:
+    eps = np.zeros((3, 3, 3), np.int8)  # cyclic half of the Levi-Civita symbol
+    eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1
+    full = eps - eps.transpose(1, 0, 2)
+    eye = np.eye(3, dtype=np.int8)
+    L, S, K, Q, G = (slice(3 * m, 3 * m + 3) for m in range(5))  # FIFTEEN_LABELS
+    s1, s2, s3 = 3, 4, 5
+    f = np.zeros((15, 15, 15), np.int8)
+    f[L, L, L] = f[S, S, S] = eps
+    f[K, K, L] = f[Q, Q, L] = f[G, G, L] = -eps
+    f[L, K, K] = f[L, Q, Q] = f[L, G, G] = full
+    f[K, Q, s3] = f[Q, G, s1] = f[G, K, s2] = -eye
+    f[K, s3, Q] = f[Q, s1, G] = f[G, s2, K] = -eye
+    f[Q, s3, K] = f[G, s1, Q] = f[K, s2, G] = eye
+    return _antisymmetric(f)
 
 
 def o33gen_table() -> StructureTable:
-    """The fifteen-generator bracket table.
+    """The fifteen-generator bracket table over FIFTEEN_LABELS.
 
-    Extends the ten-generator table by a second rotation triple S1..S3 and
-    the squeezes G1..G3:
-
-    [S_i, S_j] = i eps_ijk S_k         [L_i, S_j] = 0
-    [L_i, G_j] = i eps_ijk G_k         [G_i, G_j] = -i eps_ijk L_k
+    [L_i, L_j] = i eps_ijk L_k         [S_i, S_j] = i eps_ijk S_k
+    [L_i, K_j] = i eps_ijk K_k         [K_i, K_j] = -i eps_ijk L_k
+    (likewise Q and G for K)           [L_i, S_j] = 0
     [K_i, Q_j] = -i delta_ij S3        [Q_i, G_j] = -i delta_ij S1
     [G_i, K_j] = -i delta_ij S2
     [K_i, S3] = -i Q_i   [Q_i, S3] = i K_i    [G_i, S3] = 0
@@ -218,36 +192,26 @@ def o33gen_table() -> StructureTable:
     other squeeze pairs; the shipped value is validated against the o33_6
     matrices by the test suite.
     """
-    e: Dict[Tuple[str, str], Tuple[Term, ...]] = {}
-    for (i, j), (k, s) in _EPS.items():
-        if s == 1:
-            _put2(e, f"L{i}", f"L{j}", [(1j, f"L{k}")])
-            _put2(e, f"S{i}", f"S{j}", [(1j, f"S{k}")])
-            _put2(e, f"K{i}", f"K{j}", [(-1j, f"L{k}")])
-            _put2(e, f"Q{i}", f"Q{j}", [(-1j, f"L{k}")])
-            _put2(e, f"G{i}", f"G{j}", [(-1j, f"L{k}")])
-        _put2(e, f"L{i}", f"K{j}", [(1j * s, f"K{k}")])
-        _put2(e, f"L{i}", f"Q{j}", [(1j * s, f"Q{k}")])
-        _put2(e, f"L{i}", f"G{j}", [(1j * s, f"G{k}")])
-    for i in (1, 2, 3):
-        _put2(e, f"L{i}", f"K{i}")
-        _put2(e, f"L{i}", f"Q{i}")
-        _put2(e, f"L{i}", f"G{i}")
-        for j in (1, 2, 3):
-            _put2(e, f"L{i}", f"S{j}")
-            _put2(e, f"K{i}", f"Q{j}", [(-1j, "S3")] if i == j else [])
-            _put2(e, f"Q{i}", f"G{j}", [(-1j, "S1")] if i == j else [])
-            _put2(e, f"G{i}", f"K{j}", [(-1j, "S2")] if i == j else [])
-        _put2(e, f"K{i}", "S3", [(-1j, f"Q{i}")])
-        _put2(e, f"Q{i}", "S3", [(1j, f"K{i}")])
-        _put2(e, f"G{i}", "S3")
-        _put2(e, f"K{i}", "S1")
-        _put2(e, f"Q{i}", "S1", [(-1j, f"G{i}")])
-        _put2(e, f"G{i}", "S1", [(1j, f"Q{i}")])
-        _put2(e, f"K{i}", "S2", [(1j, f"G{i}")])
-        _put2(e, f"Q{i}", "S2")
-        _put2(e, f"G{i}", "S2", [(-1j, f"K{i}")])
-    return StructureTable(e)
+    return StructureTable(FIFTEEN_LABELS, _o33gen_f())
+
+
+@lru_cache(maxsize=None)
+def _alge11_f() -> np.ndarray:
+    ten = [FIFTEEN_LABELS.index(l) for l in TENFOLD_LABELS]
+    f = _o33gen_f()[np.ix_(ten, ten, ten)]
+    f.flags.writeable = False
+    return f
+
+
+def alge11_table() -> StructureTable:
+    """The ten-generator bracket table, ``o33gen_table`` on the closed TENFOLD_LABELS.
+
+    [L_i, L_j] = i eps_ijk L_k         [L_i, K_j] = i eps_ijk K_k
+    [L_i, Q_j] = i eps_ijk Q_k         [K_i, K_j] = [Q_i, Q_j] = -i eps_ijk L_k
+    [L_i, S3] = 0                      [K_i, Q_j] = -i delta_ij S3
+    [K_i, S3] = -i Q_i                 [Q_i, S3] = i K_i
+    """
+    return StructureTable(TENFOLD_LABELS, _alge11_f())
 
 
 def sp2_table(x: str, y: str, z: str) -> StructureTable:
@@ -256,11 +220,9 @@ def sp2_table(x: str, y: str, z: str) -> StructureTable:
     [X, Y] = iZ, [X, Z] = -iY, [Y, Z] = -iX: one rotation-like and two
     squeeze-like generators of a single-oscillator phase space.
     """
-    e: Dict[Tuple[str, str], Tuple[Term, ...]] = {}
-    _put2(e, x, y, [(1j, z)])
-    _put2(e, x, z, [(-1j, y)])
-    _put2(e, y, z, [(-1j, x)])
-    return StructureTable(e)
+    f = np.zeros((3, 3, 3), np.int8)
+    f[0, 1, 2], f[0, 2, 1], f[1, 2, 0] = 1, -1, -1
+    return StructureTable((x, y, z), _antisymmetric(f))
 
 
 @dataclass(frozen=True)
@@ -273,65 +235,55 @@ class VerificationReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values())
+        return max(self.residuals.values(), default=0.0)
 
     @property
-    def worst_pair(self) -> Tuple[str, str]:
-        return max(self.residuals, key=self.residuals.__getitem__)
+    def worst_pair(self) -> Optional[Tuple[str, str]]:
+        """The pair with the largest residual (None for an empty table)."""
+        return max(self.residuals, key=self.residuals.__getitem__, default=None)
 
     @property
     def passed(self) -> bool:
         return self.max_residual <= self.tolerance
 
     def summary(self) -> str:
-        a, b = self.worst_pair
         verdict = "PASS" if self.passed else "FAIL"
         return (f"{self.family}: {verdict} "
-                f"(worst [{a},{b}] residual {self.max_residual:.3e}, "
+                f"(worst {_pair_text(self.worst_pair)} residual {self.max_residual:.3e}, "
                 f"tolerance {self.tolerance:.1e})")
 
 
 def verify_algebra(genset: GeneratorSet, expected: StructureTable,
                    tolerance: float = DEFAULT_TOLERANCE) -> VerificationReport:
-    """Check every listed bracket of ``expected`` against the matrices.
+    """Check every bracket of ``expected`` against the matrices.
 
     The residual for a pair (a, b) is
-    max|[A, B] - sum(coeff * G)| / max(1, max_l max|G_l|)**2, the scale taken
-    once over all members of the set; the report passes iff every residual
-    is within tolerance.  Every shipped 4x4, 5x5 and 6x6 family has entries
-    of at most 1, so its scale is 1 and its residuals are absolute.
+    max|[A, B] - i sum_c f_abc G_c| / max(1, max_l max|G_l|)**2, the scale
+    taken once over all members of the set; the report passes iff every
+    residual is within tolerance.  All pairs come from one product of the
+    stacked members and one contraction of ``f`` with the stack.  Every shipped
+    4x4, 5x5 and 6x6 family has entries of at most 1, so its scale is 1 and
+    its residuals are absolute.
 
     Raises:
         ValueError: the expected table references a label absent from the set.
     """
-    return _verify_brackets(genset.family, genset.members, expected, tolerance,
-                            lambda m: float(np.abs(m).max()))
-
-
-def _verify_brackets(family: str, members: Mapping, expected: StructureTable,
-                     tolerance: float,
-                     max_abs: Callable[[object], float]) -> VerificationReport:
-    """The bracket loop shared by ``verify_algebra`` and the Fock check.
-
-    ``members`` maps labels to operators supporting ``@``, ``-`` and scalar
-    ``*``; ``max_abs`` reads the max-abs entry of one operator over the
-    entries being checked, and serves both the residuals and the scale.
-    """
-    missing = set(expected.labels()) - set(members)
+    missing = set(expected.labels) - set(genset.members)
     if missing:
-        raise ValueError(
-            f"expected table references labels absent from {family}: "
-            f"{sorted(missing)}"
-        )
-    scale = max(1.0, *(max_abs(m) for m in members.values())) ** 2
-    residuals = {}
-    for (a, b), terms in expected.entries.items():
-        x, y = members[a], members[b]
-        r = x @ y - y @ x
-        for c, l in terms:
-            r = r - c * members[l]
-        residuals[(a, b)] = max_abs(r) / scale
-    return VerificationReport(family, tolerance, residuals)
+        raise ValueError(f"expected table references labels absent from "
+                         f"{genset.family}: {sorted(missing)}")
+    mats = np.stack(list(genset.members.values()))
+    scale = max(1.0, float(np.abs(mats).max())) ** 2
+    index = {l: k for k, l in enumerate(genset.labels)}
+    g = mats[[index[l] for l in expected.labels]]
+    m, d = len(g), genset.dim
+    products = _products(g)
+    expansion = (expected.f.reshape(m * m, m) @ g.reshape(m, d * d)).reshape(m, m, d, d)
+    r = products - products.transpose(1, 0, 2, 3) - 1j * expansion
+    residuals = np.abs(r).reshape(m, m, -1).max(axis=2) / scale
+    rows, cols = np.nonzero(~np.eye(m, dtype=bool))  # row-major, as pairs()
+    return VerificationReport(genset.family, tolerance,
+                              dict(zip(expected.pairs(), residuals[rows, cols].tolist())))
 
 
 def structure_table(genset: GeneratorSet,
@@ -345,36 +297,34 @@ def structure_table(genset: GeneratorSet,
     above tolerance marks a pair whose bracket leaves the span (non-closure)
     and is reported rather than raised.
     """
-    labels = genset.labels
-    n, d = len(labels), genset.dim
+    n, d = len(genset), genset.dim
     mats = np.stack(list(genset.members.values()))  # (n, d, d)
-    products = mats[:, None] @ mats[None, :]  # products[i, j] = M_i M_j
+    products = _products(mats)
     brackets = products - products.transpose(1, 0, 2, 3)
     rows, cols = np.nonzero(~np.eye(n, dtype=bool))  # row-major: (a, b) order
     rhs = brackets[rows, cols].reshape(-1, d * d).T  # (d*d, n(n-1))
     coeffs, residuals = _expand(mats.reshape(n, d * d).T, rhs)
-    keep = np.abs(coeffs) > coeff_tolerance
+    f = np.zeros((n, n, n), complex)
+    f[rows, cols] = -1j * np.where(np.abs(coeffs) > coeff_tolerance, coeffs, 0).T
+    labels = genset.labels
     pairs = [(labels[i], labels[j]) for i, j in zip(rows.tolist(), cols.tolist())]
-    entries = {
-        pair: tuple((c, l) for c, l, k in zip(cs, labels, ks) if k)
-        for pair, cs, ks in zip(pairs, coeffs.T.tolist(), keep.T.tolist())
-    }
-    return StructureTable(entries, dict(zip(pairs, residuals.tolist())))
+    return StructureTable(labels, f, dict(zip(pairs, residuals.tolist())))
 
 
 @dataclass(frozen=True)
 class IsomorphismReport:
     """Entrywise comparison of two families' numerically computed tables.
 
-    ``worst_closure_a`` and ``worst_closure_b`` name the pair whose bracket
-    has the largest closure residual on each side.
+    ``worst`` names the bracket and label of the largest coefficient gap
+    (None when none differs); ``worst_closure_a``/``_b`` name each side's
+    pair with the largest closure residual.
     """
 
     family_a: str
     family_b: str
     tolerance: float
     max_deviation: float
-    worst: Tuple[Tuple[str, str], str]
+    worst: Optional[Tuple[Tuple[str, str], str]]
     closure_a: float
     closure_b: float
     worst_closure_a: Optional[Tuple[str, str]] = None
@@ -387,11 +337,12 @@ class IsomorphismReport:
                 and self.closure_b <= self.tolerance)
 
     def summary(self) -> str:
-        (a, b), l = self.worst
         verdict = "PASS" if self.passed else "FAIL"
+        gap = "[-]" if self.worst is None else \
+            f"{_pair_text(self.worst[0])} -> {self.worst[1]}"
         return (f"{self.family_a} ~ {self.family_b}: {verdict} "
                 f"(worst coefficient gap {self.max_deviation:.3e} "
-                f"on [{a},{b}] -> {l}; worst closure "
+                f"on {gap}; worst closure "
                 f"{_pair_text(self.worst_closure_a)} {self.closure_a:.3e} / "
                 f"{_pair_text(self.worst_closure_b)} {self.closure_b:.3e})")
 
@@ -404,40 +355,29 @@ def check_isomorphism(set_a: GeneratorSet, set_b: GeneratorSet,
                       tolerance: float = DEFAULT_TOLERANCE) -> IsomorphismReport:
     """Compare structure constants of two families sharing one label list.
 
-    Passes iff the two numerically computed tables agree entrywise (same
+    Passes iff the two numerically computed tensors agree entrywise (same
     labels, same coefficients) within tolerance, certifying a local
-    isomorphism at the algebra level under the identity label map.
+    isomorphism at the algebra level under the identity label map.  Set b's
+    tensor is permuted into set a's label order; the worst gap is an argmax.
 
     Raises:
         ValueError: the families carry different label sets.
     """
     if set(set_a.labels) != set(set_b.labels):
-        raise ValueError(
-            f"label mismatch: {set_a.family} has {sorted(set_a.labels)}, "
-            f"{set_b.family} has {sorted(set_b.labels)}"
-        )
-    table_a = structure_table(set_a)
-    table_b = structure_table(set_b)
-    max_dev = 0.0
-    worst = ((set_a.labels[0], set_a.labels[1]), set_a.labels[0])
-    for pair, terms_a in table_a.entries.items():
-        ca = {l: c for c, l in terms_a}
-        cb = {l: c for c, l in table_b.entries[pair]}
-        for label in set(ca) | set(cb):
-            dev = abs(ca.get(label, 0j) - cb.get(label, 0j))
-            if dev > max_dev:
-                max_dev, worst = dev, (pair, label)
+        raise ValueError(f"label mismatch: {set_a.family} has {sorted(set_a.labels)}, "
+                         f"{set_b.family} has {sorted(set_b.labels)}")
+    table_a, table_b = structure_table(set_a), structure_table(set_b)
+    index_b = {l: k for k, l in enumerate(set_b.labels)}
+    perm = [index_b[l] for l in set_a.labels]
+    gap = table_a.f - table_b.f[np.ix_(perm, perm, perm)]
+    gap = np.hypot(gap.real, gap.imag)
+    worst = np.unravel_index(int(gap.argmax()), gap.shape)
+    max_dev = float(gap[worst])
+    a, b, c = (set_a.labels[k] for k in worst)
     return IsomorphismReport(
-        family_a=set_a.family,
-        family_b=set_b.family,
-        tolerance=tolerance,
-        max_deviation=float(max_dev),
-        worst=worst,
-        closure_a=table_a.max_closure_residual(),
-        closure_b=table_b.max_closure_residual(),
-        worst_closure_a=table_a.worst_closure_pair(),
-        worst_closure_b=table_b.worst_closure_pair(),
-    )
+        set_a.family, set_b.family, tolerance, max_dev, ((a, b), c) if max_dev else None,
+        table_a.max_closure_residual(), table_b.max_closure_residual(),
+        table_a.worst_closure_pair(), table_b.worst_closure_pair())
 
 
 #: gamma-bilinear recipes claimed for the fifteen sl4r members:

@@ -27,10 +27,12 @@ Five families of explicit matrices, each a named map ``label -> matrix``:
 
 ``o33_6``
     Fifteen 6x6 generators of O(3,3) on three space and three time
-    axes, assembled as 2x2 arrangements of 3x3 blocks: L_i = diag(A_i, 0),
-    S_i = diag(0, A_i), and off-diagonal boosts K_i, Q_i, G_i pairing the
-    i-th space axis with the first, second and third time axis.
+    axes: rotations L_i = diag(A_i, 0) and S_i = diag(0, A_i), and
+    off-diagonal boosts K_i, Q_i, G_i pairing the i-th space axis with the
+    first, second and third time axis.
 
+The four matrix families and the gamma matrices are written from literal
+cells (row, column, +-i times a scale); the bilinears are their products.
 All entries are exact multiples of 1/2 and i/2 (or products of such), so
 construction is exact in double precision and every algebraic check below
 is rounding-limited.
@@ -39,30 +41,14 @@ is rounding-limited.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 __all__ = [
-    "SIGMA1",
-    "SIGMA2",
-    "SIGMA3",
-    "GAMMA_LABELS",
-    "TENFOLD_LABELS",
-    "FIFTEEN_LABELS",
-    "FAMILIES",
-    "GeneratorSet",
-    "gamma_matrices",
-    "build_generator_set",
+    "GAMMA_LABELS", "TENFOLD_LABELS", "FIFTEEN_LABELS", "FAMILIES",
+    "GeneratorSet", "gamma_matrices", "build_generator_set",
 ]
-
-SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
-
-_I2 = np.eye(2, dtype=complex)
-_Z2 = np.zeros((2, 2), dtype=complex)
-_Z3 = np.zeros((3, 3), dtype=complex)
 
 TENFOLD_LABELS = ("L1", "L2", "L3", "S3", "K1", "K2", "K3", "Q1", "Q2", "Q3")
 FIFTEEN_LABELS = (
@@ -87,9 +73,52 @@ FAMILIES: Dict[str, Tuple[int, Tuple[str, ...]]] = {
     "o33_6": (6, FIFTEEN_LABELS),
 }
 
+# Literal members: each cell "rc+" or "rc-" puts +-i times the family scale
+# at row r, column c; every other entry is zero.
 
-def _blk(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    return np.block([[a, b], [c, d]])
+#: the Majorana gamma matrices g1, g2, g3, g0 (scale 1)
+_GAMMAS = {"g1": "00+ 11- 22+ 33-", "g2": "03+ 12- 21- 30+",
+           "g3": "01- 10- 23- 32-", "g0": "03- 12+ 21- 30+"}
+
+#: the fifteen sl4r_4 members on (x1, p1, x2, p2), scale 1/2; sp4_4 is the
+#: ten TENFOLD_LABELS.  S2 sign: the opposite of the gamma bilinear
+#: (i/2) g1 g2.  This is the unique single-member sign for which the fifteen
+#: matrices close with the same structure constants as o33_6 ([S1, S2] = i S3
+#: together with [G_i, K_i] = -i S2); the correspondence checker reports the
+#: flip against the bilinear recipe instead of hiding it.
+_SL4R = {
+    "L1": "03+ 12- 21+ 30-", "L2": "02- 13- 20+ 31+", "L3": "01+ 10- 23- 32+",
+    "S1": "02+ 13- 20- 31+", "S2": "03+ 12+ 21- 30-", "S3": "01- 10+ 23- 32+",
+    "K1": "01+ 10+ 23- 32-", "K2": "00+ 11- 22+ 33-", "K3": "03- 12- 21- 30-",
+    "Q1": "00- 11+ 22+ 33-", "Q2": "01+ 10+ 23+ 32+", "Q3": "02+ 13- 20+ 31-",
+    "G1": "02+ 13+ 20+ 31+", "G2": "03+ 12- 21- 30+", "G3": "00+ 11+ 22- 33-",
+}
+
+#: the fifteen o33_6 members on (x, y, z, t, s, u), scale 1: rotations
+#: L_i = diag(A_i, 0) and S_i = diag(0, A_i) with (A_i)_jk = -i eps_ijk, and
+#: boosts K_i, Q_i, G_i pairing space axis i with time axis t, s, u.  The ten
+#: TENFOLD_LABELS never touch u, so o32_5 is their restriction to 5x5.
+_O33 = {
+    "L1": "12- 21+", "L2": "20- 02+", "L3": "01- 10+",
+    "S1": "45- 54+", "S2": "53- 35+", "S3": "34- 43+",
+    "K1": "03+ 30+", "K2": "13+ 31+", "K3": "23+ 32+",
+    "Q1": "04+ 40+", "Q2": "14+ 41+", "Q3": "24+ 42+",
+    "G1": "05+ 50+", "G2": "15+ 51+", "G3": "25+ 52+",
+}
+
+#: family tag -> (literal members, scale)
+_LITERAL = {"sp4_4": (_SL4R, 0.5), "sl4r_4": (_SL4R, 0.5),
+            "o32_5": (_O33, 1.0), "o33_6": (_O33, 1.0)}
+
+
+def _literal(cells: Dict[str, str], scale: float, labels: Tuple[str, ...],
+             dim: int) -> np.ndarray:
+    """The (n, dim, dim) stack of the literal members ``labels``."""
+    out = np.zeros((len(labels), dim, dim), complex)
+    for k, label in enumerate(labels):
+        for r, c, sign in cells[label].split():
+            out.imag[k, int(r), int(c)] = scale if sign == "+" else -scale
+    return out
 
 
 @dataclass(frozen=True)
@@ -121,10 +150,6 @@ class GeneratorSet:
         """Members flattened row-wise into an (n_members, dim*dim) array."""
         return np.stack([m.ravel() for m in self.members.values()])
 
-    def rank(self) -> int:
-        """Rank of the flattened stack (== len(self) iff linearly independent)."""
-        return int(np.linalg.matrix_rank(self.stack()))
-
 
 def gamma_matrices() -> Dict[str, np.ndarray]:
     """The four Majorana gamma matrices plus the pseudoscalar g5.
@@ -132,16 +157,9 @@ def gamma_matrices() -> Dict[str, np.ndarray]:
     g5 is computed as i g0 g1 g2 g3 and comes out block-diagonal
     (sigma_2, -sigma_2).  Every entry is purely imaginary.
     """
-    g1 = 1j * _blk(SIGMA3, _Z2, _Z2, SIGMA3)
-    g2 = _blk(_Z2, -SIGMA2, SIGMA2, _Z2)
-    g3 = -1j * _blk(SIGMA1, _Z2, _Z2, SIGMA1)
-    g0 = _blk(_Z2, SIGMA2, SIGMA2, _Z2)
-    g5 = 1j * (g0 @ g1 @ g2 @ g3)
-    return {"g1": g1, "g2": g2, "g3": g3, "g0": g0, "g5": g5}
-
-
-_TENSOR_PAIRS = (("g0", "g1"), ("g0", "g2"), ("g0", "g3"),
-                 ("g1", "g2"), ("g2", "g3"), ("g3", "g1"))
+    g = dict(zip(_GAMMAS, _literal(_GAMMAS, 1.0, tuple(_GAMMAS), 4)))
+    g["g5"] = 1j * (g["g0"] @ g["g1"] @ g["g2"] @ g["g3"])
+    return g
 
 
 def _dirac_members() -> Dict[str, np.ndarray]:
@@ -149,90 +167,9 @@ def _dirac_members() -> Dict[str, np.ndarray]:
     members = dict(g)
     for mu in ("g1", "g2", "g3", "g0"):
         members[f"g5{mu}"] = 1j * (g["g5"] @ g[mu])
-    for a, b in _TENSOR_PAIRS:
-        members[f"{a}{b}"] = 1j * (g[a] @ g[b])
+    for label in GAMMA_LABELS[9:]:  # the tensor i g_a g_b, label "g{a}g{b}"
+        members[label] = 1j * (g[label[:2]] @ g[label[2:]])
     return {label: members[label] for label in GAMMA_LABELS}
-
-
-def _sp4_members() -> Dict[str, np.ndarray]:
-    return {
-        "L1": -0.5 * _blk(_Z2, SIGMA2, SIGMA2, _Z2),
-        "L2": 0.5j * _blk(_Z2, -_I2, _I2, _Z2),
-        "L3": 0.5 * _blk(-SIGMA2, _Z2, _Z2, SIGMA2),
-        "S3": 0.5 * _blk(SIGMA2, _Z2, _Z2, SIGMA2),
-        "K1": 0.5j * _blk(SIGMA1, _Z2, _Z2, -SIGMA1),
-        "K2": 0.5j * _blk(SIGMA3, _Z2, _Z2, SIGMA3),
-        "K3": -0.5j * _blk(_Z2, SIGMA1, SIGMA1, _Z2),
-        "Q1": 0.5j * _blk(-SIGMA3, _Z2, _Z2, SIGMA3),
-        "Q2": 0.5j * _blk(SIGMA1, _Z2, _Z2, SIGMA1),
-        "Q3": 0.5j * _blk(_Z2, SIGMA3, SIGMA3, _Z2),
-    }
-
-
-def _sl4r_members() -> Dict[str, np.ndarray]:
-    members = _sp4_members()
-    members["G1"] = 0.5j * _blk(_Z2, _I2, _I2, _Z2)
-    members["G2"] = 0.5 * _blk(_Z2, -SIGMA2, SIGMA2, _Z2)
-    members["G3"] = 0.5j * _blk(_I2, _Z2, _Z2, -_I2)
-    members["S1"] = 0.5j * _blk(_Z2, SIGMA3, -SIGMA3, _Z2)
-    # S2 sign: the opposite of the gamma bilinear (i/2) g1 g2.  This is the
-    # unique single-member sign for which the fifteen matrices close with the
-    # same structure constants as o33_6 ([S1, S2] = i S3 together with
-    # [G_i, K_i] = -i S2); the correspondence checker reports the flip
-    # against the bilinear recipe instead of hiding it.
-    members["S2"] = 0.5j * _blk(_Z2, SIGMA1, -SIGMA1, _Z2)
-    return {label: members[label] for label in FIFTEEN_LABELS}
-
-
-def _rotation_blocks() -> Tuple[np.ndarray, ...]:
-    """3x3 angular-momentum blocks A_i with entries (A_i)_jk = -i eps_ijk."""
-    blocks = []
-    for i in range(3):
-        m = np.zeros((3, 3), dtype=complex)
-        j, k = (i + 1) % 3, (i + 2) % 3
-        m[j, k] = -1j
-        m[k, j] = 1j
-        blocks.append(m)
-    return tuple(blocks)
-
-
-def _boost_block(i: int, col: int) -> np.ndarray:
-    m = np.zeros((3, 3), dtype=complex)
-    m[i, col] = 1j
-    return m
-
-
-def _o33_members() -> Dict[str, np.ndarray]:
-    a = _rotation_blocks()
-    members = {}
-    for i in range(3):
-        members[f"L{i + 1}"] = np.block([[a[i], _Z3], [_Z3, _Z3]])
-        members[f"S{i + 1}"] = np.block([[_Z3, _Z3], [_Z3, a[i]]])
-        for name, col in (("K", 0), ("Q", 1), ("G", 2)):
-            b = _boost_block(i, col)
-            members[f"{name}{i + 1}"] = np.block([[_Z3, b], [b.T, _Z3]])
-    return {label: members[label] for label in FIFTEEN_LABELS}
-
-
-def _o32_members() -> Dict[str, np.ndarray]:
-    o33 = _o33_members()
-    members = {}
-    for label in TENFOLD_LABELS:
-        m = o33[label]
-        # the ten O(3,2) members never touch the sixth axis
-        if np.abs(m[5, :]).max() != 0 or np.abs(m[:, 5]).max() != 0:
-            raise AssertionError(f"{label} touches the sixth coordinate")
-        members[label] = m[:5, :5].copy()
-    return members
-
-
-_BUILDERS: Dict[str, Callable[[], Dict[str, np.ndarray]]] = {
-    "dirac_gamma": _dirac_members,
-    "sp4_4": _sp4_members,
-    "sl4r_4": _sl4r_members,
-    "o32_5": _o32_members,
-    "o33_6": _o33_members,
-}
 
 
 def build_generator_set(family: str) -> GeneratorSet:
@@ -255,8 +192,10 @@ def build_generator_set(family: str) -> GeneratorSet:
         raise ValueError(
             f"unknown family {family!r}; expected one of {sorted(FAMILIES)}"
         ) from None
-    members = _BUILDERS[family]()
-    assert tuple(members) == labels
+    if family == "dirac_gamma":
+        members = _dirac_members()
+    else:
+        members = dict(zip(labels, _literal(*_LITERAL[family], labels, dim)))
     for m in members.values():
         m.flags.writeable = False
     return GeneratorSet(family=family, dim=dim, members=members)

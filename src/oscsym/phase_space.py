@@ -32,25 +32,12 @@ from .algebra import DEFAULT_TOLERANCE
 from .families import build_generator_set
 
 __all__ = [
-    "DEFAULT_TOLERANCE",
-    "symplectic_form",
-    "symplectic_deviation",
-    "is_canonical",
-    "generator_to_transform",
-    "coupling_transform",
-    "GaussianState",
-    "vacuum_state",
-    "evolve",
-    "reduce_oscillator",
-    "gaussian_purity",
-    "symplectic_eigenvalue",
-    "SubVacuumError",
-    "occupation_entropy",
-    "gaussian_entropy",
-    "areas",
-    "area_product",
-    "eta_from_temperature",
-    "temperature_from_eta",
+    "DEFAULT_TOLERANCE", "symplectic_form", "symplectic_deviation",
+    "is_canonical", "generator_to_transform", "coupling_transform",
+    "GaussianState", "vacuum_state", "evolve", "reduce_oscillator",
+    "gaussian_purity", "symplectic_eigenvalue", "SubVacuumError",
+    "occupation_entropy", "gaussian_entropy", "areas", "area_product",
+    "eta_from_temperature", "temperature_from_eta",
 ]
 
 

@@ -313,3 +313,81 @@ def test_decompose_reconstruct_random_combinations():
             coeffs, residual = decompose(x, gens)
             assert residual <= 1e-10
             assert np.abs(coeffs - true_coeffs).max() <= 1e-10
+
+
+def test_isomorphism_single_member_passes_trivially():
+    solo = GeneratorSet(family="solo", dim=4, members={"L3": SP4["L3"]})
+    rep = check_isomorphism(solo, solo, 1e-12)
+    assert rep.passed
+    assert rep.max_deviation == 0.0 and rep.worst is None
+    assert (rep.worst_closure_a, rep.worst_closure_b) == (None, None)
+
+
+def test_isomorphism_zero_gap_names_no_pair():
+    summary = check_isomorphism(SP4, SP4, 1e-12).summary()
+    assert "gap 0.000e+00 on [-];" in summary
+    assert "->" not in summary
+
+
+def test_verify_against_own_empty_table():
+    solo = GeneratorSet(family="solo", dim=4, members={"L3": SP4["L3"]})
+    rep = verify_algebra(solo, structure_table(solo), 1e-12)
+    assert rep.passed
+    assert rep.residuals == {}
+    assert rep.max_residual == 0.0 and rep.worst_pair is None
+    assert "worst [-]" in rep.summary()
+
+
+# ---------------------------------------------------------------------------
+# the tensor contraction against a plain per-pair loop
+
+def _per_pair_residuals(genset, table):
+    """One commutator and one subtraction per listed term, pair by pair."""
+    scale = max(1.0, *(float(np.abs(m).max()) for m in genset.members.values())) ** 2
+    residuals = {}
+    for (a, b), terms in table.entries.items():
+        r = genset[a] @ genset[b] - genset[b] @ genset[a]
+        for c, label in terms:
+            r = r - c * genset[label]
+        residuals[(a, b)] = float(np.abs(r).max()) / scale
+    return residuals
+
+
+@pytest.mark.parametrize("gens,table", [
+    (SP4, alge11_table()), (O32, alge11_table()),
+    (SL4R, o33gen_table()), (O33, o33gen_table()),
+    *((SP4, sp2_table(*triple)) for triple in SP2_TRIPLES),
+], ids=["sp4_4", "o32_5", "sl4r_4", "o33_6", *(",".join(t) for t in SP2_TRIPLES)])
+def test_verify_matches_per_pair_reference(gens, table):
+    rep = verify_algebra(gens, table, 1e-12)
+    assert rep.residuals == _per_pair_residuals(gens, table)  # bit for bit
+
+
+@pytest.mark.parametrize("gens,table_builder,pair,label", [
+    (SP4, alge11_table, ("K1", "Q1"), "S3"),
+    (O32, alge11_table, ("L1", "K2"), "K3"),
+    (SL4R, o33gen_table, ("G1", "S1"), "Q1"),
+    (O33, o33gen_table, ("S1", "S2"), "S3"),
+])
+def test_flipped_sign_in_shipped_tensor_fails_at_that_pair(gens, table_builder, pair, label):
+    table = table_builder()
+    a, b, c = (table.labels.index(l) for l in (*pair, label))
+    f = table.f.copy()
+    assert f[a, b, c] != 0
+    f[a, b, c] = -f[a, b, c]
+    rep = verify_algebra(gens, StructureTable(table.labels, f), 1e-12)
+    assert not rep.passed
+    assert rep.worst_pair == pair
+    assert rep.residuals[pair] == 2 * float(np.abs(gens[label]).max())
+    assert max(r for p, r in rep.residuals.items() if p != pair) == 0.0
+    assert rep.residuals == _per_pair_residuals(gens, StructureTable(table.labels, f))
+    assert f"FAIL (worst [{pair[0]},{pair[1]}]" in rep.summary()
+
+
+def test_shipped_tensors_are_integer_and_read_only():
+    for table in (alge11_table(), o33gen_table(), sp2_table(*SP2_TRIPLES[0])):
+        assert table.f.dtype.kind == "i"
+        assert set(np.unique(table.f)) <= {-1, 0, 1}
+        assert np.array_equal(table.f, -table.f.transpose(1, 0, 2))
+        with pytest.raises(ValueError):
+            table.f[0, 1, 2] = 1

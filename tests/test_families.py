@@ -7,13 +7,15 @@ from oscsym.families import (
     FAMILIES,
     FIFTEEN_LABELS,
     GAMMA_LABELS,
-    SIGMA1,
-    SIGMA2,
-    SIGMA3,
     TENFOLD_LABELS,
     build_generator_set,
     gamma_matrices,
 )
+
+
+SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def blk(a, b, c, d):
@@ -57,7 +59,7 @@ def test_members_purely_imaginary(family):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_members_linearly_independent(family):
     gens = build_generator_set(family)
-    assert gens.rank() == len(gens)
+    assert np.linalg.matrix_rank(gens.stack()) == len(gens)
 
 
 def test_gamma5_block_form():
@@ -178,3 +180,67 @@ def test_members_read_only():
     gens = build_generator_set("sp4_4")
     with pytest.raises(ValueError):
         gens["L1"][0, 0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# literal members against the block recipes they replaced
+
+Z3 = np.zeros((3, 3), dtype=complex)
+
+
+def _reference_members(family):
+    """The members assembled from 2x2 and 3x3 blocks, label by label."""
+    if family in ("sp4_4", "sl4r_4"):
+        m = {
+            "L1": -0.5 * blk(Z2, SIGMA2, SIGMA2, Z2),
+            "L2": 0.5j * blk(Z2, -I2, I2, Z2),
+            "L3": 0.5 * blk(-SIGMA2, Z2, Z2, SIGMA2),
+            "S3": 0.5 * blk(SIGMA2, Z2, Z2, SIGMA2),
+            "K1": 0.5j * blk(SIGMA1, Z2, Z2, -SIGMA1),
+            "K2": 0.5j * blk(SIGMA3, Z2, Z2, SIGMA3),
+            "K3": -0.5j * blk(Z2, SIGMA1, SIGMA1, Z2),
+            "Q1": 0.5j * blk(-SIGMA3, Z2, Z2, SIGMA3),
+            "Q2": 0.5j * blk(SIGMA1, Z2, Z2, SIGMA1),
+            "Q3": 0.5j * blk(Z2, SIGMA3, SIGMA3, Z2),
+            "G1": 0.5j * blk(Z2, I2, I2, Z2),
+            "G2": 0.5 * blk(Z2, -SIGMA2, SIGMA2, Z2),
+            "G3": 0.5j * blk(I2, Z2, Z2, -I2),
+            "S1": 0.5j * blk(Z2, SIGMA3, -SIGMA3, Z2),
+            "S2": 0.5j * blk(Z2, SIGMA1, -SIGMA1, Z2),
+        }
+    elif family in ("o32_5", "o33_6"):
+        m = {}
+        for i in range(3):
+            a = np.zeros((3, 3), dtype=complex)
+            a[(i + 1) % 3, (i + 2) % 3], a[(i + 2) % 3, (i + 1) % 3] = -1j, 1j
+            m[f"L{i + 1}"] = np.block([[a, Z3], [Z3, Z3]])
+            m[f"S{i + 1}"] = np.block([[Z3, Z3], [Z3, a]])
+            for name, col in (("K", 0), ("Q", 1), ("G", 2)):
+                b = np.zeros((3, 3), dtype=complex)
+                b[i, col] = 1j
+                m[f"{name}{i + 1}"] = np.block([[Z3, b], [b.T, Z3]])
+        if family == "o32_5":
+            m = {label: m[label][:5, :5] for label in TENFOLD_LABELS}
+    else:
+        g = {"g1": 1j * blk(SIGMA3, Z2, Z2, SIGMA3), "g2": blk(Z2, -SIGMA2, SIGMA2, Z2),
+             "g3": -1j * blk(SIGMA1, Z2, Z2, SIGMA1), "g0": blk(Z2, SIGMA2, SIGMA2, Z2)}
+        g["g5"] = 1j * (g["g0"] @ g["g1"] @ g["g2"] @ g["g3"])
+        m = dict(g)
+        for mu in ("g1", "g2", "g3", "g0"):
+            m[f"g5{mu}"] = 1j * (g["g5"] @ g[mu])
+        for a, b in (("g0", "g1"), ("g0", "g2"), ("g0", "g3"),
+                     ("g1", "g2"), ("g2", "g3"), ("g3", "g1")):
+            m[a + b] = 1j * (g[a] @ g[b])
+    return {label: m[label] for label in FAMILIES[family][1]}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_literal_members_byte_equal_block_recipes(family):
+    """Same labels, dtype, shape and bytes; + 0.0 maps the -0.0 left in some
+    zero real or imaginary parts by the recipes' scalar products to +0.0."""
+    gens = build_generator_set(family)
+    ref = _reference_members(family)
+    assert gens.labels == tuple(ref)
+    for label, m in ref.items():
+        assert gens[label].dtype == m.dtype and gens[label].shape == m.shape, label
+        assert (gens[label] + 0.0).tobytes() == (m + 0.0).tobytes(), label

@@ -1,5 +1,8 @@
 """Fock realization, eigenfunction oracles, series and thermal states."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -421,3 +424,13 @@ def test_temperature_at_unit_eta_two_routes():
 
     solved = brentq(gap, 0.1, 10.0, xtol=1e-14)
     assert abs(closed - solved) <= 1e-10
+
+
+def test_fock_pair_residuals_match_recorded_bits():
+    """Every pair's residual equals, bit for bit, the one the per-pair banded
+    loop recorded (float.hex); the fold order of each bracket diagonal is
+    part of the result."""
+    recorded = json.loads((Path(__file__).parent / "data" / "fock_pair_residuals.json").read_text())
+    for nmax, residuals in recorded.items():
+        rep = verify_fock_commutators(int(nmax))
+        assert {f"{a},{b}": r.hex() for (a, b), r in rep.residuals.items()} == residuals, nmax

@@ -1,0 +1,30 @@
+"""``oscsym verify`` output is byte-identical to the recorded outputs.
+
+The files under ``tests/data/verify_golden`` were written by the per-pair
+bracket loop that the tensor contraction replaced: every suite in every
+format, and the Fock suite at several truncations.  A residual that moves
+by one ulp shows up here.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from oscsym.cli import SUITES, main
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "verify_golden"
+CASES = ([(f"{suite}.{fmt}", ["--suite", suite, "--format", fmt])
+          for suite in SUITES for fmt in ("text", "json", "csv")]
+         + [(f"fock-nmax{n}.csv", ["--suite", "fock", "--nmax", str(n), "--format", "csv"])
+            for n in (6, 32, 128, 256)])
+
+
+@pytest.mark.parametrize("name,args", CASES, ids=[name for name, _ in CASES])
+def test_verify_output_byte_identical(name, args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(["verify", *args])
+    assert status == 0
+    assert out.getvalue().encode() == (GOLDEN / name).read_bytes()
