@@ -102,9 +102,11 @@ def decompose(x: np.ndarray, basis: GeneratorSet) -> Tuple[np.ndarray, float]:
 class StructureTable:
     """Bracket table [G_a, G_b] = i sum_c f[a, b, c] G_c over ``labels``.
 
-    ``f`` is antisymmetric in (a, b): integer for the shipped tables (every
-    coefficient is +-i or 0), complex least-squares values for computed
-    ones, which also carry the per-pair closure residual.
+    It covers every ordered pair of distinct labels (a pair a JSON table
+    omits is a vanishing bracket).  ``f`` is antisymmetric in (a, b): integer
+    for the shipped tables (every coefficient is +-i or 0), complex
+    least-squares values for computed ones, which also carry the per-pair
+    closure residual.
     """
 
     labels: Tuple[str, ...]
@@ -238,8 +240,7 @@ class VerificationReport:
         return max(self.residuals.values(), default=0.0)
 
     @property
-    def worst_pair(self) -> Optional[Tuple[str, str]]:
-        """The pair with the largest residual (None for an empty table)."""
+    def worst_pair(self) -> Optional[Tuple[str, str]]:  # None for an empty table
         return max(self.residuals, key=self.residuals.__getitem__, default=None)
 
     @property

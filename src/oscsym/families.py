@@ -165,11 +165,9 @@ def gamma_matrices() -> Dict[str, np.ndarray]:
 def _dirac_members() -> Dict[str, np.ndarray]:
     g = gamma_matrices()
     members = dict(g)
-    for mu in ("g1", "g2", "g3", "g0"):
-        members[f"g5{mu}"] = 1j * (g["g5"] @ g[mu])
-    for label in GAMMA_LABELS[9:]:  # the tensor i g_a g_b, label "g{a}g{b}"
+    for label in GAMMA_LABELS[5:]:  # i g5 g_mu and i g_mu g_nu, label "g{a}g{b}"
         members[label] = 1j * (g[label[:2]] @ g[label[2:]])
-    return {label: members[label] for label in GAMMA_LABELS}
+    return members
 
 
 def build_generator_set(family: str) -> GeneratorSet:

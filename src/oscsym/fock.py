@@ -174,17 +174,19 @@ def dirac_tenfold(nmax: int) -> GeneratorSet:
             f"members (limit {_DENSE_TENFOLD_BYTES / 2 ** 20:.0f} MiB); "
             f"verify_fock_commutators checks up to nmax {MAX_NMAX} without them")
     gen, step, _, phase, _, _ = _diagonal_layout()
-    n = np.arange(nmax)
-    values = _diagonal_values(n[:, None], n[None, :], nmax).reshape(len(gen), -1)
-    row = np.stack(np.divmod(np.arange(nmax * nmax), nmax))
-    col = row[None] + step[:, :, None]  # (26, 2, nmax**2) occupations
-    u, i = np.nonzero(((0 <= col) & (col < nmax)).all(axis=1))
-    out = np.zeros((10, nmax * nmax, nmax * nmax), complex)
-    parts = out.view(float).reshape(out.shape + (2,))  # real and imaginary parts
-    parts[gen[u], i, col[u, 0, i] * nmax + col[u, 1, i], (phase[u] == 1j) * 1] = values[u, i]
-    out.flags.writeable = False
-    return GeneratorSet(family=f"fock(nmax={nmax})", dim=nmax * nmax,
-                        members=dict(zip(_QUADRATICS, out)))
+    n, dim = np.arange(nmax), nmax * nmax
+    values = _diagonal_values(n[:, None], n[None, :], nmax).reshape(len(gen), dim)
+    row = np.stack(np.divmod(np.arange(dim), nmax))
+    members = [np.zeros((dim, dim), complex) for _ in _QUADRATICS]
+    for u, g in enumerate(gen):
+        col = row + step[u, :, None]
+        i = np.flatnonzero(((0 <= col) & (col < nmax)).all(axis=0))
+        part = members[g].imag if phase[u] == 1j else members[g].real
+        part[i, col[0, i] * nmax + col[1, i]] = values[u, i]
+    for m in members:
+        m.flags.writeable = False
+    return GeneratorSet(family=f"fock(nmax={nmax})", dim=dim,
+                        members=dict(zip(_QUADRATICS, members)))
 
 
 def safe_subspace_mask(nmax: int, margin: int = 3) -> np.ndarray:
@@ -277,8 +279,7 @@ def verify_fock_commutators(nmax: int,
     nd, ns = len(d), len(partner)
     peak = np.abs(d[:, 2:top + 3, 2:]).max(axis=2)
     scale = max(1.0, float((peak * (np.arange(top + 1) <= top - rise_diag[:, None])).max())) ** 2
-    worst = np.zeros(ns)
-    lo = 0
+    worst, lo = np.zeros(ns), 0
     while lo <= top:
         hi = min(top + 1, lo + max(1, int((np.sqrt(lo * lo + 4 * _FOCK_CHUNK) - lo) / 2)))
         rows = d[:, lo + 2:hi + 2, 2:hi + 2]  # s in [lo, hi), n1 in [0, hi)
