@@ -44,7 +44,7 @@ MIN_NMAX = 6  # smallest truncation with a nonempty safe subspace
 MAX_NMAX = 256  # largest truncation the bracket check accepts (~0.15 s)
 MAX_KMAX = 2 ** 24  # largest series truncation kmax_for_tail returns (eta ~ 7.3)
 _DENSE_TENFOLD_BYTES = 2 ** 30  # cap on the ten dense members of dirac_tenfold
-_FOCK_CHUNK = 256  # grid points per band of rows in verify_fock_commutators
+_FOCK_CHUNK = 64  # grid points per band of rows in verify_fock_commutators
 
 
 # ---------------------------------------------------------------------------
@@ -70,32 +70,32 @@ _QUADRATICS = {
 def _diagonal_layout():
     """The 26 nonzero diagonals of the ten generators, read off ``_QUADRATICS``.
 
-    Returns (gen, step, pos, phase, coeff, terms): diagonal u holds
-    <n|G|n + step[u]> of generator gen[u], is its pos[u]-th in formula order,
+    Returns (gen, step, pos, phase, coeff, terms), diagonals grouped by step:
+    diagonal u holds <n|G|n + step[u]> of generator gen[u], is its pos[u]-th in formula order,
     and equals phase[u] (1 or 1j) times coeff[u] times its ladder products;
     each term (sign, tables, u), in formula order, adds sign times the
     product of three ``_diagonal_values`` tables to diagonal u.
     """
-    keys: Dict[Tuple[int, int, int], int] = {}  # (gen, dn1, dn2) -> diagonal
+    places: Dict[Tuple[int, int, int], int] = {}  # (gen, dn1, dn2) -> place in gen
     terms = []
     for g, (_, formula) in enumerate(_QUADRATICS.values()):
         for t in formula.split():
             (m1, s1), (m2, s2) = ((int(op[1]) - 1, 1 if op[0] == "a" else -1)
                                   for op in (t[1:3], t[3:5]))
-            step = [0, 0]
-            step[m1] += s1
-            step[m2] += s2
+            step = tuple(s1 * (m1 == m) + s2 * (m2 == m) for m in (0, 1))
             # a factor is sqrt of the larger occupation of its step, read off
             # the row: n + 1 lowering, n raising, after the first factor's step
             tables = (4 * m1 + (s1 > 0) + 1, 4 * m2 + (s1 if m2 == m1 else 0) + (s2 > 0) + 1,
                       9 - m1 if m1 == m2 else 10)
-            terms.append((1.0 if t[0] == "+" else -1.0, tables,
-                          keys.setdefault((g, *step), len(keys))))
+            places.setdefault((g, *step), sum(k[0] == g for k in places))
+            terms.append((1.0 if t[0] == "+" else -1.0, tables, (g, *step)))
+    keys = sorted(places, key=lambda k: k[1:])  # grouped by step
+    index = {k: u for u, k in enumerate(keys)}
     gen = np.array([k[0] for k in keys])
     coeffs = np.array([c for c, _ in _QUADRATICS.values()])[gen]
-    return (gen, np.array([k[1:] for k in keys]),
-            np.array([list(gen[:u]).count(g) for u, g in enumerate(gen)]),
-            np.where(coeffs.imag != 0, 1j, 1), coeffs.real + coeffs.imag, tuple(terms))
+    return (gen, np.array([k[1:] for k in keys]), np.array([places[k] for k in keys]),
+            np.where(coeffs.imag != 0, 1j, 1), coeffs.real + coeffs.imag,
+            tuple((sign, tables, index[k]) for sign, tables, k in terms))
 
 
 def _diagonal_values(n1: np.ndarray, n2: np.ndarray, nmax: int) -> np.ndarray:
@@ -114,7 +114,8 @@ def _diagonal_values(n1: np.ndarray, n2: np.ndarray, nmax: int) -> np.ndarray:
     values = np.zeros((len(coeff),) + np.broadcast_shapes(n1.shape, n2.shape))
     for sign, (a, b, c), u in terms:
         values[u] += sign * tables[a] * tables[b] * tables[c]
-    return values * coeff.reshape((-1,) + (1,) * (values.ndim - 1))
+    values *= coeff.reshape((-1,) + (1,) * (values.ndim - 1))
+    return values
 
 
 def destroy(nmax: int) -> np.ndarray:
@@ -206,19 +207,17 @@ def _bracket_plan():
     A slot is one diagonal (a, b, dn1, dn2) of a bracket [G_a, G_b]; slots
     with the most products come first, so fold round r (the flat (u, v)
     index of each slot's r-th product, in formula order) is a prefix.
-    Returns the diagonals' order, the (lo, hi, ds, dn1) run of each step,
+    Returns the (lo, hi, ds, dn1) run of diagonals of each step,
     the fold rounds, each slot's (b, a) partner, rounds of (slot, diagonal,
     coefficient) of -i f G relative to the bracket's phase, the total
     occupation each slot and each diagonal adds, and each slot's pair.
     """
-    gen, step, pos, phase, _, _ = _diagonal_layout()
+    by_gen, step, pos, phase, _, _ = _diagonal_layout()
     table = alge11_table()
     perm = [table.labels.index(l) for l in _QUADRATICS]
     f = table.f[np.ix_(perm, perm, perm)]
-    order = np.lexsort(step.T[::-1])
-    by_gen, step, nd = gen[order], step[order], len(order)
-    gen, pos = by_gen.tolist(), pos[order].tolist()
-    imag = dict(zip(gen, (phase[order] == 1j).tolist()))
+    gen, pos, nd = by_gen.tolist(), pos.tolist(), len(by_gen)
+    imag = dict(zip(gen, (phase == 1j).tolist()))
     products: Dict[Tuple, list] = {}
     for u, (gu, (su1, su2)) in enumerate(zip(gen, step.tolist())):
         for v, (gv, (sv1, sv2)) in enumerate(zip(gen, step.tolist())):
@@ -238,8 +237,7 @@ def _bracket_plan():
     expect = [terms.get(k, []) for k in slots]
     pairs = {p: i for i, p in enumerate(table.pairs())}
     starts = [x for x in range(nd) if x == 0 or (step[x] != step[x - 1]).any()]
-    return (order,
-            tuple((lo, hi, int(step[lo].sum()), int(step[lo, 0]))
+    return (tuple((lo, hi, int(step[lo].sum()), int(step[lo, 0]))
                   for lo, hi in zip(starts, starts[1:] + [nd])),
             tuple(np.array([ch[r] for ch in chains if len(ch) > r])
                   for r in range(len(chains[0]))),
@@ -272,12 +270,12 @@ def verify_fock_commutators(nmax: int,
         raise ValueError(
             f"nmax must be in [{MIN_NMAX}, {MAX_NMAX}] for the safe subspace check, "
             f"got {nmax}")
-    order, groups, fold, partner, terms, rise, rise_diag, pair = _bracket_plan()
+    groups, fold, partner, terms, rise, rise_diag, pair = _bracket_plan()
     top = nmax - 3  # largest total occupation of the safe subspace
     grid = np.arange(-2, nmax)  # grid index = occupation + 2
-    d = _diagonal_values(grid[None, :], grid[:, None] - grid[None, :], nmax)[order]
+    d = _diagonal_values(grid[None, :], grid[:, None] - grid[None, :], nmax)
     nd, ns = len(d), len(partner)
-    peak = np.abs(d[:, 2:top + 3, 2:]).max(axis=2)
+    peak = np.maximum(d[:, 2:top + 3, 2:].max(axis=2), -d[:, 2:top + 3, 2:].min(axis=2))
     scale = max(1.0, float((peak * (np.arange(top + 1) <= top - rise_diag[:, None])).max())) ** 2
     worst, lo = np.zeros(ns), 0
     while lo <= top:
@@ -289,9 +287,11 @@ def verify_fock_commutators(nmax: int,
                                             2 + dn1:hi + 2 + dn1], out=prod[a:b])
         prod = prod.reshape((nd * nd,) + rows.shape[1:])
         acc = np.zeros((ns,) + rows.shape[1:])
-        for flat in fold:
+        np.take(prod, fold[0], axis=0, out=acc[:len(fold[0])], mode="clip")  # unbuffered
+        for flat in fold[1:]:
             acc[:len(flat)] += prod[flat]
-        r = acc - acc[partner]
+        r = np.take(acc, partner, axis=0, out=prod[:ns], mode="clip")  # prod is spent
+        np.subtract(acc, r, out=r)
         for slot, diag, coeff in terms:
             r[slot] -= coeff[:, None, None] * rows[diag]
         r = np.abs(r, out=r)

@@ -430,7 +430,8 @@ def test_fock_pair_residuals_match_recorded_bits():
     """Every pair's residual equals, bit for bit, the one the per-pair banded
     loop recorded (float.hex); the fold order of each bracket diagonal is
     part of the result."""
-    recorded = json.loads((Path(__file__).parent / "data" / "fock_pair_residuals.json").read_text())
+    path = Path(__file__).parent / "data" / "fock_pair_residuals.json"
+    recorded = json.loads(path.read_text())
     for nmax, residuals in recorded.items():
         rep = verify_fock_commutators(int(nmax))
         assert {f"{a},{b}": r.hex() for (a, b), r in rep.residuals.items()} == residuals, nmax
