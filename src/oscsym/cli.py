@@ -12,7 +12,9 @@ Subcommands::
 Exit status: 0 when every executed check passes (WARN rows document known
 print discrepancies and do not fail the run), 1 on any FAIL, 2 on bad
 arguments (a ``table`` row needing more than ``fock.MAX_KMAX`` series
-terms included).  All output is deterministic: no randomness, stable
+terms included), 3 on an internal error: an exception escaping a command
+is printed as one ``oscsym: internal error: <message>`` line on stderr,
+without a traceback.  All output is deterministic: no randomness, stable
 ordering, floats rendered with 17 significant digits.
 
 JSON reports follow
@@ -305,7 +307,7 @@ def _cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         parser.error(f"--kmax must be at most {fock.MAX_KMAX}")
     # --kmax is a floor; deep squeezes get enough terms for the series tail
     # to clear the dual-route tolerance.  Every row's count is checked
-    # before any series is allocated.
+    # before any series is summed.
     try:
         kmaxes = [max(args.kmax, fock.kmax_for_tail(eta)) for eta in grid]
     except ValueError as exc:
@@ -403,9 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.command == "verify":
         if args.tolerance <= 0:
             parser.error("--tolerance must be > 0")
@@ -417,6 +417,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "simulate":
         return _cmd_simulate(args, parser)
     return _cmd_table(args, parser)
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _run(args, parser)
+    except Exception as exc:  # the CLI boundary: exit 3, never a traceback
+        message = " ".join(str(exc).split()) or type(exc).__name__
+        print(f"{parser.prog}: internal error: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

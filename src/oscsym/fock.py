@@ -19,7 +19,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -42,9 +42,11 @@ HERMITE_KMAX = 200
 SERIES_TAIL_LIMIT = 1e-12
 MIN_NMAX = 6  # smallest truncation with a nonempty safe subspace
 MAX_NMAX = 256  # largest truncation the bracket check accepts (~0.15 s)
-MAX_KMAX = 2 ** 24  # largest series truncation kmax_for_tail returns (eta ~ 7.3)
+MAX_KMAX = 2 ** 24  # largest series truncation kmax_for_tail returns (eta ~ 7.3, ~0.1 s a pass)
 _DENSE_TENFOLD_BYTES = 2 ** 30  # cap on the ten dense members of dirac_tenfold
 _FOCK_CHUNK = 64  # grid points per band of rows in verify_fock_commutators
+_SERIES_BLOCK = 2 ** 14  # ladder terms per block in _ladder_sums
+_QUADRATURE_BYTES = 2 ** 16  # largest (points, nodes) block in rho_partial_trace
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +311,22 @@ def verify_fock_commutators(nmax: int,
 # ---------------------------------------------------------------------------
 # oscillator eigenfunctions and quadrature
 
+def _hermite_rows(kmax: int, x: np.ndarray) -> Iterator[np.ndarray]:
+    """phi_0(x), ..., phi_kmax(x), one row at a time (see hermite_functions)."""
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0")
+    if kmax > HERMITE_KMAX:
+        raise ValueError(f"kmax {kmax} exceeds the recurrence cap {HERMITE_KMAX}")
+    prev = np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    yield prev
+    if kmax >= 1:
+        row = np.sqrt(2.0) * x * prev
+        yield row
+        for k in range(1, kmax):
+            prev, row = row, np.sqrt(2.0 / (k + 1)) * x * row - np.sqrt(k / (k + 1.0)) * prev
+            yield row
+
+
 def hermite_functions(kmax: int, x) -> np.ndarray:
     """Orthonormal oscillator eigenfunctions phi_0..phi_kmax at points x.
 
@@ -317,18 +335,7 @@ def hermite_functions(kmax: int, x) -> np.ndarray:
     phi_{k+1} = sqrt(2/(k+1)) x phi_k - sqrt(k/(k+1)) phi_{k-1},
     which is stable upward; k is capped at HERMITE_KMAX.
     """
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
-    if kmax > HERMITE_KMAX:
-        raise ValueError(f"kmax {kmax} exceeds the recurrence cap {HERMITE_KMAX}")
-    x = np.asarray(x, dtype=float)
-    out = np.empty((kmax + 1,) + x.shape)
-    out[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
-    if kmax >= 1:
-        out[1] = np.sqrt(2.0) * x * out[0]
-    for k in range(1, kmax):
-        out[k + 1] = np.sqrt(2.0 / (k + 1)) * x * out[k] - np.sqrt(k / (k + 1.0)) * out[k - 1]
-    return out
+    return np.stack(list(_hermite_rows(kmax, np.asarray(x, dtype=float))))
 
 
 def phi(k: int, x):
@@ -404,24 +411,33 @@ def rho_series(eta: float, x, xp, kmax: int = 60):
     """Reduced density matrix summed over the eigenfunction ladder.
 
     sum_k w_k phi_k(x) phi_k(x') with w_k = tanh(eta)^{2k} / cosh(eta)^2;
-    agrees with rho_reduced up to the series tail.
+    agrees with rho_reduced up to the series tail.  One recurrence runs over
+    x and x' together and streams row by row into the sum, so memory is
+    O(grid), not O(kmax grid).
     """
-    x, xp = np.broadcast_arrays(np.asarray(x, float), np.asarray(xp, float))
-    w = series_weights(eta, kmax)
-    hx = hermite_functions(kmax, x)
-    hxp = hermite_functions(kmax, xp)
-    return np.einsum("k,k...,k...->...", w, hx, hxp)
+    points = np.stack(np.broadcast_arrays(np.asarray(x, float), np.asarray(xp, float)))
+    rho = np.zeros(points.shape[1:])
+    for (hx, hxp), w in zip(_hermite_rows(kmax, points), series_weights(eta, kmax)):
+        rho += w * hx * hxp
+    return rho[()]  # a scalar for scalar points
 
 
 def rho_partial_trace(eta: float, x, xp, nodes: int = 128):
     """Reduced density matrix by integrating out the unobserved coordinate.
 
-    integral psi_eta(x, t) psi_eta(x', t) dt by Gauss-Hermite quadrature.
+    integral psi_eta(x, t) psi_eta(x', t) dt by Gauss-Hermite quadrature,
+    over blocks of points whose (points, nodes) integrand stays within
+    64 KiB.
     """
     x, xp = np.broadcast_arrays(np.asarray(x, float), np.asarray(xp, float))
     t, w = gauss_hermite(nodes)
-    vals = psi_eta(eta, x[..., None], t) * psi_eta(eta, xp[..., None], t)
-    return vals @ w
+    px, pxp = x.reshape(-1, 1), xp.reshape(-1, 1)
+    rho = np.empty(len(px))
+    block = max(1, _QUADRATURE_BYTES // (8 * nodes))
+    for lo in range(0, len(px), block):
+        hi = lo + block
+        rho[lo:hi] = (psi_eta(eta, px[lo:hi], t) * psi_eta(eta, pxp[lo:hi], t)) @ w
+    return rho.reshape(x.shape)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +462,9 @@ def kmax_for_tail(eta: float, limit: float = SERIES_TAIL_LIMIT) -> int:
     """Smallest truncation whose dropped tail is at most ``limit``.
 
     Grows like -ln(limit) / (2 ln tanh |eta|); about 50 terms at eta = 1,
-    about 380 at eta = 2, about 1.1 M at eta = 6.
+    about 380 at eta = 2, about 1.1 M at eta = 6.  ``moments`` streams the
+    ladder in fixed blocks, so the cap bounds the time of one pass, not
+    its memory.
 
     Raises:
         ValueError: tanh^2 |eta| rounds to 1 (eta above about 19), or the
@@ -465,9 +483,32 @@ def kmax_for_tail(eta: float, limit: float = SERIES_TAIL_LIMIT) -> int:
     return max(int(n), 1)
 
 
-def _xlogx(w: np.ndarray) -> np.ndarray:
-    safe = np.where(w > 0, w, 1.0)
-    return np.where(w > 0, w * np.log(safe), 0.0)
+def _ladder_sums(q: float, kmax: int) -> Tuple[float, float, float]:
+    """(sum w, sum w**2, -sum w ln w) over w_k = (1 - q) q**k, k = 0..kmax.
+
+    Streams the ladder in blocks of _SERIES_BLOCK terms: per block
+    ln w_k = log1p(-q) + k ln q, then w = exp(ln w), so memory does not
+    grow with kmax.  q = 0 is the pure state, (1, 1, 0) exactly, and a
+    ladder with no terms (kmax < 0) sums to zero.
+    """
+    if kmax < 0:
+        return 0.0, 0.0, 0.0
+    if q == 0.0:
+        return 1.0, 1.0, 0.0
+    size = min(kmax + 1, _SERIES_BLOCK)
+    log_q, log_head = np.log(q), np.log1p(-q)
+    k_log_q = np.arange(size) * log_q
+    log_w, w = np.empty(size), np.empty(size)
+    trace = purity = entropy = 0.0
+    for lo in range(0, kmax + 1, size):
+        n = min(size, kmax + 1 - lo)
+        lw, bw = log_w[:n], w[:n]
+        np.add(k_log_q[:n], log_head + lo * log_q, out=lw)
+        np.exp(lw, out=bw)
+        trace += bw.sum()
+        purity += bw @ bw
+        entropy -= bw @ lw
+    return float(trace), float(purity), float(entropy)
 
 
 @dataclass(frozen=True)
@@ -487,7 +528,6 @@ def moments(eta: float, kmax: int = 200) -> SeriesMoments:
     both up to the reported geometric tail bound.  Negative eta is folded
     to |eta|.  A tail bound above SERIES_TAIL_LIMIT triggers a warning.
     """
-    w = series_weights(eta, kmax)
     tail = series_tail_bound(eta, kmax)
     if tail > SERIES_TAIL_LIMIT:
         warnings.warn(
@@ -495,12 +535,8 @@ def moments(eta: float, kmax: int = 200) -> SeriesMoments:
             f"at eta={eta}, kmax={kmax}; increase kmax",
             stacklevel=2,
         )
-    return SeriesMoments(
-        trace=float(w.sum()),
-        purity=float((w ** 2).sum()),
-        entropy=float(-_xlogx(w).sum() + 0.0),
-        tail_bound=tail,
-    )
+    trace, purity, entropy = _ladder_sums(np.tanh(abs(eta)) ** 2, kmax)
+    return SeriesMoments(trace=trace, purity=purity, entropy=entropy, tail_bound=tail)
 
 
 @dataclass(frozen=True)
@@ -527,9 +563,13 @@ class ThermalState:
         return cls(temperature=0.0, kmax=kmax)
 
     @property
+    def _q(self) -> float:
+        # ratio of successive weights; the vacuum's q = 0 gives (1, 0, 0, ...)
+        return np.exp(-1.0 / self.temperature) if self.temperature else 0.0
+
+    @property
     def weights(self) -> np.ndarray:
-        # the vacuum's q = 0 gives the weights (1, 0, 0, ...)
-        q = np.exp(-1.0 / self.temperature) if self.temperature else 0.0
+        q = self._q
         return (1.0 - q) * q ** np.arange(self.kmax + 1)
 
     def entropy(self) -> float:
@@ -540,7 +580,7 @@ class ThermalState:
 
     def entropy_series(self) -> float:
         """-sum w_k ln w_k over the truncated ladder (cross-check route)."""
-        return float(-_xlogx(self.weights).sum() + 0.0)
+        return _ladder_sums(self._q, self.kmax)[2]
 
     def radius(self) -> float:
         return wigner_radius(self.temperature)

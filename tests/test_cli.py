@@ -35,6 +35,37 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False 0 False"
 
 
+def test_internal_error_exits_3_with_one_line():
+    # an exception escaping a command: exit 3 and one stderr line, not the
+    # exit 1 of a FAILed check nor a traceback
+    src = os.path.dirname(os.path.dirname(oscsym.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, oscsym.cli\n"
+            "def broken(*args):\n"
+            "    raise RuntimeError('covariance broke\\n  on a second line')\n"
+            "oscsym.cli.ps.evolve = broken\n"
+            "sys.exit(oscsym.cli.main(['simulate', '--couple', '--eta', '1']))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "oscsym: internal error: covariance broke on a second line"]
+    assert "Traceback" not in proc.stderr
+
+
+def test_internal_error_without_message_names_its_type(capsys, monkeypatch):
+    def broken(*args):
+        raise ZeroDivisionError
+
+    monkeypatch.setattr(fock, "moments", broken)
+    assert main(["table", "--eta-grid", "1:1:1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "oscsym: internal error: ZeroDivisionError\n"
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -262,7 +293,7 @@ def test_table_empty_grid_exits_2(capsys):
 
 
 @pytest.mark.parametrize("grid,match", [
-    ("8:8:1", "MAX_KMAX"),      # 6.1e7 series terms
+    ("8:8:1", "MAX_KMAX"),      # 6.1e7 series terms, about 0.3 s a pass
     ("19:19:1", "rounds to 1"),  # tanh^2 == 1.0
     ("0:8:1", "MAX_KMAX"),      # refused before the valid rows are computed
 ])

@@ -1,13 +1,16 @@
 """Fock realization, eigenfunction oracles, series and thermal states."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from oscsym.algebra import alge11_table
 from oscsym.fock import (
+    _SERIES_BLOCK,
     MAX_KMAX,
     MAX_NMAX,
     ThermalState,
@@ -354,13 +357,152 @@ def test_kmax_for_tail_clears_the_tail_up_to_eta_six():
 
 
 @pytest.mark.parametrize("eta,match", [
-    (8.0, "MAX_KMAX"),          # 6.1e7 terms, about 0.5 GB per array
+    (8.0, "MAX_KMAX"),          # 6.1e7 terms, about 0.3 s a pass
     (19.0, "rounds to 1"),      # tanh^2 == 1.0: the count would be infinite
     (float("nan"), "MAX_KMAX"),
 ])
 def test_kmax_for_tail_refuses_unbounded_series(eta, match):
     with pytest.raises(ValueError, match=match):
         kmax_for_tail(eta)
+
+
+# ---------------------------------------------------------------------------
+# streamed kernels against the full-array formulas they replace
+
+def _full_ladder_sums(q, kmax):
+    """Trace, purity, entropy of (1 - q) q**k from whole arrays (pow + xlogx)."""
+    w = (1.0 - q) * q ** np.arange(kmax + 1)
+    safe = np.where(w > 0, w, 1.0)
+    xlogx = np.where(w > 0, w * np.log(safe), 0.0)
+    return w.sum(), (w ** 2).sum(), -xlogx.sum() + 0.0
+
+
+def _recurrence_table(kmax, x):
+    x = np.asarray(x, dtype=float)
+    out = np.empty((kmax + 1,) + x.shape)
+    out[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    if kmax >= 1:
+        out[1] = np.sqrt(2.0) * x * out[0]
+    for k in range(1, kmax):
+        out[k + 1] = np.sqrt(2.0 / (k + 1)) * x * out[k] - np.sqrt(k / (k + 1.0)) * out[k - 1]
+    return out
+
+
+def _bench_grid():
+    xs = np.linspace(-3.0, 3.0, 21)
+    return np.meshgrid(xs, xs, indexing="ij")
+
+
+def _assert_rel_close(got, want, rtol):
+    for g, w in zip(got, want):
+        assert abs(g - w) <= rtol * abs(w), (g, w)
+
+
+@pytest.mark.filterwarnings("ignore:series tail bound")
+@pytest.mark.parametrize("kmax", [_SERIES_BLOCK - 1, _SERIES_BLOCK, _SERIES_BLOCK + 1,
+                                  3 * _SERIES_BLOCK + 7])
+@pytest.mark.parametrize("eta", [0.5, 2.0, 4.0, 6.0])
+def test_moments_blocks_match_full_array_formula(eta, kmax):
+    m = moments(eta, kmax)
+    _assert_rel_close((m.trace, m.purity, m.entropy),
+                      _full_ladder_sums(np.tanh(eta) ** 2, kmax), 1e-14)
+
+
+@pytest.mark.parametrize("eta", [0.05, 0.7, 1.5, 3.0, 4.5, 6.0])
+def test_moments_match_full_array_formula_at_the_tail_rule(eta):
+    kmax = kmax_for_tail(eta)
+    m = moments(eta, kmax)
+    _assert_rel_close((m.trace, m.purity, m.entropy),
+                      _full_ladder_sums(np.tanh(eta) ** 2, kmax), 1e-14)
+
+
+@pytest.mark.parametrize("T", [0.5, 2.0, 10.0])
+def test_thermal_entropy_series_matches_full_array_formula(T):
+    st = thermal_state(T, 3000)
+    _, _, want = _full_ladder_sums(np.exp(-1.0 / T), 3000)
+    assert abs(st.entropy_series() - want) <= 1e-14 * want
+
+
+def test_thermal_vacuum_entropy_series_is_zero():
+    assert ThermalState.vacuum().entropy_series() == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:series tail bound")
+@pytest.mark.parametrize("eta", [0.0, 0.7])
+@pytest.mark.parametrize("kmax", [-1, 0, 1])
+def test_moments_of_short_ladders_match_full_array_formula(eta, kmax):
+    m = moments(eta, kmax)
+    want = _full_ladder_sums(np.tanh(eta) ** 2, kmax)
+    assert np.allclose((m.trace, m.purity, m.entropy), want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("eta", [3.0, 4.5, 5.25, 6.0])
+def test_moments_at_the_tail_rule_match_high_precision(eta):
+    m = moments(eta, kmax_for_tail(eta))
+    with mp.workdps(50):
+        c2, s2 = mp.cosh(eta) ** 2, mp.sinh(eta) ** 2
+        purity = 1 / mp.cosh(2 * mp.mpf(eta))
+        entropy = c2 * mp.log(c2) - s2 * mp.log(s2)
+        assert abs(m.purity - purity) <= 1e-15
+        assert abs(m.entropy - entropy) <= 1e-10
+
+
+def test_moments_entropy_keeps_the_vacuum_term_at_tiny_eta():
+    # 1 - q rounds to 1 at q = tanh^2(1e-10) = 1e-20; log1p(-q) keeps the
+    # -w_0 ln w_0 = q term that ln(1 - q) would drop (a 2 % loss)
+    eta = 1e-10
+    with mp.workdps(50):
+        c2, s2 = mp.cosh(eta) ** 2, mp.sinh(eta) ** 2
+        entropy = float(c2 * mp.log(c2) - s2 * mp.log(s2))
+    assert abs(moments(eta).entropy - entropy) <= 1e-13 * entropy
+
+
+@pytest.mark.parametrize("kmax", [0, 1, 2, 200])
+def test_hermite_functions_bit_identical_to_recurrence_table(kmax):
+    x, xp = _bench_grid()
+    for points in (0.3, np.linspace(-4.0, 4.0, 33), x):
+        got, want = hermite_functions(kmax, points), _recurrence_table(kmax, points)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("eta", [0.05, 0.5, 1.0, 1.45, 2.0])
+def test_streamed_rho_routes_match_full_array_formulas(eta):
+    x, xp = _bench_grid()
+    kmax = min(kmax_for_tail(eta), 200)
+    full_series = np.einsum("k,k...,k...->...", series_weights(eta, kmax),
+                            _recurrence_table(kmax, x), _recurrence_table(kmax, xp))
+    assert np.abs(rho_series(eta, x, xp, kmax) - full_series).max() <= 1e-15
+    t, w = gauss_hermite(128)
+    full_trace = (psi_eta(eta, x[..., None], t) * psi_eta(eta, xp[..., None], t)) @ w
+    assert np.abs(rho_partial_trace(eta, x, xp) - full_trace).max() <= 1e-15
+
+
+def test_rho_routes_broadcast_and_refuse_like_the_recurrence():
+    pts = np.linspace(-2.0, 2.0, 7)
+    full = rho_series(0.8, *np.meshgrid(pts, pts, indexing="ij"))
+    assert np.array_equal(rho_series(0.8, pts[:, None], pts[None, :]), full)
+    assert rho_partial_trace(0.8, pts[:, None], pts[None, :]).shape == (7, 7)
+    for route in (rho_series, rho_partial_trace):
+        assert isinstance(route(0.8, 0.1, 0.2), np.float64)
+    for kmax in (-1, 201):
+        with pytest.raises(ValueError):
+            rho_series(0.8, pts, pts, kmax)
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_oracles_memory_does_not_grow_with_the_ladder():
+    assert _peak_bytes(moments, 6.0, kmax_for_tail(6.0)) < 2 ** 20
+    x, xp = _bench_grid()
+    assert _peak_bytes(rho_series, 1.45, x, xp, kmax_for_tail(1.45)) < 2 ** 18
 
 
 # ---------------------------------------------------------------------------
