@@ -405,25 +405,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.command == "verify":
-        if args.tolerance <= 0:
-            parser.error("--tolerance must be > 0")
-        if args.suite in ("fock", "all") and not (
-                fock.MIN_NMAX <= args.nmax <= fock.MAX_NMAX):
-            parser.error(f"--nmax must be in [{fock.MIN_NMAX}, {fock.MAX_NMAX}] "
-                         f"for the fock suite")
-        return _cmd_verify(args)
-    if args.command == "simulate":
-        return _cmd_simulate(args, parser)
-    return _cmd_table(args, parser)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _run(args, parser)
+        if args.command == "verify":
+            if args.tolerance <= 0:
+                parser.error("--tolerance must be > 0")
+            if args.suite in ("fock", "all") and not (
+                    fock.MIN_NMAX <= args.nmax <= fock.MAX_NMAX):
+                parser.error(f"--nmax must be in [{fock.MIN_NMAX}, {fock.MAX_NMAX}] "
+                             f"for the fock suite")
+            return _cmd_verify(args)
+        if args.command == "simulate":
+            return _cmd_simulate(args, parser)
+        return _cmd_table(args, parser)
     except Exception as exc:  # the CLI boundary: exit 3, never a traceback
         message = " ".join(str(exc).split()) or type(exc).__name__
         print(f"{parser.prog}: internal error: {message}", file=sys.stderr)

@@ -423,10 +423,6 @@ def test_thermal_entropy_series_matches_full_array_formula(T):
     assert abs(st.entropy_series() - want) <= 1e-14 * want
 
 
-def test_thermal_vacuum_entropy_series_is_zero():
-    assert ThermalState.vacuum().entropy_series() == 0.0
-
-
 @pytest.mark.filterwarnings("ignore:series tail bound")
 @pytest.mark.parametrize("eta", [0.0, 0.7])
 @pytest.mark.parametrize("kmax", [-1, 0, 1])
@@ -521,6 +517,7 @@ def test_thermal_vacuum_limit():
     assert np.abs(vac.weights[1:]).max() == 0.0
     assert vac.radius() == 1.0
     assert vac.entropy() == 0.0
+    assert vac.entropy_series() == 0.0
 
 
 def test_thermal_weights_normalized():
