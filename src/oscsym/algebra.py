@@ -287,13 +287,12 @@ def verify_algebra(genset: GeneratorSet, expected: StructureTable,
                               dict(zip(expected.pairs(), residuals[rows, cols].tolist())))
 
 
-def structure_table(genset: GeneratorSet,
-                    coeff_tolerance: float = COEFF_TOLERANCE) -> StructureTable:
+def structure_table(genset: GeneratorSet) -> StructureTable:
     """Expand every ordered commutator pair in the set's own basis.
 
     All n(n-1) off-diagonal commutators come from one broadcast product and
     are expanded by one least-squares solve with a column per pair.
-    Coefficients below ``coeff_tolerance`` are dropped.  The least-squares
+    Coefficients below ``COEFF_TOLERANCE`` are dropped.  The least-squares
     residual of each expansion is kept in ``closure_residuals``; a residual
     above tolerance marks a pair whose bracket leaves the span (non-closure)
     and is reported rather than raised.
@@ -306,7 +305,7 @@ def structure_table(genset: GeneratorSet,
     rhs = brackets[rows, cols].reshape(-1, d * d).T  # (d*d, n(n-1))
     coeffs, residuals = _expand(mats.reshape(n, d * d).T, rhs)
     f = np.zeros((n, n, n), complex)
-    f[rows, cols] = -1j * np.where(np.abs(coeffs) > coeff_tolerance, coeffs, 0).T
+    f[rows, cols] = -1j * np.where(np.abs(coeffs) > COEFF_TOLERANCE, coeffs, 0).T
     labels = genset.labels
     pairs = [(labels[i], labels[j]) for i, j in zip(rows.tolist(), cols.tolist())]
     return StructureTable(labels, f, dict(zip(pairs, residuals.tolist())))

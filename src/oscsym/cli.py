@@ -235,18 +235,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
+def _temperature(eta: float) -> float:
+    """The thermal temperature matching eta; eta <= 0 maps to T = 0."""
+    return ps.temperature_from_eta(eta) if eta > 0 else 0.0
+
+
 def _resolve_eta_temperature(args, parser) -> Tuple[float, float]:
     if (args.eta is None) == (args.temperature is None):
         parser.error("exactly one of --eta or --temperature is required")
     if args.eta is not None:
-        eta = args.eta
-        temperature = ps.temperature_from_eta(eta) if eta > 0 else 0.0
-    else:
-        if args.temperature <= 0:
-            parser.error("--temperature must be > 0")
-        temperature = args.temperature
-        eta = ps.eta_from_temperature(temperature)
-    return eta, temperature
+        return args.eta, _temperature(args.eta)
+    if args.temperature <= 0:
+        parser.error("--temperature must be > 0")
+    return ps.eta_from_temperature(args.temperature), args.temperature
 
 
 def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -315,14 +316,9 @@ def _cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     rows = []
     for eta, kmax in zip(grid, kmaxes):
         m = fock.moments(eta, kmax)
-        if eta > 0:
-            temperature = ps.temperature_from_eta(eta)
-            radius = fock.wigner_radius(temperature)
-            entropy_t = fock.thermal_state(temperature, kmax).entropy()
-        else:
-            temperature = 0.0
-            radius = 1.0
-            entropy_t = 0.0
+        temperature = _temperature(eta)
+        radius = fock.wigner_radius(temperature)
+        entropy_t = fock.ThermalState(temperature).entropy()
         state = ps.evolve(ps.vacuum_state(), ps.coupling_transform(eta))
         cov1 = ps.reduce_oscillator(state, 1)
         purity_g = ps.gaussian_purity(cov1)

@@ -16,6 +16,7 @@ three independent routes (closed form, series, partial-trace quadrature).
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,7 +29,7 @@ from .families import GeneratorSet
 from .phase_space import occupation_entropy
 
 __all__ = [
-    "HERMITE_KMAX", "SERIES_TAIL_LIMIT", "MIN_NMAX", "MAX_NMAX", "MAX_KMAX",
+    "HERMITE_KMAX", "MIN_NMAX", "MAX_NMAX", "MAX_KMAX",
     "destroy", "ladder_operators", "fock_index", "basis_state",
     "dirac_tenfold", "safe_subspace_mask", "verify_fock_commutators",
     "hermite_functions", "phi", "gauss_hermite", "psi_eta",
@@ -39,11 +40,11 @@ __all__ = [
 ]
 
 HERMITE_KMAX = 200
-SERIES_TAIL_LIMIT = 1e-12
 MIN_NMAX = 6  # smallest truncation with a nonempty safe subspace
 MAX_NMAX = 256  # largest truncation the bracket check accepts (~0.15 s)
 MAX_KMAX = 2 ** 24  # largest series truncation kmax_for_tail returns (eta ~ 7.3, ~0.1 s a pass)
 _DENSE_TENFOLD_BYTES = 2 ** 30  # cap on the ten dense members of dirac_tenfold
+_SAFE_MARGIN = 3  # the safe subspace is n1 + n2 <= nmax - _SAFE_MARGIN
 _FOCK_CHUNK = 64  # grid points per band of rows in verify_fock_commutators
 _SERIES_BLOCK = 2 ** 14  # ladder terms per block in _ladder_sums
 _QUADRATURE_BYTES = 2 ** 16  # largest (points, nodes) block in rho_partial_trace
@@ -165,10 +166,11 @@ def dirac_tenfold(nmax: int) -> GeneratorSet:
     the 26 diagonals without any dense product.
 
     Raises:
+        TypeError: nmax is not an integer.
         ValueError: nmax < 4, or the ten dense members would take more than
             1 GiB (nmax > 50).
     """
-    if nmax < 4:
+    if operator.index(nmax) < 4:
         raise ValueError(f"nmax must be >= 4 for the quadratic generators, got {nmax}")
     size = 10 * nmax ** 4 * np.dtype(complex).itemsize
     if size > _DENSE_TENFOLD_BYTES:
@@ -192,14 +194,14 @@ def dirac_tenfold(nmax: int) -> GeneratorSet:
                         members=dict(zip(_QUADRATICS, members)))
 
 
-def safe_subspace_mask(nmax: int, margin: int = 3) -> np.ndarray:
-    """Boolean mask of states with n1 + n2 <= nmax - margin.
+def safe_subspace_mask(nmax: int) -> np.ndarray:
+    """Boolean mask of states with n1 + n2 <= nmax - 3.
 
     With margin 3 every raising path of a quadratic-times-quadratic product
     stays below the truncation, so restricted commutators are exact.
     """
     n1, n2 = np.divmod(np.arange(nmax * nmax), nmax)
-    return (n1 + n2) <= (nmax - margin)
+    return (n1 + n2) <= (nmax - _SAFE_MARGIN)
 
 
 @lru_cache(maxsize=None)
@@ -266,14 +268,15 @@ def verify_fock_commutators(nmax: int,
     of s rows takes one multiply per step.  Cost and memory are O(nmax**2).
 
     Raises:
+        TypeError: nmax is not an integer.
         ValueError: nmax outside [MIN_NMAX, MAX_NMAX].
     """
-    if not MIN_NMAX <= nmax <= MAX_NMAX:
+    if not MIN_NMAX <= operator.index(nmax) <= MAX_NMAX:
         raise ValueError(
             f"nmax must be in [{MIN_NMAX}, {MAX_NMAX}] for the safe subspace check, "
             f"got {nmax}")
     groups, fold, partner, terms, rise, rise_diag, pair = _bracket_plan()
-    top = nmax - 3  # largest total occupation of the safe subspace
+    top = nmax - _SAFE_MARGIN  # largest total occupation of the safe subspace
     grid = np.arange(-2, nmax)  # grid index = occupation + 2
     d = _diagonal_values(grid[None, :], grid[:, None] - grid[None, :], nmax)
     nd, ns = len(d), len(partner)
@@ -377,16 +380,15 @@ def expansion_coefficient(eta: float, k: int) -> float:
     return float(np.tanh(eta) ** k / np.cosh(eta))
 
 
-def expansion_overlap(eta: float, k: int, nodes: int = 128) -> float:
+def expansion_overlap(eta: float, k: int) -> float:
     """<phi_k(x1) phi_k(x2) | psi_eta> by two-dimensional quadrature.
 
     Contract: equals expansion_coefficient(eta, k).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    x, w = gauss_hermite(nodes)
-    pk = hermite_functions(k, x)[k]
-    weighted = w * pk
+    x, w = gauss_hermite()
+    weighted = w * phi(k, x)
     return float(weighted @ psi_eta(eta, x[:, None], x[None, :]) @ weighted)
 
 
@@ -422,18 +424,18 @@ def rho_series(eta: float, x, xp, kmax: int = 60):
     return rho[()]  # a scalar for scalar points
 
 
-def rho_partial_trace(eta: float, x, xp, nodes: int = 128):
+def rho_partial_trace(eta: float, x, xp):
     """Reduced density matrix by integrating out the unobserved coordinate.
 
-    integral psi_eta(x, t) psi_eta(x', t) dt by Gauss-Hermite quadrature,
+    integral psi_eta(x, t) psi_eta(x', t) dt by the gauss_hermite() rule,
     over blocks of points whose (points, nodes) integrand stays within
     64 KiB.
     """
     x, xp = np.broadcast_arrays(np.asarray(x, float), np.asarray(xp, float))
-    t, w = gauss_hermite(nodes)
+    t, w = gauss_hermite()
     px, pxp = x.reshape(-1, 1), xp.reshape(-1, 1)
     rho = np.empty(len(px))
-    block = max(1, _QUADRATURE_BYTES // (8 * nodes))
+    block = max(1, _QUADRATURE_BYTES // (8 * len(t)))
     for lo in range(0, len(px), block):
         hi = lo + block
         rho[lo:hi] = (psi_eta(eta, px[lo:hi], t) * psi_eta(eta, pxp[lo:hi], t)) @ w
@@ -458,28 +460,30 @@ def series_tail_bound(eta: float, kmax: int = 200) -> float:
     return float(t ** (kmax + 1))
 
 
-def kmax_for_tail(eta: float, limit: float = SERIES_TAIL_LIMIT) -> int:
-    """Smallest truncation whose dropped tail is at most ``limit``.
+def kmax_for_tail(eta: float) -> int:
+    """Smallest truncation whose dropped tail is at most DEFAULT_TOLERANCE.
 
-    Grows like -ln(limit) / (2 ln tanh |eta|); about 50 terms at eta = 1,
+    Grows like -ln(1e-12) / (2 ln tanh |eta|); about 50 terms at eta = 1,
     about 380 at eta = 2, about 1.1 M at eta = 6.  ``moments`` streams the
     ladder in fixed blocks, so the cap bounds the time of one pass, not
     its memory.
 
     Raises:
-        ValueError: tanh^2 |eta| rounds to 1 (eta above about 19), or the
-            count exceeds ``MAX_KMAX`` (eta above about 7.3).
+        ValueError: eta is not finite, tanh^2 |eta| rounds to 1 (eta above
+            about 19), or the count exceeds ``MAX_KMAX`` (eta above about 7.3).
     """
+    if not abs(eta) < np.inf:
+        raise ValueError(f"eta must be finite, got {eta}")
     t = np.tanh(abs(eta)) ** 2
     if t == 0.0:
         return 1
     if t == 1.0:
         raise ValueError(f"tanh^2(eta) rounds to 1 at eta={eta}: no finite "
-                         f"series truncation clears the tail {limit:.0e}")
-    n = np.ceil(np.log(limit) / np.log(t)) - 1
+                         f"series truncation clears the tail {DEFAULT_TOLERANCE:.0e}")
+    n = np.ceil(np.log(DEFAULT_TOLERANCE) / np.log(t)) - 1
     if not n <= MAX_KMAX:
         raise ValueError(f"eta={eta} needs {n:.3g} series terms to clear the tail "
-                         f"{limit:.0e}, more than MAX_KMAX = {MAX_KMAX}")
+                         f"{DEFAULT_TOLERANCE:.0e}, more than MAX_KMAX = {MAX_KMAX}")
     return max(int(n), 1)
 
 
@@ -526,12 +530,12 @@ def moments(eta: float, kmax: int = 200) -> SeriesMoments:
     Contracts: purity = 1/cosh(2 eta) and
     entropy = cosh^2(eta) ln cosh^2(eta) - sinh^2(eta) ln sinh^2(eta),
     both up to the reported geometric tail bound.  Negative eta is folded
-    to |eta|.  A tail bound above SERIES_TAIL_LIMIT triggers a warning.
+    to |eta|.  A tail bound above DEFAULT_TOLERANCE triggers a warning.
     """
     tail = series_tail_bound(eta, kmax)
-    if tail > SERIES_TAIL_LIMIT:
+    if tail > DEFAULT_TOLERANCE:
         warnings.warn(
-            f"series tail bound {tail:.3e} exceeds {SERIES_TAIL_LIMIT:.0e} "
+            f"series tail bound {tail:.3e} exceeds {DEFAULT_TOLERANCE:.0e} "
             f"at eta={eta}, kmax={kmax}; increase kmax",
             stacklevel=2,
         )
@@ -552,8 +556,8 @@ class ThermalState:
     kmax: int = 200
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        if not 0 <= self.temperature < np.inf:
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.kmax < 1:
             raise ValueError("kmax must be >= 1")
 
@@ -587,9 +591,9 @@ class ThermalState:
 
 
 def thermal_state(T: float, kmax: int = 200) -> ThermalState:
-    """Thermal state at T > 0; the T = 0 limit is ThermalState.vacuum()."""
-    if T <= 0:
-        raise ValueError(f"temperature must be > 0, got {T}")
+    """Thermal state at finite T > 0; the T = 0 limit is ThermalState.vacuum()."""
+    if not 0 < T < np.inf:
+        raise ValueError(f"temperature must be finite and > 0, got {T}")
     return ThermalState(temperature=float(T), kmax=kmax)
 
 
@@ -597,10 +601,10 @@ def wigner_radius(T: float) -> float:
     """Gaussian radius 1/sqrt(tanh(1/2T)) of the thermal Wigner function.
 
     Grows from 1 at T = 0; equals sqrt(cosh 2 eta) at the matching squeeze
-    parameter cosh(2 eta) = 1/tanh(1/2T).
+    parameter cosh(2 eta) = 1/tanh(1/2T).  Refuses negative or non-finite T.
     """
-    if T < 0:
-        raise ValueError(f"temperature must be >= 0, got {T}")
+    if not 0 <= T < np.inf:
+        raise ValueError(f"temperature must be finite and >= 0, got {T}")
     if T == 0:
         return 1.0
     return float(1.0 / np.sqrt(np.tanh(0.5 / T)))

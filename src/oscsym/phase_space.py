@@ -163,12 +163,13 @@ class GaussianState:
 
 
 def _checked_cov(cov: np.ndarray, n: int) -> np.ndarray:
-    """Symmetric part of an n x n covariance; rejects bad shape, asymmetry, non-PD."""
+    """Symmetric part of an n x n covariance; rejects bad shape, NaN/inf, asymmetry, non-PD."""
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (n, n):
         raise ValueError(f"covariance must be {n}x{n}, got {cov.shape}")
-    if np.abs(cov - cov.T).max() > 1e-12:
-        raise ValueError("covariance must be symmetric (within 1e-12)")
+    if not np.abs(cov - cov.T).max() <= DEFAULT_TOLERANCE:
+        raise ValueError(f"covariance must be finite and symmetric "
+                         f"(within {DEFAULT_TOLERANCE:.0e})")
     cov = 0.5 * (cov + cov.T)
     if np.linalg.eigvalsh(cov).min() <= 0:
         raise ValueError("covariance must be positive definite")
@@ -241,7 +242,7 @@ def occupation_entropy(v: float) -> float:
     return float(np.log1p(v) + v * tail)
 
 
-def gaussian_entropy(cov2: np.ndarray, tolerance: float = DEFAULT_TOLERANCE) -> float:
+def gaussian_entropy(cov2: np.ndarray) -> float:
     """von Neumann entropy from the symplectic eigenvalue of cov2.
 
     With mu = 2 sqrt(det cov2) this is occupation_entropy((mu - 1)/2).  For
@@ -249,10 +250,10 @@ def gaussian_entropy(cov2: np.ndarray, tolerance: float = DEFAULT_TOLERANCE) -> 
     and S = cosh^2(eta) ln cosh^2(eta) - sinh^2(eta) ln sinh^2(eta).
 
     Raises:
-        SubVacuumError: mu < 1 - tolerance.
+        SubVacuumError: mu < 1 - DEFAULT_TOLERANCE.
     """
     mu = symplectic_eigenvalue(cov2)
-    if mu < 1.0 - tolerance:
+    if mu < 1.0 - DEFAULT_TOLERANCE:
         raise SubVacuumError(
             f"symplectic eigenvalue mu = {mu:.12g} < 1: sub-vacuum covariance "
             "has no quantum entropy"
@@ -288,11 +289,11 @@ def eta_from_temperature(T: float) -> float:
 
     Equivalent to arccosh(1/tanh(1/2T))/2 and to arctanh(e^{-1/2T});
     evaluated as (log1p(e^{-x}) - ln(-expm1(-x)))/2 with x = 1/2T, which
-    stays accurate at both temperature extremes.  Rejects T <= 0; the
-    T -> 0+ limit is eta -> 0+.
+    stays accurate at both temperature extremes.  Rejects T <= 0 and
+    non-finite T; the T -> 0+ limit is eta -> 0+.
     """
-    if T <= 0:
-        raise ValueError(f"temperature must be > 0, got {T}")
+    if not 0 < T < np.inf:
+        raise ValueError(f"temperature must be finite and > 0, got {T}")
     x = 0.5 / T
     if x > 20.0:
         # eta ~ e^{-x}; arctanh is exact for arguments this small
@@ -306,10 +307,10 @@ def temperature_from_eta(eta: float) -> float:
     For eta >= 1, ln tanh eta is evaluated as
     log1p(-e^{-2 eta}) - log1p(e^{-2 eta}) so deep squeezes do not round
     tanh to one; below that, tanh is exact and the direct form is used.
-    Rejects eta <= 0; the eta -> 0+ limit is T -> 0+.
+    Rejects eta <= 0 and non-finite eta; the eta -> 0+ limit is T -> 0+.
     """
-    if eta <= 0:
-        raise ValueError(f"eta must be > 0, got {eta}")
+    if not 0 < eta < np.inf:
+        raise ValueError(f"eta must be finite and > 0, got {eta}")
     if eta < 1.0:
         log_tanh = np.log(np.tanh(eta))
     else:

@@ -194,6 +194,13 @@ def test_fock_refuses_large_nmax():
         dirac_tenfold(51)
 
 
+@pytest.mark.parametrize("build", [verify_fock_commutators, dirac_tenfold])
+def test_fock_refuses_non_integer_nmax(build):
+    # refused up front, not by an IndexError from deep inside the check
+    with pytest.raises(TypeError):
+        build(8.5)
+
+
 # ---------------------------------------------------------------------------
 # eigenfunctions and quadrature
 
@@ -359,7 +366,8 @@ def test_kmax_for_tail_clears_the_tail_up_to_eta_six():
 @pytest.mark.parametrize("eta,match", [
     (8.0, "MAX_KMAX"),          # 6.1e7 terms, about 0.3 s a pass
     (19.0, "rounds to 1"),      # tanh^2 == 1.0: the count would be infinite
-    (float("nan"), "MAX_KMAX"),
+    (float("nan"), "finite"),   # not the count check's "needs nan series terms"
+    (float("inf"), "finite"),
 ])
 def test_kmax_for_tail_refuses_unbounded_series(eta, match):
     with pytest.raises(ValueError, match=match):
@@ -538,6 +546,14 @@ def test_thermal_weights_equal_series_weights():
         eta = eta_from_temperature(T)
         diff = np.abs(thermal_state(T, 300).weights - series_weights(eta, 300))
         assert diff.max() <= 1e-12, T
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bridge", [temperature_from_eta, eta_from_temperature,
+                                    thermal_state, ThermalState, wigner_radius])
+def test_thermal_bridge_refuses_non_finite(bridge, value):
+    with pytest.raises(ValueError, match="finite"):
+        bridge(value)
 
 
 def test_wigner_radius_values():

@@ -166,6 +166,27 @@ def test_gaussian_state_validation():
         GaussianState(np.zeros(4), -np.eye(4))
 
 
+# inf - inf in the symmetry comparison is what turns an inf entry into NaN
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_covariance_refuses_non_finite_entries(entry):
+    block = np.eye(2) / 2
+    block[0, 0] = entry
+    for route in (gaussian_purity, gaussian_entropy, symplectic_eigenvalue):
+        with pytest.raises(ValueError, match="finite"):
+            route(block)
+    cov = np.eye(4) / 2
+    cov[1, 2] = cov[2, 1] = entry
+    with pytest.raises(ValueError, match="finite"):
+        GaussianState(np.zeros(4), cov)
+
+
+def test_evolve_refuses_nan_transform():
+    # a ValueError naming the cause, not numpy's LinAlgError from eigvalsh
+    with pytest.raises(ValueError, match="finite"):
+        evolve(vacuum_state(), np.full((4, 4), np.nan))
+
+
 def test_vacuum_state_convention():
     vac = vacuum_state()
     assert np.array_equal(vac.cov, np.eye(4) / 2)
