@@ -196,7 +196,7 @@ def test_fock_refuses_large_nmax():
 
 @pytest.mark.parametrize("build", [verify_fock_commutators, dirac_tenfold])
 def test_fock_refuses_non_integer_nmax(build):
-    # refused up front, not by an IndexError from deep inside the check
+    # refused before the nmax is used to size or index anything
     with pytest.raises(TypeError):
         build(8.5)
 
@@ -366,7 +366,7 @@ def test_kmax_for_tail_clears_the_tail_up_to_eta_six():
 @pytest.mark.parametrize("eta,match", [
     (8.0, "MAX_KMAX"),          # 6.1e7 terms, about 0.3 s a pass
     (19.0, "rounds to 1"),      # tanh^2 == 1.0: the count would be infinite
-    (float("nan"), "finite"),   # not the count check's "needs nan series terms"
+    (float("nan"), "finite"),
     (float("inf"), "finite"),
 ])
 def test_kmax_for_tail_refuses_unbounded_series(eta, match):

@@ -182,7 +182,7 @@ def test_covariance_refuses_non_finite_entries(entry):
 
 
 def test_evolve_refuses_nan_transform():
-    # a ValueError naming the cause, not numpy's LinAlgError from eigvalsh
+    # the NaN covariance is refused by name, before eigvalsh sees it
     with pytest.raises(ValueError, match="finite"):
         evolve(vacuum_state(), np.full((4, 4), np.nan))
 
