@@ -140,18 +140,6 @@ class StructureTable:
                  for (a, b), terms in self.entries.items()]
         return json.dumps({"pairs": pairs}, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "StructureTable":
-        pairs = json.loads(text)["pairs"]
-        labels = tuple(dict.fromkeys(
-            l for p in pairs for l in (p["a"], p["b"], *(t["label"] for t in p["terms"]))))
-        index = {l: k for k, l in enumerate(labels)}
-        f = np.zeros((len(labels),) * 3, complex)
-        for p in pairs:
-            for t in p["terms"]:
-                f[index[p["a"]], index[p["b"]], index[t["label"]]] = -1j * complex(*t["coeff"])
-        return cls(labels, f)
-
 
 def _antisymmetric(f: np.ndarray) -> np.ndarray:
     """f[a, b] - f[b, a]: the full table from one entry per unordered pair, read-only."""
@@ -327,8 +315,8 @@ class IsomorphismReport:
     worst: Optional[Tuple[Tuple[str, str], str]]
     closure_a: float
     closure_b: float
-    worst_closure_a: Optional[Tuple[str, str]] = None
-    worst_closure_b: Optional[Tuple[str, str]] = None
+    worst_closure_a: Optional[Tuple[str, str]]
+    worst_closure_b: Optional[Tuple[str, str]]
 
     @property
     def passed(self) -> bool:

@@ -140,9 +140,6 @@ class GeneratorSet:
     def __getitem__(self, label: str) -> np.ndarray:
         return self.members[label]
 
-    def __contains__(self, label: str) -> bool:
-        return label in self.members
-
     def __len__(self) -> int:
         return len(self.members)
 

@@ -30,7 +30,7 @@ from .phase_space import occupation_entropy
 
 __all__ = [
     "HERMITE_KMAX", "MIN_NMAX", "MAX_NMAX", "MAX_KMAX",
-    "destroy", "ladder_operators", "fock_index", "basis_state",
+    "fock_index", "basis_state",
     "dirac_tenfold", "safe_subspace_mask", "verify_fock_commutators",
     "hermite_functions", "phi", "gauss_hermite", "psi_eta",
     "expansion_overlap", "expansion_coefficient", "rho_reduced", "rho_series",
@@ -119,23 +119,6 @@ def _diagonal_values(n1: np.ndarray, n2: np.ndarray, nmax: int) -> np.ndarray:
         values[u] += sign * tables[a] * tables[b] * tables[c]
     values *= coeff.reshape((-1,) + (1,) * (values.ndim - 1))
     return values
-
-
-def destroy(nmax: int) -> np.ndarray:
-    """Single-mode lowering operator a|n> = sqrt(n)|n-1> on n < nmax."""
-    if nmax < 2:
-        raise ValueError(f"nmax must be >= 2, got {nmax}")
-    return np.diag(np.sqrt(np.arange(1.0, nmax)), 1)
-
-
-def ladder_operators(nmax: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Two-mode lowering operators (a1, a2) on the nmax**2 product basis.
-
-    Each acts as the standard truncated ladder on its own mode and as the
-    identity on the other; the raising operators are the transposes.
-    """
-    a, eye = destroy(nmax), np.eye(nmax)
-    return np.kron(a, eye), np.kron(eye, a)
 
 
 def fock_index(nmax: int, n1: int, n2: int) -> int:
@@ -548,8 +531,8 @@ class ThermalState:
     """Single-oscillator thermal state with geometric weights.
 
     Temperature is measured in Boltzmann units; weights are
-    (1 - e^{-1/T}) e^{-k/T}.  temperature = 0 is the pure vacuum, built via
-    :meth:`vacuum` (the factory ``thermal_state`` rejects T <= 0).
+    (1 - e^{-1/T}) e^{-k/T}.  temperature = 0 is the pure vacuum
+    (the factory ``thermal_state`` rejects T <= 0).
     """
 
     temperature: float
@@ -560,11 +543,6 @@ class ThermalState:
             raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.kmax < 1:
             raise ValueError("kmax must be >= 1")
-
-    @classmethod
-    def vacuum(cls, kmax: int = 200) -> "ThermalState":
-        """The T -> 0 limit: weights (1, 0, 0, ...), unit Wigner radius."""
-        return cls(temperature=0.0, kmax=kmax)
 
     @property
     def _q(self) -> float:
@@ -586,12 +564,9 @@ class ThermalState:
         """-sum w_k ln w_k over the truncated ladder (cross-check route)."""
         return _ladder_sums(self._q, self.kmax)[2]
 
-    def radius(self) -> float:
-        return wigner_radius(self.temperature)
-
 
 def thermal_state(T: float, kmax: int = 200) -> ThermalState:
-    """Thermal state at finite T > 0; the T = 0 limit is ThermalState.vacuum()."""
+    """Thermal state at finite T > 0; the T = 0 limit is ThermalState(0.0)."""
     if not 0 < T < np.inf:
         raise ValueError(f"temperature must be finite and > 0, got {T}")
     return ThermalState(temperature=float(T), kmax=kmax)

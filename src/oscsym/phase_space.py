@@ -56,15 +56,15 @@ def symplectic_deviation(m: np.ndarray) -> float:
     return float(np.abs(m @ j @ m.T - j).max())
 
 
-def is_canonical(m: np.ndarray, tolerance: float = DEFAULT_TOLERANCE) -> bool:
-    """True iff M preserves the symplectic form within tolerance.
+def is_canonical(m: np.ndarray) -> bool:
+    """True iff M preserves the symplectic form within DEFAULT_TOLERANCE.
 
     The deviation max|M J M^T - J| is compared with
-    tolerance * max(1, max|M|)**2: the rounding of M J M^T grows with the
-    square of the entries, which reach e^|theta| under a squeeze.
+    DEFAULT_TOLERANCE * max(1, max|M|)**2: the rounding of M J M^T grows with
+    the square of the entries, which reach e^|theta| under a squeeze.
     """
     scale = max(1.0, float(np.abs(m).max())) ** 2
-    return symplectic_deviation(m) <= tolerance * scale
+    return symplectic_deviation(m) <= DEFAULT_TOLERANCE * scale
 
 
 @lru_cache(maxsize=1)
@@ -142,7 +142,7 @@ def coupling_transform(eta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Mean vector and covariance matrix over (x1, p1, x2, p2).
+    """Zero-mean Gaussian state over (x1, p1, x2, p2), held as its covariance.
 
     The covariance must be symmetric positive definite; sub-vacuum
     covariances (symplectic eigenvalue below 1) are representable --
@@ -150,15 +150,11 @@ class GaussianState:
     are only flagged when a quantum entropy is requested.
     """
 
-    mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(4).copy()
         cov = _checked_cov(self.cov, 4)
-        mean.flags.writeable = False
         cov.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
 
@@ -177,21 +173,21 @@ def _checked_cov(cov: np.ndarray, n: int) -> np.ndarray:
 
 
 def vacuum_state() -> GaussianState:
-    """Ground state of both oscillators: zero mean, covariance I/2."""
-    return GaussianState(mean=np.zeros(4), cov=np.eye(4) / 2.0)
+    """Ground state of both oscillators: covariance I/2."""
+    return GaussianState(np.eye(4) / 2.0)
 
 
 def evolve(state: GaussianState, m: np.ndarray) -> GaussianState:
     """Push a Gaussian state through a linear phase-space map.
 
-    mean -> M mean and cov -> M cov M^T, i.e. the Wigner function transforms
-    by substitution W'(xi) = W(M^{-1} xi).
+    cov -> M cov M^T, i.e. the Wigner function transforms by substitution
+    W'(xi) = W(M^{-1} xi).
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (4, 4):
         raise ValueError(f"transform must be 4x4, got {m.shape}")
     cov = m @ state.cov @ m.T
-    return GaussianState(mean=m @ state.mean, cov=0.5 * (cov + cov.T))
+    return GaussianState(0.5 * (cov + cov.T))
 
 
 def reduce_oscillator(state: GaussianState, keep: int) -> np.ndarray:

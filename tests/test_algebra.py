@@ -216,12 +216,6 @@ def test_structure_table_drops_zero_coefficients():
     assert abs(terms["L3"] - 1j) <= 1e-14
 
 
-def test_structure_table_json_roundtrip():
-    table = alge11_table()
-    parsed = StructureTable.from_json(table.to_json())
-    assert parsed.entries == dict(table.entries)
-
-
 def test_structure_table_json_schema():
     import json
 

@@ -15,7 +15,6 @@ from oscsym.fock import (
     MAX_NMAX,
     ThermalState,
     basis_state,
-    destroy,
     dirac_tenfold,
     expansion_coefficient,
     expansion_overlap,
@@ -23,7 +22,6 @@ from oscsym.fock import (
     gauss_hermite,
     hermite_functions,
     kmax_for_tail,
-    ladder_operators,
     moments,
     phi,
     psi_eta,
@@ -41,42 +39,7 @@ from oscsym.phase_space import eta_from_temperature, temperature_from_eta
 
 
 # ---------------------------------------------------------------------------
-# ladder operators
-
-def test_destroy_rejects_small_truncation():
-    with pytest.raises(ValueError):
-        destroy(1)
-    with pytest.raises(ValueError):
-        ladder_operators(0)
-
-
-def test_ladder_adjointness_and_action():
-    a1, a2 = ladder_operators(5)
-    # annihilating the joint vacuum
-    vac = basis_state(5, 0, 0)
-    assert np.abs(a1 @ vac).max() == 0.0
-    assert np.abs(a2 @ vac).max() == 0.0
-    # number operator
-    n35 = basis_state(6, 3, 5)
-    a1_6, a2_6 = ladder_operators(6)
-    assert np.allclose((a1_6.T @ a1_6) @ n35, 3.0 * n35)
-    assert np.allclose((a2_6.T @ a2_6) @ n35, 5.0 * n35)
-
-
-def test_modes_commute():
-    a1, a2 = ladder_operators(6)
-    assert np.abs(a1 @ a2.T - a2.T @ a1).max() <= 1e-14
-
-
-def test_canonical_commutator_below_edge():
-    a1, _ = ladder_operators(6)
-    c = a1 @ a1.T - a1.T @ a1
-    # identity away from the truncation edge n1 = nmax - 1
-    for n1 in range(5):
-        for n2 in range(6):
-            i = fock_index(6, n1, n2)
-            assert abs(c[i, i] - 1.0) <= 1e-14
-
+# product basis
 
 def test_fock_index_bounds():
     with pytest.raises(ValueError):
@@ -520,10 +483,10 @@ def test_thermal_state_rejects_nonpositive_temperature():
 
 
 def test_thermal_vacuum_limit():
-    vac = ThermalState.vacuum()
+    vac = ThermalState(0.0)
     assert vac.weights[0] == 1.0
     assert np.abs(vac.weights[1:]).max() == 0.0
-    assert vac.radius() == 1.0
+    assert wigner_radius(0.0) == 1.0
     assert vac.entropy() == 0.0
     assert vac.entropy_series() == 0.0
 
