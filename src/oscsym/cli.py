@@ -12,7 +12,8 @@ Subcommands::
 Exit status: 0 when every executed check passes (WARN rows document known
 print discrepancies and do not fail the run), 1 on any FAIL, 2 on bad
 arguments (a ``table`` row needing more than ``fock.MAX_KMAX`` series
-terms included), 3 on an internal error: an exception escaping a command
+terms and a ``simulate`` eta whose temperature or transform overflows a
+double included), 3 on an internal error: an exception escaping a command
 is printed as one ``oscsym: internal error: <message>`` line on stderr,
 without a traceback.  All output is deterministic: no randomness, stable
 ordering, floats rendered with 17 significant digits.
@@ -244,7 +245,10 @@ def _resolve_eta_temperature(args, parser) -> Tuple[float, float]:
     if (args.eta is None) == (args.temperature is None):
         parser.error("exactly one of --eta or --temperature is required")
     if args.eta is not None:
-        return args.eta, _temperature(args.eta)
+        try:
+            return args.eta, _temperature(args.eta)
+        except ValueError as exc:
+            parser.error(str(exc))
     if args.temperature <= 0:
         parser.error("--temperature must be > 0")
     return ps.eta_from_temperature(args.temperature), args.temperature
@@ -414,7 +418,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              f"for the fock suite")
             return _cmd_verify(args)
         if args.command == "simulate":
-            return _cmd_simulate(args, parser)
+            # an overflow anywhere in the pipeline is a bad --eta, not an internal error
+            try:
+                with np.errstate(over="raise"):
+                    return _cmd_simulate(args, parser)
+            except FloatingPointError as exc:
+                parser.error(f"the transform overflows a double at this eta ({exc})")
         return _cmd_table(args, parser)
     except Exception as exc:  # the CLI boundary: exit 3, never a traceback
         message = " ".join(str(exc).split()) or type(exc).__name__

@@ -343,6 +343,12 @@ def gauss_hermite(n: int = 128) -> Tuple[np.ndarray, np.ndarray]:
     return x, total
 
 
+def _check_eta(eta: float) -> None:
+    """Refuse a NaN or infinite eta, which every oracle would turn into NaN."""
+    if not abs(eta) < np.inf:
+        raise ValueError(f"eta must be finite, got {eta}")
+
+
 def psi_eta(eta: float, x1, x2):
     """Coupled two-oscillator ground state.
 
@@ -350,6 +356,7 @@ def psi_eta(eta: float, x1, x2):
     eta = 0 is the uncoupled ground state, and on the diagonal x1 = x2 the
     difference term drops out.
     """
+    _check_eta(eta)
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     quad = (np.exp(2 * eta) * (x1 - x2) ** 2 + np.exp(-2 * eta) * (x1 + x2) ** 2)
@@ -358,6 +365,7 @@ def psi_eta(eta: float, x1, x2):
 
 def expansion_coefficient(eta: float, k: int) -> float:
     """Closed-form expansion coefficient tanh(eta)**k / cosh(eta)."""
+    _check_eta(eta)
     if k < 0:
         raise ValueError("k must be >= 0")
     return float(np.tanh(eta) ** k / np.cosh(eta))
@@ -385,6 +393,7 @@ def rho_reduced(eta: float, x, xp):
                  exp(-[(x + x')^2 + (x - x')^2 cosh^2(2 eta)] / (4 cosh 2eta));
     at eta = 0 this is the pure ground-state projector.
     """
+    _check_eta(eta)
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
     c2 = np.cosh(2 * eta)
@@ -433,12 +442,14 @@ def series_weights(eta: float, kmax: int = 200) -> np.ndarray:
 
     Symmetric in eta (only |eta| enters); nonnegative and non-increasing.
     """
+    _check_eta(eta)
     t = np.tanh(abs(eta)) ** 2
     return (1.0 - t) * t ** np.arange(kmax + 1)
 
 
 def series_tail_bound(eta: float, kmax: int = 200) -> float:
     """Exact dropped tail sum_{k > kmax} w_k = tanh(eta)^{2(kmax+1)}."""
+    _check_eta(eta)
     t = np.tanh(abs(eta)) ** 2
     return float(t ** (kmax + 1))
 
@@ -455,8 +466,7 @@ def kmax_for_tail(eta: float) -> int:
         ValueError: eta is not finite, tanh^2 |eta| rounds to 1 (eta above
             about 19), or the count exceeds ``MAX_KMAX`` (eta above about 7.3).
     """
-    if not abs(eta) < np.inf:
-        raise ValueError(f"eta must be finite, got {eta}")
+    _check_eta(eta)
     t = np.tanh(abs(eta)) ** 2
     if t == 0.0:
         return 1

@@ -304,6 +304,8 @@ def temperature_from_eta(eta: float) -> float:
     log1p(-e^{-2 eta}) - log1p(e^{-2 eta}) so deep squeezes do not round
     tanh to one; below that, tanh is exact and the direct form is used.
     Rejects eta <= 0 and non-finite eta; the eta -> 0+ limit is T -> 0+.
+    Also rejects eta above about 355.6, where T ~ e^{2 eta}/4 passes the
+    largest double.
     """
     if not 0 < eta < np.inf:
         raise ValueError(f"eta must be finite and > 0, got {eta}")
@@ -312,4 +314,8 @@ def temperature_from_eta(eta: float) -> float:
     else:
         q = np.exp(-2.0 * eta)
         log_tanh = np.log1p(-q) - np.log1p(q)
-    return float(-0.5 / log_tanh)
+    # Python float division: an overflow is inf without a warning
+    temperature = -0.5 / float(log_tanh) if log_tanh else np.inf
+    if temperature == np.inf:
+        raise ValueError(f"eta={eta} gives a temperature above the largest double")
+    return temperature

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +235,24 @@ def test_simulate_unknown_generator_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--generator", "Z9", "--eta", "0.5"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--couple", "--eta", "400"],              # T overflows
+    ["--couple", "--eta", "-400"],             # cov overflows
+    ["--generator", "K1", "--eta", "-400"],
+    ["--generator", "K1", "--eta", "800"],
+    ["--generator", "L1", "--eta", "400"],     # a rotation: only T overflows
+])
+def test_simulate_overflowing_eta_exits_2(argv, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", *argv])
+    assert exc.value.code == 2
+    assert [str(w.message) for w in caught] == []
+    usage, error = capsys.readouterr().err.strip().splitlines()
+    assert usage.startswith("usage:") and error.startswith("oscsym: error:")
 
 
 def test_simulate_csv_format(capsys):

@@ -337,6 +337,28 @@ def test_kmax_for_tail_refuses_unbounded_series(eta, match):
         kmax_for_tail(eta)
 
 
+_X = np.array([0.0, 0.5])
+ETA_ORACLES = {
+    "moments": lambda eta: moments(eta),
+    "series_weights": lambda eta: series_weights(eta),
+    "series_tail_bound": lambda eta: series_tail_bound(eta),
+    "rho_reduced": lambda eta: rho_reduced(eta, _X, _X),
+    "rho_series": lambda eta: rho_series(eta, _X, _X),
+    "rho_partial_trace": lambda eta: rho_partial_trace(eta, _X, _X),
+    "psi_eta": lambda eta: psi_eta(eta, _X, _X),
+    "expansion_coefficient": lambda eta: expansion_coefficient(eta, 2),
+    "expansion_overlap": lambda eta: expansion_overlap(eta, 2),
+}
+
+
+@pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("oracle", ETA_ORACLES)
+def test_eta_oracles_refuse_non_finite_eta(oracle, eta):
+    # without the check each oracle returns NaN or a silent limit, not an error
+    with pytest.raises(ValueError, match="finite"):
+        ETA_ORACLES[oracle](eta)
+
+
 # ---------------------------------------------------------------------------
 # streamed kernels against the full-array formulas they replace
 

@@ -1,5 +1,7 @@
 """Symplectic checks, transforms, reduction, entropy, temperature map."""
 
+import warnings
+
 import numpy as np
 import pytest
 from mpmath import mp
@@ -429,6 +431,16 @@ def test_temperature_map_extreme_arguments():
     big = temperature_from_eta(25.0)
     assert np.isfinite(big)
     assert abs(eta_from_temperature(big) - 25.0) <= 1e-9
+
+
+@pytest.mark.parametrize("eta", [360.0, 380.0, 1e6])
+def test_temperature_map_refuses_overflowing_eta(eta):
+    # T ~ e^{2 eta}/4 passes the largest double above eta ~ 355.6
+    assert temperature_from_eta(355.0) == 5.584986915404278e+307
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="largest double"):
+            temperature_from_eta(eta)
 
 
 def test_entropy_eta_equals_entropy_temperature():
