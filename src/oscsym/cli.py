@@ -423,7 +423,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 with np.errstate(over="raise"):
                     return _cmd_simulate(args, parser)
             except FloatingPointError as exc:
-                parser.error(f"the transform overflows a double at this eta ({exc})")
+                parser.error(f"the simulate transform overflows a double ({exc})")
         return _cmd_table(args, parser)
     except Exception as exc:  # the CLI boundary: exit 3, never a traceback
         message = " ".join(str(exc).split()) or type(exc).__name__

@@ -344,7 +344,7 @@ def gauss_hermite(n: int = 128) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _check_eta(eta: float) -> None:
-    """Refuse a NaN or infinite eta, which every oracle would turn into NaN."""
+    """Refuse a NaN or infinite eta, on which the oracles return NaN or a bare limit."""
     if not abs(eta) < np.inf:
         raise ValueError(f"eta must be finite, got {eta}")
 
