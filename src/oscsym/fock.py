@@ -325,8 +325,10 @@ def hermite_functions(kmax: int, x) -> np.ndarray:
 
 
 def phi(k: int, x):
-    """k-th oscillator eigenfunction at x."""
-    return hermite_functions(k, x)[k]
+    """k-th oscillator eigenfunction at x: the last row of the recurrence."""
+    for row in _hermite_rows(k, np.asarray(x, dtype=float)):
+        pass
+    return row
 
 
 @lru_cache(maxsize=8)
@@ -371,16 +373,33 @@ def expansion_coefficient(eta: float, k: int) -> float:
     return float(np.tanh(eta) ** k / np.cosh(eta))
 
 
+@lru_cache(maxsize=1)
+def _psi_eta_grid(eta: float) -> np.ndarray:
+    """psi_eta on the gauss_hermite() node grid, read-only.
+
+    One entry: every caller walks k at a fixed eta, and each further grid
+    would only stay resident (128 x 128 doubles, 128 KiB).
+    """
+    x, _ = gauss_hermite()
+    grid = psi_eta(eta, x[:, None], x[None, :])
+    grid.flags.writeable = False
+    return grid
+
+
 def expansion_overlap(eta: float, k: int) -> float:
     """<phi_k(x1) phi_k(x2) | psi_eta> by two-dimensional quadrature.
 
+    sum_ij w_i phi_k(x_i) psi_eta(x_i, x_j) w_j phi_k(x_j) on the
+    gauss_hermite() nodes.  The psi_eta grid depends on eta only, so it is
+    built once per eta and reused across k; the result is bit for bit the
+    one a freshly built grid gives.
     Contract: equals expansion_coefficient(eta, k).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     x, w = gauss_hermite()
     weighted = w * phi(k, x)
-    return float(weighted @ psi_eta(eta, x[:, None], x[None, :]) @ weighted)
+    return float(weighted @ _psi_eta_grid(float(eta)) @ weighted)
 
 
 # ---------------------------------------------------------------------------
@@ -419,19 +438,36 @@ def rho_series(eta: float, x, xp, kmax: int = 60):
 def rho_partial_trace(eta: float, x, xp):
     """Reduced density matrix by integrating out the unobserved coordinate.
 
-    integral psi_eta(x, t) psi_eta(x', t) dt by the gauss_hermite() rule,
-    over blocks of points whose (points, nodes) integrand stays within
-    64 KiB.
+    integral psi_eta(x, t) psi_eta(x', t) dt by the gauss_hermite() rule.
+    With h = (x + x')/2 and d = x - x' the product of the two factors is
+    exactly (1/pi) exp(-cosh(2 eta) d^2 / 4)
+    * exp(-[e^{2 eta} (t - h)^2 + e^{-2 eta} (t + h)^2] / 2), so only the
+    second factor depends on the node t.  Its exponent, with ln w_tot
+    folded in, takes one exp per (point, node), over blocks of points whose
+    (points, nodes) integrand stays within 64 KiB.  The squares stay
+    centred: expanded into t^2 - 2 t h + h^2 they cancel at large eta.
     """
+    _check_eta(eta)
     x, xp = np.broadcast_arrays(np.asarray(x, float), np.asarray(xp, float))
     t, w = gauss_hermite()
-    px, pxp = x.reshape(-1, 1), xp.reshape(-1, 1)
-    rho = np.empty(len(px))
+    log_w = np.log(w)
+    h = (0.5 * (x + xp)).reshape(-1, 1)
+    wide, narrow = -0.5 * np.exp(2 * eta), -0.5 * np.exp(-2 * eta)
+    sums = np.empty(len(h))
     block = max(1, _QUADRATURE_BYTES // (8 * len(t)))
-    for lo in range(0, len(px), block):
-        hi = lo + block
-        rho[lo:hi] = (psi_eta(eta, px[lo:hi], t) * psi_eta(eta, pxp[lo:hi], t)) @ w
-    return rho.reshape(x.shape)[()]
+    for lo in range(0, len(h), block):
+        hb = h[lo:lo + block]
+        exponent = t - hb
+        exponent *= exponent
+        exponent *= wide
+        plus = t + hb
+        plus *= plus
+        plus *= narrow
+        exponent += plus
+        exponent += log_w
+        sums[lo:lo + block] = np.exp(exponent, out=exponent).sum(axis=1)
+    d = x - xp
+    return (np.exp(-0.25 * np.cosh(2 * eta) * d * d) / np.pi * sums.reshape(x.shape))[()]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from mpmath import mp
 from oscsym.algebra import alge11_table
 from oscsym.fock import (
     _SERIES_BLOCK,
+    _psi_eta_grid,
     MAX_KMAX,
     MAX_NMAX,
     ThermalState,
@@ -184,6 +185,15 @@ def test_phi_orthonormal_by_quadrature():
     assert np.abs(gram - np.eye(9)).max() <= 1e-10
 
 
+@pytest.mark.parametrize("k", [0, 1, 7, 200])
+def test_phi_is_row_k_of_the_hermite_table(k):
+    for x in (0.3, np.linspace(-4.0, 4.0, 33)):
+        got, want = phi(k, x), hermite_functions(k, x)[k]
+        assert type(got) is type(want)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 def test_phi_caps_recurrence_depth():
     with pytest.raises(ValueError):
         phi(201, 0.0)
@@ -228,6 +238,47 @@ def test_expansion_overlap_unit_eta_spot_value():
     # tanh(1)^2 / cosh(1), both routes
     assert abs(expansion_overlap(1.0, 2)
                - np.tanh(1.0) ** 2 / np.cosh(1.0)) <= 1e-8
+
+
+def _direct_overlap(eta, k):
+    x, w = gauss_hermite(128)
+    weighted = w * hermite_functions(k, x)[k]
+    return float(weighted @ psi_eta(eta, x[:, None], x[None, :]) @ weighted)
+
+
+@pytest.mark.parametrize("eta", [-1.0, -0.0, 0.0, 0.3, 1.45, 2.0, 5.0])
+def test_expansion_overlap_equals_a_freshly_built_grid(eta):
+    for k in (0, 1, 5, 8, 40, 200):
+        assert expansion_overlap(eta, k) == _direct_overlap(eta, k)
+
+
+def test_expansion_overlap_serves_no_stale_grid():
+    first = [expansion_overlap(0.4, k) for k in range(3)]
+    other = [expansion_overlap(1.1, k) for k in range(3)]
+    assert [expansion_overlap(0.4, k) for k in range(3)] == first
+    assert other == [_direct_overlap(1.1, k) for k in range(3)]
+    assert other != first
+
+
+def test_expansion_overlap_refuses_nan_after_a_cached_call():
+    expansion_overlap(0.6, 2)
+    with pytest.raises(ValueError, match="finite"):
+        expansion_overlap(float("nan"), 2)
+    assert expansion_overlap(0.6, 2) == _direct_overlap(0.6, 2)
+
+
+def test_cached_psi_eta_grid_is_read_only():
+    expansion_overlap(0.7, 1)
+    grid = _psi_eta_grid(0.7)
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0, 0] = 0.0
+
+
+def test_expansion_overlap_reuses_the_grid_at_a_cached_eta():
+    expansion_overlap(0.9, 0)
+    # a fresh 128 x 128 grid and its temporaries peak near 400 KB
+    assert _peak_bytes(expansion_overlap, 0.9, 8) < 16 * 2 ** 10
 
 
 def test_expansion_rejects_negative_k():
@@ -455,16 +506,28 @@ def test_hermite_functions_bit_identical_to_recurrence_table(kmax):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("eta", [0.05, 0.5, 1.0, 1.45, 2.0])
+@pytest.mark.parametrize("eta", [0.05, 0.5, 1.0, 1.45, 2.0, -1.3, 3.0])
 def test_streamed_rho_routes_match_full_array_formulas(eta):
-    x, xp = _bench_grid()
     kmax = min(kmax_for_tail(eta), 200)
-    full_series = np.einsum("k,k...,k...->...", series_weights(eta, kmax),
-                            _recurrence_table(kmax, x), _recurrence_table(kmax, xp))
-    assert np.abs(rho_series(eta, x, xp, kmax) - full_series).max() <= 1e-15
     t, w = gauss_hermite(128)
-    full_trace = (psi_eta(eta, x[..., None], t) * psi_eta(eta, xp[..., None], t)) @ w
-    assert np.abs(rho_partial_trace(eta, x, xp) - full_trace).max() <= 1e-15
+    for x, xp in (_bench_grid(), (np.float64(0.3), np.float64(-1.1))):
+        full_series = np.einsum("k,k...,k...->...", series_weights(eta, kmax),
+                                _recurrence_table(kmax, x), _recurrence_table(kmax, xp))
+        assert np.abs(rho_series(eta, x, xp, kmax) - full_series).max() <= 1e-15
+        full_trace = (psi_eta(eta, x[..., None], t) * psi_eta(eta, xp[..., None], t)) @ w
+        assert np.abs(rho_partial_trace(eta, x, xp) - full_trace).max() <= 1e-15
+
+
+@pytest.mark.parametrize("eta", [0.05, 0.5, 1.0])
+def test_rho_partial_trace_matches_high_precision(eta):
+    x, xp = _bench_grid()
+    want = np.empty(x.shape)
+    with mp.workdps(50):
+        c2 = mp.cosh(2 * mp.mpf(eta))
+        for i in np.ndindex(x.shape):
+            s, d = mp.mpf(x[i]) + mp.mpf(xp[i]), mp.mpf(x[i]) - mp.mpf(xp[i])
+            want[i] = float((mp.pi * c2) ** -0.5 * mp.exp(-(s ** 2 + d ** 2 * c2 ** 2) / (4 * c2)))
+    assert np.abs(rho_partial_trace(eta, x, xp) - want).max() <= 1e-15
 
 
 def test_rho_routes_broadcast_and_refuse_like_the_recurrence():
