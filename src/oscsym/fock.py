@@ -442,30 +442,28 @@ def rho_partial_trace(eta: float, x, xp):
     With h = (x + x')/2 and d = x - x' the product of the two factors is
     exactly (1/pi) exp(-cosh(2 eta) d^2 / 4)
     * exp(-[e^{2 eta} (t - h)^2 + e^{-2 eta} (t + h)^2] / 2), so only the
-    second factor depends on the node t.  Its exponent, with ln w_tot
-    folded in, takes one exp per (point, node), over blocks of points whose
-    (points, nodes) integrand stays within 64 KiB.  The squares stay
+    second factor depends on the node t: one exp per (point, node), in
+    place, weighted by one matrix-vector product, over blocks of points
+    whose (points, nodes) integrand stays within 64 KiB.  The squares stay
     centred: expanded into t^2 - 2 t h + h^2 they cancel at large eta.
     """
     _check_eta(eta)
     x, xp = np.broadcast_arrays(np.asarray(x, float), np.asarray(xp, float))
     t, w = gauss_hermite()
-    log_w = np.log(w)
     h = (0.5 * (x + xp)).reshape(-1, 1)
-    wide, narrow = -0.5 * np.exp(2 * eta), -0.5 * np.exp(-2 * eta)
+    c_minus, c_plus = -0.5 * np.exp(2 * eta), -0.5 * np.exp(-2 * eta)
     sums = np.empty(len(h))
     block = max(1, _QUADRATURE_BYTES // (8 * len(t)))
     for lo in range(0, len(h), block):
         hb = h[lo:lo + block]
         exponent = t - hb
         exponent *= exponent
-        exponent *= wide
+        exponent *= c_minus
         plus = t + hb
         plus *= plus
-        plus *= narrow
+        plus *= c_plus
         exponent += plus
-        exponent += log_w
-        sums[lo:lo + block] = np.exp(exponent, out=exponent).sum(axis=1)
+        sums[lo:lo + block] = np.exp(exponent, out=exponent) @ w
     d = x - xp
     return (np.exp(-0.25 * np.cosh(2 * eta) * d * d) / np.pi * sums.reshape(x.shape))[()]
 
