@@ -40,8 +40,7 @@ print()
 print("Reading structure constants off the matrices, e.g. [G3, L1]:")
 sl4r = build_generator_set("sl4r_4")
 coeffs, residual = decompose(commutator(sl4r["G3"], sl4r["L1"]), sl4r)
-terms = ", ".join(f"({c:.3g}) {l}" for l, c in zip(sl4r.labels, coeffs)
-                  if abs(c) > 1e-10)
+terms = ", ".join(f"({c:.3g}) {l}" for l, c in zip(sl4r.labels, coeffs) if c)
 print(f"  [G3, L1] = {terms}  (residual {residual:.1e})")
 
 print()

@@ -4,16 +4,16 @@ Every bracket table is one (n, n, n) tensor f with
 [G_a, G_b] = i sum_c f_abc G_c, and every check is a batched contraction
 over it.  The expected tables shipped here (``o33gen_table``, its
 ten-generator restriction ``alge11_table``, and ``sp2_table``) are frozen
-integer tensors; the test suite recomputes every table numerically from the
-explicit matrices and fails the build if a shipped coefficient disagrees.
+integer tensors; the test suite projects every table out of the explicit
+matrices and fails the build unless it equals the shipped tensor.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Dict, List, Mapping, Optional, Tuple
+from functools import lru_cache, reduce
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .families import (FIFTEEN_LABELS, TENFOLD_LABELS, GeneratorSet,
                        build_generator_set, gamma_matrices)
 
 __all__ = [
-    "DEFAULT_TOLERANCE", "COEFF_TOLERANCE", "commutator", "anticommutator",
+    "DEFAULT_TOLERANCE", "commutator", "anticommutator",
     "decompose", "StructureTable", "alge11_table", "o33gen_table",
     "sp2_table", "SP2_TRIPLES", "VerificationReport", "verify_algebra",
     "structure_table", "IsomorphismReport", "check_isomorphism",
@@ -30,7 +30,6 @@ __all__ = [
 ]
 
 DEFAULT_TOLERANCE = 1e-12
-COEFF_TOLERANCE = 1e-10
 
 Term = Tuple[complex, str]
 
@@ -70,32 +69,32 @@ def _products(mats: np.ndarray) -> np.ndarray:
     return blocks.reshape(n, d, n, d).transpose(0, 2, 1, 3)
 
 
-def _expand(stack: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Least-squares expansion of every column of ``rhs`` over ``stack``.
-
-    ``stack`` is (dim*dim, n_members), ``rhs`` is (dim*dim, k); returns the
-    (n_members, k) coefficients from one ``lstsq`` call and the (k,) max-abs
-    reconstruction residual of each column.
-    """
-    coeffs, *_ = np.linalg.lstsq(stack, rhs, rcond=None)
-    residuals = np.abs(stack @ coeffs - rhs).max(axis=0)
-    return coeffs, residuals
+def _project(genset: GeneratorSet, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Coefficients tr(X G_c^H) / tr(G_c G_c^H) of each row X of ``x`` (k, dim*dim),
+    and each row's max-abs remainder; the members must be trace-orthogonal."""
+    stack = genset.stack()
+    gram = stack @ stack.conj().T
+    norms = gram.diagonal().real
+    if np.any(gram - np.diag(norms)) or not norms.all():
+        raise ValueError(f"{genset.family}: members not nonzero and orthogonal under tr(G_a G_b^H)")
+    coeffs = x @ stack.conj().T / norms
+    return coeffs, np.abs(x - coeffs @ stack).max(axis=1)
 
 
 def decompose(x: np.ndarray, basis: GeneratorSet) -> Tuple[np.ndarray, float]:
-    """Least-squares expansion of a matrix over a generator family.
+    """Expansion of a matrix over a generator family by trace projection.
 
     Returns the coefficient vector (aligned with ``basis.labels``) and the
     max-abs residual of the reconstruction.  A residual above tolerance means
     the matrix is not in the family's span (e.g. the identity over a
-    traceless family).  This is the one-column case of ``structure_table``'s
-    solve.
+    traceless family).  It is the one-row case of ``structure_table``'s
+    projection and refuses the same bases.
     """
     x = np.asarray(x, dtype=complex)
     if x.shape != (basis.dim, basis.dim):
         raise ValueError(f"dimension mismatch: {x.shape} vs {(basis.dim, basis.dim)}")
-    coeffs, residuals = _expand(basis.stack().T, x.reshape(-1, 1))
-    return coeffs[:, 0], float(residuals[0])
+    coeffs, residuals = _project(basis, x.reshape(1, -1))
+    return coeffs[0], float(residuals[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,9 +103,8 @@ class StructureTable:
 
     It covers every ordered pair of distinct labels (a pair a JSON table
     omits is a vanishing bracket).  ``f`` is antisymmetric in (a, b): integer
-    for the shipped tables (every coefficient is +-i or 0), complex
-    least-squares values for computed ones, which also carry the per-pair
-    closure residual.
+    for the shipped tables (every coefficient is +-i or 0), complex for
+    computed ones, which also carry the per-pair closure residual.
     """
 
     labels: Tuple[str, ...]
@@ -130,15 +128,21 @@ class StructureTable:
         return max((self.closure_residuals or {}).values(), default=0.0)
 
     def worst_closure_pair(self) -> Optional[Tuple[str, str]]:
-        """The pair with the largest closure residual (None without residuals)."""
+        """The pair with the largest closure residual (None when every one is 0)."""
         residuals = self.closure_residuals or {}
-        return max(residuals, key=residuals.__getitem__, default=None)
+        return _worst(list(residuals), list(residuals.values()))
 
     def to_json(self) -> str:
         pairs = [{"a": a, "b": b,
                   "terms": [{"coeff": [c.real, c.imag], "label": l} for c, l in terms]}
                  for (a, b), terms in self.entries.items()]
         return json.dumps({"pairs": pairs}, indent=2)
+
+
+def _worst(keys: Sequence, values: Sequence[float]):
+    """The key of the first largest value; None when there is none or it is 0."""
+    values = np.ravel(values)
+    return keys[int(values.argmax())] if values.size and values.max() else None
 
 
 def _antisymmetric(f: np.ndarray) -> np.ndarray:
@@ -228,8 +232,8 @@ class VerificationReport:
         return max(self.residuals.values(), default=0.0)
 
     @property
-    def worst_pair(self) -> Optional[Tuple[str, str]]:  # None for an empty table
-        return max(self.residuals, key=self.residuals.__getitem__, default=None)
+    def worst_pair(self) -> Optional[Tuple[str, str]]:  # None when every residual is 0
+        return _worst(list(self.residuals), list(self.residuals.values()))
 
     @property
     def passed(self) -> bool:
@@ -279,24 +283,22 @@ def structure_table(genset: GeneratorSet) -> StructureTable:
     """Expand every ordered commutator pair in the set's own basis.
 
     All n(n-1) off-diagonal commutators come from one broadcast product and
-    are expanded by one least-squares solve with a column per pair.
-    Coefficients below ``COEFF_TOLERANCE`` are dropped.  The least-squares
-    residual of each expansion is kept in ``closure_residuals``; a residual
-    above tolerance marks a pair whose bracket leaves the span (non-closure)
-    and is reported rather than raised.
+    are expanded by one trace projection, f_abc = -i tr([G_a, G_b] G_c^H) /
+    tr(G_c G_c^H), which raises ``ValueError`` unless the members are nonzero
+    and trace-orthogonal.  Each remainder is kept in ``closure_residuals``; a
+    residual above tolerance marks a pair whose bracket leaves the span
+    (non-closure) and is reported rather than raised.
     """
     n, d = len(genset), genset.dim
     mats = np.stack(list(genset.members.values()))  # (n, d, d)
     products = _products(mats)
     brackets = products - products.transpose(1, 0, 2, 3)
     rows, cols = np.nonzero(~np.eye(n, dtype=bool))  # row-major: (a, b) order
-    rhs = brackets[rows, cols].reshape(-1, d * d).T  # (d*d, n(n-1))
-    coeffs, residuals = _expand(mats.reshape(n, d * d).T, rhs)
+    coeffs, residuals = _project(genset, brackets[rows, cols].reshape(-1, d * d))
     f = np.zeros((n, n, n), complex)
-    f[rows, cols] = -1j * np.where(np.abs(coeffs) > COEFF_TOLERANCE, coeffs, 0).T
-    labels = genset.labels
-    pairs = [(labels[i], labels[j]) for i, j in zip(rows.tolist(), cols.tolist())]
-    return StructureTable(labels, f, dict(zip(pairs, residuals.tolist())))
+    f[rows, cols] = -1j * coeffs
+    pairs = [(a, b) for a in genset.labels for b in genset.labels if a != b]  # as rows, cols
+    return StructureTable(genset.labels, f, dict(zip(pairs, residuals.tolist())))
 
 
 @dataclass(frozen=True)
@@ -320,9 +322,7 @@ class IsomorphismReport:
 
     @property
     def passed(self) -> bool:
-        return (self.max_deviation <= self.tolerance
-                and self.closure_a <= self.tolerance
-                and self.closure_b <= self.tolerance)
+        return max(self.max_deviation, self.closure_a, self.closure_b) <= self.tolerance
 
     def summary(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -349,7 +349,7 @@ def check_isomorphism(set_a: GeneratorSet, set_b: GeneratorSet,
     tensor is permuted into set a's label order; the worst gap is an argmax.
 
     Raises:
-        ValueError: the families carry different label sets.
+        ValueError: the families carry different label sets or are not trace-orthogonal.
     """
     if set(set_a.labels) != set(set_b.labels):
         raise ValueError(f"label mismatch: {set_a.family} has {sorted(set_a.labels)}, "
@@ -359,11 +359,11 @@ def check_isomorphism(set_a: GeneratorSet, set_b: GeneratorSet,
     perm = [index_b[l] for l in set_a.labels]
     gap = table_a.f - table_b.f[np.ix_(perm, perm, perm)]
     gap = np.hypot(gap.real, gap.imag)
-    worst = np.unravel_index(int(gap.argmax()), gap.shape)
-    max_dev = float(gap[worst])
-    a, b, c = (set_a.labels[k] for k in worst)
+    k = _worst(range(gap.size), gap)
+    a, b, c = (set_a.labels[i] for i in np.unravel_index(k or 0, gap.shape))
     return IsomorphismReport(
-        set_a.family, set_b.family, tolerance, max_dev, ((a, b), c) if max_dev else None,
+        set_a.family, set_b.family, tolerance, float(gap.max()),
+        None if k is None else ((a, b), c),
         table_a.max_closure_residual(), table_b.max_closure_residual(),
         table_a.worst_closure_pair(), table_b.worst_closure_pair())
 
@@ -431,8 +431,7 @@ def table1_correspondence(tolerance: float = DEFAULT_TOLERANCE) -> Correspondenc
     sl4r = build_generator_set("sl4r_4")
     entries = {}
     for label, (coeff, factors) in TABLE1_RECIPES.items():
-        candidate = coeff * np.linalg.multi_dot([g[f] for f in factors]) \
-            if len(factors) > 1 else coeff * g[factors[0]]
+        candidate = coeff * reduce(np.matmul, [g[f] for f in factors])
         member = sl4r[label]
         deviation = float(np.abs(candidate - member).max())
         if deviation <= tolerance:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from oscsym.algebra import (
-    COEFF_TOLERANCE,
     SP2_TRIPLES,
     StructureTable,
     alge11_table,
@@ -103,16 +102,19 @@ def test_tables_antisymmetric(table_builder):
     (O33, o33gen_table),
 ])
 def test_shipped_tables_match_computed(gens, table_builder):
-    """Freeze check: shipped coefficients equal the numerically derived ones."""
+    """Freeze check: the shipped tensor equals the projected one exactly."""
     shipped = table_builder()
     computed = structure_table(gens)
-    assert computed.max_closure_residual() <= 1e-12
-    for pair, terms in shipped.entries.items():
-        expected = {l: c for c, l in terms}
-        actual = {l: c for c, l in computed.entries[pair]}
-        assert set(expected) == set(actual), (pair, expected, actual)
-        for label, c in expected.items():
-            assert abs(actual[label] - c) <= 1e-12, (pair, label)
+    assert computed.max_closure_residual() == 0.0
+    perm = [computed.labels.index(l) for l in shipped.labels]
+    assert np.array_equal(computed.f[np.ix_(perm, perm, perm)], shipped.f)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_structure_table_exact_on_every_family(family):
+    table = structure_table(build_generator_set(family))
+    assert set(table.closure_residuals.values()) == {0.0}
+    assert np.array_equal(table.f, np.round(table.f.real))  # integer, no imaginary part
 
 
 def test_table_coefficients_purely_imaginary():
@@ -174,16 +176,24 @@ def test_structure_table_single_member_trivially_closed():
 
 
 def _reference_table(genset):
-    """One decompose per ordered pair: the plain loop the batched solve replaces."""
+    """One least-squares solve per ordered pair, dropping coefficients at or below 1e-10.
+
+    This is the general expansion the trace projection replaces; it needs no
+    orthogonal basis, so it serves as an independent oracle.  Each closure
+    residual is divided by max(1, max|[G_a, G_b]|), the scale of its rounding.
+    """
+    stack = genset.stack().T
     entries, closure = {}, {}
     for a in genset.labels:
         for b in genset.labels:
             if a == b:
                 continue
-            coeffs, resid = decompose(commutator(genset[a], genset[b]), genset)
-            closure[(a, b)] = resid
-            entries[(a, b)] = tuple((complex(c), l) for c, l in zip(coeffs, genset.labels)
-                                    if abs(c) > COEFF_TOLERANCE)
+            rhs = commutator(genset[a], genset[b]).ravel()
+            coeffs, *_ = np.linalg.lstsq(stack, rhs, rcond=None)
+            scale = max(1.0, float(np.abs(rhs).max()))
+            closure[(a, b)] = float(np.abs(stack @ coeffs - rhs).max()) / scale
+            entries[(a, b)] = {l: complex(c) for c, l in zip(coeffs, genset.labels)
+                               if abs(c) > 1e-10}
     return entries, closure
 
 
@@ -193,10 +203,14 @@ def test_structure_table_matches_per_pair_reference(family):
     entries, closure = _reference_table(genset)
     table = structure_table(genset)
     assert list(table.entries) == list(entries)
-    assert dict(table.entries) == entries  # exact, coefficient by coefficient
+    for pair, terms in table.entries.items():
+        expected = entries[pair]
+        assert [l for _, l in terms] == list(expected), pair
+        for c, l in terms:
+            assert abs(c - expected[l]) <= 1e-15, (pair, l)
     assert set(table.closure_residuals) == set(closure)
     for pair, resid in closure.items():
-        assert abs(table.closure_residuals[pair] - resid) <= 1e-15, pair
+        assert table.closure_residuals[pair] == 0.0 and resid <= 1e-15, pair
 
 
 def test_structure_table_reports_non_closure():
@@ -257,12 +271,45 @@ def test_isomorphism_matches_by_label_not_position():
 
 
 def test_isomorphism_names_worst_closure_pairs():
+    # span{K1, K2} does not close: both brackets leave it with residual 0.5
+    pair_set = GeneratorSet(family="k1k2", dim=4,
+                            members={"K1": SP4["K1"], "K2": SP4["K2"]})
+    rep = check_isomorphism(pair_set, pair_set, 1e-12)
+    assert not rep.passed
+    residuals = structure_table(pair_set).closure_residuals
+    for pair, worst in ((rep.worst_closure_a, rep.closure_a),
+                        (rep.worst_closure_b, rep.closure_b)):
+        assert pair == ("K1", "K2")
+        assert residuals[pair] == worst == max(residuals.values()) == 0.5
+    assert "worst closure [K1,K2] 5.000e-01 / [K1,K2] 5.000e-01" in rep.summary()
+
+
+@pytest.mark.parametrize("gens,table_builder", [
+    (SP4, alge11_table), (O32, alge11_table), (SL4R, o33gen_table), (O33, o33gen_table),
+], ids=["sp4_4", "o32_5", "sl4r_4", "o33_6"])
+def test_zero_residuals_name_no_worst_pair(gens, table_builder):
+    rep = verify_algebra(gens, table_builder(), 1e-12)
+    assert rep.max_residual == 0.0 and rep.worst_pair is None
+    assert "(worst [-] residual 0.000e+00," in rep.summary()
+    assert structure_table(gens).worst_closure_pair() is None
+
+
+def test_isomorphism_zero_closure_names_no_pair():
     rep = check_isomorphism(SL4R, O33, 1e-12)
-    for genset, pair, worst in ((SL4R, rep.worst_closure_a, rep.closure_a),
-                                (O33, rep.worst_closure_b, rep.closure_b)):
-        residuals = structure_table(genset).closure_residuals
-        assert residuals[pair] == worst == max(residuals.values())
-        assert f"[{pair[0]},{pair[1]}] {worst:.3e}" in rep.summary()
+    assert (rep.worst_closure_a, rep.worst_closure_b) == (None, None)
+    assert "worst closure [-] 0.000e+00 / [-] 0.000e+00" in rep.summary()
+
+
+def test_non_orthogonal_basis_rejected():
+    skew = GeneratorSet(family="skew", dim=4, members={"A": SP4["L3"], "B": SP4["L3"] + SP4["K1"]})
+    zero = GeneratorSet(family="zero", dim=4, members={"A": SP4["L3"], "B": 0 * SP4["K1"]})
+    for genset in (skew, zero):
+        with pytest.raises(ValueError, match="orthogonal"):
+            structure_table(genset)
+        with pytest.raises(ValueError, match="orthogonal"):
+            decompose(SP4["L3"], genset)
+        with pytest.raises(ValueError, match="orthogonal"):
+            check_isomorphism(genset, genset, 1e-12)
 
 
 def test_isomorphism_label_mismatch_rejected():
