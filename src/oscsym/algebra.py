@@ -76,7 +76,8 @@ def _project(genset: GeneratorSet, x: np.ndarray) -> Tuple[np.ndarray, np.ndarra
     gram = stack @ stack.conj().T
     norms = gram.diagonal().real
     if np.any(gram - np.diag(norms)) or not norms.all():
-        raise ValueError(f"{genset.family}: members not nonzero and orthogonal under tr(G_a G_b^H)")
+        raise ValueError(f"{genset.family}: members are not all nonzero and mutually "
+                         f"orthogonal under tr(G_a G_b^H)")
     coeffs = x @ stack.conj().T / norms
     return coeffs, np.abs(x - coeffs @ stack).max(axis=1)
 
@@ -357,8 +358,7 @@ def check_isomorphism(set_a: GeneratorSet, set_b: GeneratorSet,
     table_a, table_b = structure_table(set_a), structure_table(set_b)
     index_b = {l: k for k, l in enumerate(set_b.labels)}
     perm = [index_b[l] for l in set_a.labels]
-    gap = table_a.f - table_b.f[np.ix_(perm, perm, perm)]
-    gap = np.hypot(gap.real, gap.imag)
+    gap = np.abs(table_a.f - table_b.f[np.ix_(perm, perm, perm)])
     k = _worst(range(gap.size), gap)
     a, b, c = (set_a.labels[i] for i in np.unravel_index(k or 0, gap.shape))
     return IsomorphismReport(

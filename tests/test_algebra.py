@@ -294,12 +294,6 @@ def test_zero_residuals_name_no_worst_pair(gens, table_builder):
     assert structure_table(gens).worst_closure_pair() is None
 
 
-def test_isomorphism_zero_closure_names_no_pair():
-    rep = check_isomorphism(SL4R, O33, 1e-12)
-    assert (rep.worst_closure_a, rep.worst_closure_b) == (None, None)
-    assert "worst closure [-] 0.000e+00 / [-] 0.000e+00" in rep.summary()
-
-
 def test_non_orthogonal_basis_rejected():
     skew = GeneratorSet(family="skew", dim=4, members={"A": SP4["L3"], "B": SP4["L3"] + SP4["K1"]})
     zero = GeneratorSet(family="zero", dim=4, members={"A": SP4["L3"], "B": 0 * SP4["K1"]})
@@ -365,9 +359,12 @@ def test_isomorphism_single_member_passes_trivially():
 
 
 def test_isomorphism_zero_gap_names_no_pair():
-    summary = check_isomorphism(SP4, SP4, 1e-12).summary()
-    assert "gap 0.000e+00 on [-];" in summary
-    assert "->" not in summary
+    for set_a, set_b in ((SP4, SP4), (SL4R, O33), (SP4, O32)):
+        rep = check_isomorphism(set_a, set_b, 1e-12)
+        assert (rep.worst, rep.worst_closure_a, rep.worst_closure_b) == (None, None, None)
+        summary = rep.summary()
+        assert "gap 0.000e+00 on [-]; worst closure [-] 0.000e+00 / [-] 0.000e+00" in summary
+        assert "->" not in summary
 
 
 def test_verify_against_own_empty_table():
