@@ -5,8 +5,8 @@ bracket loop that the tensor contraction replaced: every suite in every
 format, and the Fock suite at several truncations.  The two ``iso`` rows (in
 ``iso.*`` and ``all.*``) were recorded after structure constants became a
 trace projection, which reads them as exactly 0 where the least-squares solve
-read rounding noise (7.2e-16 and 8.9e-16); in ``all.text`` this also narrows
-the residual column.  A residual that moves by one ulp shows up here.
+read rounding noise (7.2e-16 and 8.9e-16); in the ``.text`` files this also
+narrows the residual column.  A residual that moves by one ulp shows up here.
 """
 
 import contextlib
