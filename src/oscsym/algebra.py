@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,9 +103,9 @@ class StructureTable:
     """Bracket table [G_a, G_b] = i sum_c f[a, b, c] G_c over ``labels``.
 
     It covers every ordered pair of distinct labels (a pair a JSON table
-    omits is a vanishing bracket).  ``f`` is antisymmetric in (a, b): integer
-    for the shipped tables (every coefficient is +-i or 0), complex for
-    computed ones, which also carry the per-pair closure residual.
+    omits is a vanishing bracket).  ``f`` is read-only and antisymmetric in
+    (a, b): integer for the shipped tables (every coefficient is +-i or 0),
+    complex for computed ones, which also carry the per-pair closure residual.
     """
 
     labels: Tuple[str, ...]
@@ -298,6 +298,7 @@ def structure_table(genset: GeneratorSet) -> StructureTable:
     coeffs, residuals = _project(genset, brackets[rows, cols].reshape(-1, d * d))
     f = np.zeros((n, n, n), complex)
     f[rows, cols] = -1j * coeffs
+    f.flags.writeable = False
     pairs = [(a, b) for a in genset.labels for b in genset.labels if a != b]  # as rows, cols
     return StructureTable(genset.labels, f, dict(zip(pairs, residuals.tolist())))
 
@@ -405,9 +406,6 @@ class CorrespondenceReport:
 
     def count(self, status: str) -> int:
         return sum(1 for e in self.entries.values() if e.status == status)
-
-    def with_status(self, status: str) -> List[str]:
-        return [l for l, e in self.entries.items() if e.status == status]
 
     def summary(self) -> str:
         parts = [f"{status}: {self.count(status)}"

@@ -32,7 +32,7 @@ __all__ = [
     "HERMITE_KMAX", "MIN_NMAX", "MAX_NMAX", "MAX_KMAX",
     "fock_index", "basis_state",
     "dirac_tenfold", "safe_subspace_mask", "verify_fock_commutators",
-    "hermite_functions", "phi", "gauss_hermite", "psi_eta",
+    "phi", "gauss_hermite", "psi_eta",
     "expansion_overlap", "expansion_coefficient", "rho_reduced", "rho_series",
     "rho_partial_trace", "series_weights", "series_tail_bound",
     "kmax_for_tail", "SeriesMoments", "moments", "ThermalState",
@@ -48,6 +48,7 @@ _SAFE_MARGIN = 3  # the safe subspace is n1 + n2 <= nmax - _SAFE_MARGIN
 _FOCK_CHUNK = 64  # grid points per band of rows in verify_fock_commutators
 _SERIES_BLOCK = 2 ** 14  # ladder terms per block in _ladder_sums
 _QUADRATURE_BYTES = 2 ** 16  # largest (points, nodes) block in rho_partial_trace
+_MAX_ETA = 350  # largest |eta| whose e^{2|eta|} times a squared node gap stays finite
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +299,13 @@ def verify_fock_commutators(nmax: int,
 # oscillator eigenfunctions and quadrature
 
 def _hermite_rows(kmax: int, x: np.ndarray) -> Iterator[np.ndarray]:
-    """phi_0(x), ..., phi_kmax(x), one row at a time (see hermite_functions)."""
+    """Orthonormal oscillator eigenfunctions phi_0..phi_kmax at x, one row at a time.
+
+    Unit mass and frequency: phi_0(x) = pi**-1/4 exp(-x**2/2).  Uses the
+    normalized three-term recurrence
+    phi_{k+1} = sqrt(2/(k+1)) x phi_k - sqrt(k/(k+1)) phi_{k-1},
+    which is stable upward; k is capped at HERMITE_KMAX.
+    """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     if kmax > HERMITE_KMAX:
@@ -311,17 +318,6 @@ def _hermite_rows(kmax: int, x: np.ndarray) -> Iterator[np.ndarray]:
         for k in range(1, kmax):
             prev, row = row, np.sqrt(2.0 / (k + 1)) * x * row - np.sqrt(k / (k + 1.0)) * prev
             yield row
-
-
-def hermite_functions(kmax: int, x) -> np.ndarray:
-    """Orthonormal oscillator eigenfunctions phi_0..phi_kmax at points x.
-
-    Unit mass and frequency: phi_0(x) = pi**-1/4 exp(-x**2/2).  Uses the
-    normalized three-term recurrence
-    phi_{k+1} = sqrt(2/(k+1)) x phi_k - sqrt(k/(k+1)) phi_{k-1},
-    which is stable upward; k is capped at HERMITE_KMAX.
-    """
-    return np.stack(list(_hermite_rows(kmax, np.asarray(x, dtype=float))))
 
 
 def phi(k: int, x):
@@ -346,9 +342,13 @@ def gauss_hermite(n: int = 128) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _check_eta(eta: float) -> None:
-    """Refuse a NaN or infinite eta, on which the oracles return NaN or a bare limit."""
-    if not abs(eta) < np.inf:
-        raise ValueError(f"eta must be finite, got {eta}")
+    """Refuse a NaN, infinite or overflowing eta (|eta| > _MAX_ETA).
+
+    Non-finite eta gives NaN or a bare limit; past _MAX_ETA the grid
+    exponents overflow on the gauss_hermite() nodes.
+    """
+    if not abs(eta) <= _MAX_ETA:
+        raise ValueError(f"eta must be finite with |eta| <= {_MAX_ETA}, got {eta}")
 
 
 def psi_eta(eta: float, x1, x2):
@@ -408,15 +408,15 @@ def expansion_overlap(eta: float, k: int) -> float:
 def rho_reduced(eta: float, x, xp):
     """Reduced density matrix of the observed oscillator, closed form.
 
-    rho(x, x') = (pi cosh 2eta)^{-1/2}
-                 exp(-[(x + x')^2 + (x - x')^2 cosh^2(2 eta)] / (4 cosh 2eta));
-    at eta = 0 this is the pure ground-state projector.
+    rho(x, x') = (pi c)^{-1/2} exp(-(x + x')^2 / (4 c) - c (x - x')^2 / 4)
+    with c = cosh 2eta; at eta = 0 this is the pure ground-state projector.
+    The two terms stay apart, since c^2 overflows from |eta| ~ 178.
     """
     _check_eta(eta)
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
     c2 = np.cosh(2 * eta)
-    quad = ((x + xp) ** 2 + (x - xp) ** 2 * c2 ** 2) / (4 * c2)
+    quad = (x + xp) ** 2 / (4 * c2) + c2 * (x - xp) ** 2 / 4
     return (np.pi * c2) ** -0.5 * np.exp(-quad)
 
 
@@ -471,21 +471,24 @@ def rho_partial_trace(eta: float, x, xp):
 # ---------------------------------------------------------------------------
 # series moments and the thermal state
 
+def _ladder_ratio(eta: float) -> float:
+    """Ratio q = tanh^2 |eta| = e^{-1/T} of successive reduced-state weights."""
+    _check_eta(eta)
+    return np.tanh(abs(eta)) ** 2
+
+
 def series_weights(eta: float, kmax: int = 200) -> np.ndarray:
     """Eigenvalue ladder w_k = (1 - tanh^2 eta) tanh(eta)^{2k}, k = 0..kmax.
 
     Symmetric in eta (only |eta| enters); nonnegative and non-increasing.
     """
-    _check_eta(eta)
-    t = np.tanh(abs(eta)) ** 2
+    t = _ladder_ratio(eta)
     return (1.0 - t) * t ** np.arange(kmax + 1)
 
 
 def series_tail_bound(eta: float, kmax: int = 200) -> float:
     """Exact dropped tail sum_{k > kmax} w_k = tanh(eta)^{2(kmax+1)}."""
-    _check_eta(eta)
-    t = np.tanh(abs(eta)) ** 2
-    return float(t ** (kmax + 1))
+    return float(_ladder_ratio(eta) ** (kmax + 1))
 
 
 def kmax_for_tail(eta: float) -> int:
@@ -497,11 +500,11 @@ def kmax_for_tail(eta: float) -> int:
     its memory.
 
     Raises:
-        ValueError: eta is not finite, tanh^2 |eta| rounds to 1 (eta above
-            about 19), or the count exceeds ``MAX_KMAX`` (eta above about 7.3).
+        ValueError: eta is not finite or |eta| > 350, tanh^2 |eta| rounds
+            to 1 (eta above about 19), or the count exceeds ``MAX_KMAX``
+            (eta above about 7.3).
     """
-    _check_eta(eta)
-    t = np.tanh(abs(eta)) ** 2
+    t = _ladder_ratio(eta)
     if t == 0.0:
         return 1
     if t == 1.0:
@@ -566,37 +569,24 @@ def moments(eta: float, kmax: int = 200) -> SeriesMoments:
             f"at eta={eta}, kmax={kmax}; increase kmax",
             stacklevel=2,
         )
-    trace, purity, entropy = _ladder_sums(np.tanh(abs(eta)) ** 2, kmax)
+    trace, purity, entropy = _ladder_sums(_ladder_ratio(eta), kmax)
     return SeriesMoments(trace=trace, purity=purity, entropy=entropy, tail_bound=tail)
 
 
 @dataclass(frozen=True)
 class ThermalState:
-    """Single-oscillator thermal state with geometric weights.
+    """Single-oscillator thermal state at temperature T (Boltzmann units).
 
-    Temperature is measured in Boltzmann units; weights are
-    (1 - e^{-1/T}) e^{-k/T}.  temperature = 0 is the pure vacuum
-    (the factory ``thermal_state`` rejects T <= 0).
+    Its weights (1 - e^{-1/T}) e^{-k/T} are the reduced-state ladder of
+    ``series_weights`` at tanh^2 eta = e^{-1/T}.  temperature = 0 is the
+    pure vacuum (the factory ``thermal_state`` rejects T <= 0).
     """
 
     temperature: float
-    kmax: int = 200
 
     def __post_init__(self):
         if not 0 <= self.temperature < np.inf:
             raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
-        if self.kmax < 1:
-            raise ValueError("kmax must be >= 1")
-
-    @property
-    def _q(self) -> float:
-        # ratio of successive weights; the vacuum's q = 0 gives (1, 0, 0, ...)
-        return np.exp(-1.0 / self.temperature) if self.temperature else 0.0
-
-    @property
-    def weights(self) -> np.ndarray:
-        q = self._q
-        return (1.0 - q) * q ** np.arange(self.kmax + 1)
 
     def entropy(self) -> float:
         """Closed form S(T) at the mean occupation v = 1/(e^{1/T} - 1)."""
@@ -604,16 +594,12 @@ class ThermalState:
             return 0.0
         return occupation_entropy(1.0 / np.expm1(1.0 / self.temperature))
 
-    def entropy_series(self) -> float:
-        """-sum w_k ln w_k over the truncated ladder (cross-check route)."""
-        return _ladder_sums(self._q, self.kmax)[2]
 
-
-def thermal_state(T: float, kmax: int = 200) -> ThermalState:
+def thermal_state(T: float) -> ThermalState:
     """Thermal state at finite T > 0; the T = 0 limit is ThermalState(0.0)."""
     if not 0 < T < np.inf:
         raise ValueError(f"temperature must be finite and > 0, got {T}")
-    return ThermalState(temperature=float(T), kmax=kmax)
+    return ThermalState(temperature=float(T))
 
 
 def wigner_radius(T: float) -> float:

@@ -44,7 +44,6 @@ from oscsym.fock import (
     moments,
     rho_reduced,
     rho_series,
-    series_weights,
     thermal_state,
     verify_fock_commutators,
     wigner_radius,
@@ -130,10 +129,11 @@ def test_03_gamma_bilinear_correspondence_pattern():
     report = table1_correspondence(1e-12)
     l1 = report.entries["L1"]
     s2 = report.entries["S2"]
+    statuses = {l: e.status for l, e in report.entries.items()}
     pattern_ok = (
         report.count("EXACT") == 13
-        and report.with_status("FACTOR_MISMATCH") == ["L1"]
-        and report.with_status("SIGN_FLIP") == ["S2"]
+        and [l for l, s in statuses.items() if s == "FACTOR_MISMATCH"] == ["L1"]
+        and [l for l, s in statuses.items() if s == "SIGN_FLIP"] == ["S2"]
         and report.count("UNRELATED") == 0
         and abs(l1.ratio - 1j) <= 1e-12
         and abs(s2.ratio + 1.0) <= 1e-12
@@ -303,22 +303,20 @@ def test_09b_area_product_under_all_fifteen():
 
 
 def test_10_thermal_bridge():
-    """eta <-> T round trip, matched weight ladders, matched Wigner radius."""
+    """eta <-> T round trip, matched ladder ratio, matched Wigner radius."""
     worst_rt = max(
         abs(temperature_from_eta(eta_from_temperature(t)) - t)
         for t in (0.5, 1.0, 2.0, 5.0))
-    worst_w = 0.0
+    worst_q = 0.0
     worst_r = 0.0
     for t in (0.5, 1.0, 2.0, 5.0):
         eta = eta_from_temperature(t)
-        kmax = 800
-        diff = np.abs(thermal_state(t, kmax).weights - series_weights(eta, kmax))
-        worst_w = max(worst_w, float(diff.max()))
+        worst_q = max(worst_q, abs(np.exp(-1.0 / t) - np.tanh(eta) ** 2))
         worst_r = max(worst_r,
                       abs(wigner_radius(t) - np.sqrt(np.cosh(2 * eta))))
-    ok = worst_rt <= 1e-12 and worst_w <= 1e-12 and worst_r <= 1e-12
+    ok = worst_rt <= 1e-12 and worst_q <= 1e-12 and worst_r <= 1e-12
     _report("10", f"thermal bridge (roundtrip {worst_rt:.2e}, "
-                  f"weights {worst_w:.2e}, radius {worst_r:.2e})", ok)
+                  f"ratio {worst_q:.2e}, radius {worst_r:.2e})", ok)
     assert worst_rt <= 1e-12
-    assert worst_w <= 1e-12
+    assert worst_q <= 1e-12
     assert worst_r <= 1e-12

@@ -324,8 +324,9 @@ def test_correspondence_actual_pattern():
     """
     report = table1_correspondence(1e-12)
     assert report.count("EXACT") == 13
-    assert report.with_status("FACTOR_MISMATCH") == ["L1"]
-    assert report.with_status("SIGN_FLIP") == ["S2"]
+    statuses = {l: e.status for l, e in report.entries.items()}
+    assert [l for l, s in statuses.items() if s == "FACTOR_MISMATCH"] == ["L1"]
+    assert [l for l, s in statuses.items() if s == "SIGN_FLIP"] == ["S2"]
     assert report.count("UNRELATED") == 0
     assert abs(report.entries["L1"].ratio - 1j) <= 1e-12
     assert abs(report.entries["S2"].ratio + 1.0) <= 1e-12
@@ -429,3 +430,11 @@ def test_shipped_tensors_are_integer_and_read_only():
         assert np.array_equal(table.f, -table.f.transpose(1, 0, 2))
         with pytest.raises(ValueError):
             table.f[0, 1, 2] = 1
+
+
+def test_computed_tensor_is_read_only():
+    # a write would silently rewrite the frozen table's entries
+    table = structure_table(SP4)
+    with pytest.raises(ValueError, match="read-only"):
+        table.f[0, 1, 2] = 5
+    assert table.entries[("L1", "L2")] == ((1j, "L3"),)

@@ -10,6 +10,7 @@ from mpmath import mp
 
 from oscsym.algebra import alge11_table
 from oscsym.fock import (
+    _MAX_ETA,
     _SERIES_BLOCK,
     _psi_eta_grid,
     MAX_KMAX,
@@ -21,7 +22,6 @@ from oscsym.fock import (
     expansion_overlap,
     fock_index,
     gauss_hermite,
-    hermite_functions,
     kmax_for_tail,
     moments,
     phi,
@@ -180,7 +180,7 @@ def test_phi1_odd():
 
 def test_phi_orthonormal_by_quadrature():
     x, w = gauss_hermite(128)
-    h = hermite_functions(8, x)
+    h = np.stack([phi(k, x) for k in range(9)])
     gram = (h * w) @ h.T
     assert np.abs(gram - np.eye(9)).max() <= 1e-10
 
@@ -188,7 +188,7 @@ def test_phi_orthonormal_by_quadrature():
 @pytest.mark.parametrize("k", [0, 1, 7, 200])
 def test_phi_is_row_k_of_the_hermite_table(k):
     for x in (0.3, np.linspace(-4.0, 4.0, 33)):
-        got, want = phi(k, x), hermite_functions(k, x)[k]
+        got, want = phi(k, x), _recurrence_table(k, x)[k]
         assert type(got) is type(want)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
@@ -198,7 +198,7 @@ def test_phi_caps_recurrence_depth():
     with pytest.raises(ValueError):
         phi(201, 0.0)
     with pytest.raises(ValueError):
-        hermite_functions(-1, 0.0)
+        phi(-1, 0.0)
 
 
 def test_psi_eta_reduces_to_ground_state():
@@ -242,7 +242,7 @@ def test_expansion_overlap_unit_eta_spot_value():
 
 def _direct_overlap(eta, k):
     x, w = gauss_hermite(128)
-    weighted = w * hermite_functions(k, x)[k]
+    weighted = w * _recurrence_table(k, x)[k]
     return float(weighted @ psi_eta(eta, x[:, None], x[None, :]) @ weighted)
 
 
@@ -382,6 +382,7 @@ def test_kmax_for_tail_clears_the_tail_up_to_eta_six():
     (19.0, "rounds to 1"),      # tanh^2 == 1.0: the count would be infinite
     (float("nan"), "finite"),
     (float("inf"), "finite"),
+    (_MAX_ETA + 1.0, f"<= {_MAX_ETA}"),
 ])
 def test_kmax_for_tail_refuses_unbounded_series(eta, match):
     with pytest.raises(ValueError, match=match):
@@ -408,6 +409,23 @@ def test_eta_oracles_refuse_non_finite_eta(oracle, eta):
     # without the check each oracle returns NaN or a silent limit, not an error
     with pytest.raises(ValueError, match="finite"):
         ETA_ORACLES[oracle](eta)
+
+
+@pytest.mark.parametrize("eta", [_MAX_ETA + 1.0, -_MAX_ETA - 1.0])
+@pytest.mark.parametrize("oracle", ETA_ORACLES)
+def test_eta_oracles_refuse_eta_past_the_bound(oracle, eta):
+    # past the bound e^{2|eta|} times a squared node gap overflows
+    with pytest.raises(ValueError, match=f"<= {_MAX_ETA}"):
+        ETA_ORACLES[oracle](eta)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("eta", [float(_MAX_ETA), -float(_MAX_ETA)])
+@pytest.mark.parametrize("oracle", [o for o in ETA_ORACLES if o != "moments"])
+def test_eta_oracles_run_clean_at_the_bound(oracle, eta):
+    # moments is left out: from |eta| ~ 19 its ratio tanh^2 eta rounds to 1
+    # and its ladder sums warn (see kmax_for_tail)
+    assert np.isfinite(ETA_ORACLES[oracle](eta)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +480,10 @@ def test_moments_match_full_array_formula_at_the_tail_rule(eta):
 
 @pytest.mark.parametrize("T", [0.5, 2.0, 10.0])
 def test_thermal_entropy_series_matches_full_array_formula(T):
-    st = thermal_state(T, 3000)
+    # the series at the matched eta against the thermal ladder q = e^{-1/T}
+    got = moments(eta_from_temperature(T), 3000).entropy
     _, _, want = _full_ladder_sums(np.exp(-1.0 / T), 3000)
-    assert abs(st.entropy_series() - want) <= 1e-14 * want
+    assert abs(got - want) <= 1e-14 * want
 
 
 @pytest.mark.filterwarnings("ignore:series tail bound")
@@ -501,9 +520,11 @@ def test_moments_entropy_keeps_the_vacuum_term_at_tiny_eta():
 def test_hermite_functions_bit_identical_to_recurrence_table(kmax):
     x, xp = _bench_grid()
     for points in (0.3, np.linspace(-4.0, 4.0, 33), x):
-        got, want = hermite_functions(kmax, points), _recurrence_table(kmax, points)
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
+        want = _recurrence_table(kmax, points)
+        for k in range(kmax + 1):
+            got = phi(k, points)
+            assert got.shape == want[k].shape
+            assert np.array_equal(got, want[k])
 
 
 @pytest.mark.parametrize("eta", [0.05, 0.5, 1.0, 1.45, 2.0, -1.3, 3.0])
@@ -518,16 +539,31 @@ def test_streamed_rho_routes_match_full_array_formulas(eta):
         assert np.abs(rho_partial_trace(eta, x, xp) - full_trace).max() <= 1e-15
 
 
-@pytest.mark.parametrize("eta", [0.05, 0.5, 1.0])
-def test_rho_partial_trace_matches_high_precision(eta):
-    x, xp = _bench_grid()
+def _high_precision_rho(eta, x, xp):
+    """The closed-form reduced density matrix at 50 digits, rounded to doubles."""
     want = np.empty(x.shape)
     with mp.workdps(50):
         c2 = mp.cosh(2 * mp.mpf(eta))
         for i in np.ndindex(x.shape):
             s, d = mp.mpf(x[i]) + mp.mpf(xp[i]), mp.mpf(x[i]) - mp.mpf(xp[i])
             want[i] = float((mp.pi * c2) ** -0.5 * mp.exp(-(s ** 2 + d ** 2 * c2 ** 2) / (4 * c2)))
-    assert np.abs(rho_partial_trace(eta, x, xp) - want).max() <= 1e-15
+    return want
+
+
+@pytest.mark.parametrize("eta", [0.05, 0.5, 1.0])
+def test_rho_partial_trace_matches_high_precision(eta):
+    x, xp = _bench_grid()
+    assert np.abs(rho_partial_trace(eta, x, xp) - _high_precision_rho(eta, x, xp)).max() <= 1e-15
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("eta", [200.0, 300.0])
+def test_rho_reduced_matches_high_precision_at_strong_coupling(eta):
+    # cosh^2(2 eta) overflows from |eta| ~ 178, so the exponent keeps its terms apart
+    x, xp = _bench_grid()
+    got, want = rho_reduced(eta, x, xp), _high_precision_rho(eta, x, xp)
+    assert (want > 0).any()
+    assert (np.abs(got - want) <= 1e-15 * want).all()
 
 
 def test_rho_routes_broadcast_and_refuse_like_the_recurrence():
@@ -568,32 +604,33 @@ def test_thermal_state_rejects_nonpositive_temperature():
 
 
 def test_thermal_vacuum_limit():
-    vac = ThermalState(0.0)
-    assert vac.weights[0] == 1.0
-    assert np.abs(vac.weights[1:]).max() == 0.0
+    # T = 0 matches eta = 0, whose ladder is (1, 0, 0, ...)
+    weights = series_weights(0.0)
+    assert weights[0] == 1.0
+    assert np.abs(weights[1:]).max() == 0.0
     assert wigner_radius(0.0) == 1.0
-    assert vac.entropy() == 0.0
-    assert vac.entropy_series() == 0.0
+    assert ThermalState(0.0).entropy() == 0.0
+    assert moments(0.0).entropy == 0.0
 
 
 def test_thermal_weights_normalized():
-    st = thermal_state(2.0)
-    assert abs(st.weights.sum() - 1.0) <= 1e-12
-    assert (st.weights > 0).all()
+    weights = series_weights(eta_from_temperature(2.0))
+    assert abs(weights.sum() - 1.0) <= 1e-12
+    assert (weights > 0).all()
 
 
 def test_thermal_entropy_series_matches_closed_form():
     for T in (0.5, 1.0, 1.8362, 5.0):
-        st = thermal_state(T, kmax=3000 if T > 2 else 800)
-        assert abs(st.entropy_series() - st.entropy()) <= 1e-10, T
+        eta = eta_from_temperature(T)
+        series = moments(eta, kmax_for_tail(eta)).entropy
+        assert abs(series - thermal_state(T).entropy()) <= 1e-10, T
 
 
 def test_thermal_weights_equal_series_weights():
     """At matched eta and T the two weight ladders are the same geometric law."""
     for T in (0.5, 1.0, 2.0, 5.0):
-        eta = eta_from_temperature(T)
-        diff = np.abs(thermal_state(T, 300).weights - series_weights(eta, 300))
-        assert diff.max() <= 1e-12, T
+        ratio = np.tanh(eta_from_temperature(T)) ** 2
+        assert abs(np.exp(-1.0 / T) - ratio) <= 1e-15, T
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
