@@ -517,20 +517,25 @@ def kmax_for_tail(eta: float) -> int:
     return max(int(n), 1)
 
 
-def _ladder_sums(q: float, kmax: int) -> Tuple[float, float, float]:
+def _ladder_sums(eta: float, kmax: int) -> Tuple[float, float, float]:
     """(sum w, sum w**2, -sum w ln w) over w_k = (1 - q) q**k, k = 0..kmax.
 
     Streams the ladder in blocks of _SERIES_BLOCK terms: per block
-    ln w_k = log1p(-q) + k ln q, then w = exp(ln w), so memory does not
+    ln w_k = ln(1 - q) + k ln q, then w = exp(ln w), so memory does not
     grow with kmax.  q = 0 is the pure state, (1, 1, 0) exactly, and a
     ladder with no terms (kmax < 0) sums to zero.
     """
     if kmax < 0:
         return 0.0, 0.0, 0.0
+    q = _ladder_ratio(eta)
     if q == 0.0:
         return 1.0, 1.0, 0.0
     size = min(kmax + 1, _SERIES_BLOCK)
-    log_q, log_head = np.log(q), np.log1p(-q)
+    if abs(eta) <= 7.0:
+        log_q, log_head = np.log(q), np.log1p(-q)
+    else:  # q rounds toward 1 (to 1.0 from |eta| ~ 19): read both logs from e^{-2|eta|}
+        e = np.exp(-2.0 * abs(eta))  # q = ((1 - e)/(1 + e))^2, 1 - q = 4e/(1 + e)^2
+        log_q, log_head = 2.0 * (np.log1p(-e) - np.log1p(e)), np.log(4.0 * e) - 2.0 * np.log1p(e)
     k_log_q = np.arange(size) * log_q
     log_w, w = np.empty(size), np.empty(size)
     trace = purity = entropy = 0.0
@@ -569,7 +574,7 @@ def moments(eta: float, kmax: int = 200) -> SeriesMoments:
             f"at eta={eta}, kmax={kmax}; increase kmax",
             stacklevel=2,
         )
-    trace, purity, entropy = _ladder_sums(_ladder_ratio(eta), kmax)
+    trace, purity, entropy = _ladder_sums(eta, kmax)
     return SeriesMoments(trace=trace, purity=purity, entropy=entropy, tail_bound=tail)
 
 

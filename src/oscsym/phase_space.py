@@ -22,6 +22,7 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Tuple
@@ -49,11 +50,15 @@ def symplectic_form() -> np.ndarray:
                      [0.0, 0.0, -1.0, 0.0]])
 
 
+_J = symplectic_form()
+_J.flags.writeable = False
+_ASYMMETRIC = f"covariance must be finite and symmetric (within {DEFAULT_TOLERANCE:.0e})"
+
+
 def symplectic_deviation(m: np.ndarray) -> float:
     """Max-abs entry of M J M^T - J (zero iff M is canonical)."""
     m = np.asarray(m, dtype=float)
-    j = symplectic_form()
-    return float(np.abs(m @ j @ m.T - j).max())
+    return float(np.abs(m @ _J @ m.T - _J).max())
 
 
 def is_canonical(m: np.ndarray) -> bool:
@@ -153,23 +158,16 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self):
-        cov = _checked_cov(self.cov, 4)
+        cov = np.asarray(self.cov, dtype=float)
+        if cov.shape != (4, 4):
+            raise ValueError(f"covariance must be 4x4, got {cov.shape}")
+        if not np.abs(cov - cov.T).max() <= DEFAULT_TOLERANCE:
+            raise ValueError(_ASYMMETRIC)
+        cov = 0.5 * (cov + cov.T)
+        if np.linalg.eigvalsh(cov).min() <= 0:
+            raise ValueError("covariance must be positive definite")
         cov.flags.writeable = False
         object.__setattr__(self, "cov", cov)
-
-
-def _checked_cov(cov: np.ndarray, n: int) -> np.ndarray:
-    """Symmetric part of an n x n covariance; rejects bad shape, NaN/inf, asymmetry, non-PD."""
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (n, n):
-        raise ValueError(f"covariance must be {n}x{n}, got {cov.shape}")
-    if not np.abs(cov - cov.T).max() <= DEFAULT_TOLERANCE:
-        raise ValueError(f"covariance must be finite and symmetric "
-                         f"(within {DEFAULT_TOLERANCE:.0e})")
-    cov = 0.5 * (cov + cov.T)
-    if np.linalg.eigvalsh(cov).min() <= 0:
-        raise ValueError("covariance must be positive definite")
-    return cov
 
 
 def vacuum_state() -> GaussianState:
@@ -212,9 +210,21 @@ def gaussian_purity(cov2: np.ndarray) -> float:
 
 
 def symplectic_eigenvalue(cov2: np.ndarray) -> float:
-    """mu = 2 sqrt(det cov2); 1 for the vacuum, cosh(2 eta) when coupled."""
-    cov2 = _checked_cov(cov2, 2)
-    return float(2.0 * np.sqrt(np.linalg.det(cov2)))
+    """mu = 2 sqrt(det cov2); 1 for the vacuum, cosh(2 eta) when coupled.
+
+    Positive definite means a > 0 and det > 0 on the det mu is read from.
+    """
+    cov2 = np.asarray(cov2, dtype=float)
+    if cov2.shape != (2, 2):
+        raise ValueError(f"covariance must be 2x2, got {cov2.shape}")
+    (a, b), (c, d) = cov2.tolist()
+    if not (all(map(math.isfinite, (a, b, c, d))) and abs(b - c) <= DEFAULT_TOLERANCE):
+        raise ValueError(_ASYMMETRIC)
+    s = 0.5 * (b + c)
+    det = float(np.linalg.det(np.array([[a, s], [s, d]])))
+    if not (a > 0 and det > 0):
+        raise ValueError("covariance must be positive definite")
+    return 2.0 * math.sqrt(det)
 
 
 class SubVacuumError(ValueError):
@@ -263,8 +273,8 @@ def areas(state: GaussianState) -> Tuple[float, float]:
     A_i = 2 pi sqrt(det of the i-th 2x2 covariance block), normalized so the
     vacuum occupies area pi per oscillator (the unit-circle contour).
     """
-    a1, a2 = (2.0 * np.pi * np.sqrt(np.linalg.det(reduce_oscillator(state, keep)))
-              for keep in (1, 2))
+    cov = state.cov
+    a1, a2 = 2.0 * np.pi * np.sqrt(np.linalg.det(np.array((cov[:2, :2], cov[2:, 2:]))))
     return float(a1), float(a2)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -391,7 +392,7 @@ def test_kmax_for_tail_refuses_unbounded_series(eta, match):
 
 _X = np.array([0.0, 0.5])
 ETA_ORACLES = {
-    "moments": lambda eta: moments(eta),
+    "moments": lambda eta: astuple(moments(eta)),
     "series_weights": lambda eta: series_weights(eta),
     "series_tail_bound": lambda eta: series_tail_bound(eta),
     "rho_reduced": lambda eta: rho_reduced(eta, _X, _X),
@@ -420,11 +421,10 @@ def test_eta_oracles_refuse_eta_past_the_bound(oracle, eta):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:series tail bound")
 @pytest.mark.parametrize("eta", [float(_MAX_ETA), -float(_MAX_ETA)])
-@pytest.mark.parametrize("oracle", [o for o in ETA_ORACLES if o != "moments"])
+@pytest.mark.parametrize("oracle", ETA_ORACLES)
 def test_eta_oracles_run_clean_at_the_bound(oracle, eta):
-    # moments is left out: from |eta| ~ 19 its ratio tanh^2 eta rounds to 1
-    # and its ladder sums warn (see kmax_for_tail)
     assert np.isfinite(ETA_ORACLES[oracle](eta)).all()
 
 
@@ -504,6 +504,22 @@ def test_moments_at_the_tail_rule_match_high_precision(eta):
         entropy = c2 * mp.log(c2) - s2 * mp.log(s2)
         assert abs(m.purity - purity) <= 1e-15
         assert abs(m.entropy - entropy) <= 1e-10
+
+
+@pytest.mark.filterwarnings("ignore:series tail bound")
+@pytest.mark.parametrize("eta", [10.0, 15.0, 18.5, 20.0, 100.0, 350.0])
+def test_moments_past_eta_seven_match_high_precision(eta):
+    # read from q = tanh^2 eta, 1 - q loses digits to rounding (1e-8 relative
+    # at eta = 10, 45 % near 19) and from eta ~ 19, where q is 1.0, the sums
+    # were 0, 0 and NaN; the reference w_k = sech^2 eta tanh^{2k} eta keeps 1 - q
+    m = moments(eta)
+    with mp.workdps(50):
+        head, q = mp.sech(eta) ** 2, mp.tanh(eta) ** 2
+        w = [head * q ** k for k in range(201)]
+        want = (mp.fsum(w), mp.fsum(x * x for x in w), -mp.fsum(x * mp.log(x) for x in w))
+    for got, ref in zip((m.trace, m.purity, m.entropy), want):
+        # the purity at eta = 350, about 3e-605, rounds to 0.0 in both
+        assert abs(got - float(ref)) <= 1e-14 * float(ref), (got, ref)
 
 
 def test_moments_entropy_keeps_the_vacuum_term_at_tiny_eta():

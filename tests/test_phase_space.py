@@ -1,5 +1,6 @@
 """Symplectic checks, transforms, reduction, entropy, temperature map."""
 
+import re
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from oscsym.phase_space import (
     gaussian_purity,
     generator_to_transform,
     is_canonical,
+    occupation_entropy,
     reduce_oscillator,
     symplectic_deviation,
     symplectic_eigenvalue,
@@ -168,7 +170,7 @@ def test_gaussian_state_validation():
         GaussianState(-np.eye(4))
 
 
-# inf - inf in the symmetry comparison is what turns an inf entry into NaN
+# inf - inf in the 4x4 symmetry comparison is what turns an inf entry into NaN
 @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
 def test_covariance_refuses_non_finite_entries(entry):
@@ -333,6 +335,141 @@ def test_entropy_monotone_in_eta():
         st = evolve(vacuum_state(), coupling_transform(eta))
         values.append(gaussian_entropy(reduce_oscillator(st, 1)))
     assert (np.diff(values) > 0).all()
+
+
+# ---------------------------------------------------------------------------
+# 2x2 block invariants: one check, and positive definiteness judged by the
+# determinant that mu is taken from
+
+BLOCK_ROUTES = (gaussian_purity, gaussian_entropy, symplectic_eigenvalue)
+
+
+# no filterwarnings override: the pyproject error::RuntimeWarning filter applies
+@pytest.mark.parametrize("cell", [(0, 0), (0, 1), (1, 0), (1, 1)])
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_block_refuses_non_finite_entries_without_a_warning(entry, cell):
+    block = np.array([[0.5, 0.1], [0.1, 0.5]])
+    block[cell] = entry
+    for route in BLOCK_ROUTES:
+        with pytest.raises(ValueError, match="finite"):
+            route(block)
+
+
+@pytest.mark.parametrize("block", [
+    # eigvalsh reads min 1.8e-12 > 0 here, but det is 0.0: purity divided by
+    # zero and entropy reported "mu = 0" as a sub-vacuum state
+    [[11256.628253635616, 25776.138655687628], [25776.138655687628, 59023.83102885591]],
+    # eigvalsh passes and det < 0: symplectic_eigenvalue returned NaN
+    [[0.6529466265982962, 1.1024726151161643], [1.1024726151161643, 1.8614781324673833]],
+])
+def test_block_refuses_when_its_det_is_not_positive(block):
+    for route in BLOCK_ROUTES:
+        with pytest.raises(ValueError, match="positive definite"):
+            route(np.array(block))
+
+
+def test_near_rank_one_blocks_refuse_or_return_a_positive_mu():
+    # v v^T with the off-diagonal nudged by a few ulps either way: the
+    # eigvalsh check used to pass thousands of these with det <= 0
+    rng = np.random.default_rng(13)
+    refused = 0
+    for x, y, nudge in zip(rng.uniform(0.1, 300.0, 2000), rng.uniform(0.1, 300.0, 2000),
+                           rng.uniform(-4e-16, 4e-16, 2000)):
+        block = np.array([[x * x, x * y * (1 + nudge)], [x * y * (1 + nudge), y * y]])
+        try:
+            mu = symplectic_eigenvalue(block)
+        except ValueError as exc:
+            assert str(exc) == "covariance must be positive definite"
+            refused += 1
+            for route in (gaussian_purity, gaussian_entropy):
+                with pytest.raises(ValueError, match="positive definite"):
+                    route(block)
+        else:
+            assert mu > 0 and gaussian_purity(block) == 1.0 / mu
+    assert 0 < refused < 2000
+
+
+def _parent_mu(cov2):
+    """mu as the eigvalsh-checked route computed it, kept to check equality."""
+    cov2 = np.asarray(cov2, dtype=float)
+    if cov2.shape != (2, 2):
+        raise ValueError(f"covariance must be 2x2, got {cov2.shape}")
+    if not np.abs(cov2 - cov2.T).max() <= 1e-12:
+        raise ValueError("covariance must be finite and symmetric (within 1e-12)")
+    cov2 = 0.5 * (cov2 + cov2.T)
+    if np.linalg.eigvalsh(cov2).min() <= 0:
+        raise ValueError("covariance must be positive definite")
+    return float(2.0 * np.sqrt(np.linalg.det(cov2)))
+
+
+def _parent_entropy(cov2):
+    mu = _parent_mu(cov2)
+    if mu < 1.0 - 1e-12:
+        raise SubVacuumError(f"symplectic eigenvalue mu = {mu:.12g} < 1: sub-vacuum "
+                             "covariance has no quantum entropy")
+    return occupation_entropy(max((mu - 1.0) / 2.0, 0.0))
+
+
+def _parent_areas(state):
+    return tuple(float(2.0 * np.pi * np.sqrt(np.linalg.det(reduce_oscillator(state, keep))))
+                 for keep in (1, 2))
+
+
+def _parent_is_canonical(m):
+    j = symplectic_form()
+    deviation = float(np.abs(m @ j @ m.T - j).max())
+    return deviation <= 1e-12 * max(1.0, float(np.abs(m).max())) ** 2
+
+
+def _outcome(route, arg):
+    """The value a route returns, or the type and message of its refusal."""
+    try:
+        return route(arg)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("source", FIFTEEN_LABELS + ("couple",))
+def test_block_invariants_equal_the_eigvalsh_route(source):
+    if source == "couple":
+        transforms = [coupling_transform(0.1 * i) for i in range(1, 121)]
+    else:
+        transforms = [generator_to_transform(source, 0.1 * i) for i in range(-120, 121)]
+    compared = 0
+    for m in transforms:
+        assert is_canonical(m) == _parent_is_canonical(m)
+        try:
+            state = evolve(vacuum_state(), m)
+        except ValueError:  # the 4x4 eigvalsh check (ROADMAP pd-check), unchanged
+            continue
+        assert areas(state) == _parent_areas(state)
+        for keep in (1, 2):
+            block = reduce_oscillator(state, keep)
+            for route, parent in ((symplectic_eigenvalue, _parent_mu),
+                                  (gaussian_purity, lambda b: 1.0 / _parent_mu(b)),
+                                  (gaussian_entropy, _parent_entropy)):
+                assert _outcome(route, block) == _outcome(parent, block)
+            compared += 1
+    assert compared >= len(transforms)  # both blocks of at least half the states
+
+
+@pytest.mark.parametrize("block,match", [
+    (np.eye(3) / 2, r"2x2, got \(3, 3\)"),
+    ([[1.0, 0.5], [0.5 + 2e-12, 1.0]], r"finite and symmetric \(within 1e-12\)"),
+    (-np.eye(2), "positive definite"),
+    (np.zeros((2, 2)), "positive definite"),
+    ([[1.0, 2.0], [2.0, 1.0]], "positive definite"),
+    ([[0.7, 0.2], [0.2 + 9e-13, 0.9]], None),  # asymmetric within the tolerance
+    ([[0.5, -3e-13], [0.0, 0.5]], None),
+])
+def test_block_refusals_and_symmetrisation_equal_the_eigvalsh_route(block, match):
+    for route, parent in ((symplectic_eigenvalue, _parent_mu),
+                          (gaussian_purity, lambda b: 1.0 / _parent_mu(b)),
+                          (gaussian_entropy, _parent_entropy)):
+        got = _outcome(route, block)
+        assert got == _outcome(parent, block)
+        if match is not None:
+            assert got[0] == "ValueError" and re.search(match, got[1])
 
 
 # ---------------------------------------------------------------------------
