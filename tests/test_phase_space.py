@@ -440,7 +440,7 @@ def test_block_invariants_equal_the_eigvalsh_route(source):
         assert is_canonical(m) == _parent_is_canonical(m)
         try:
             state = evolve(vacuum_state(), m)
-        except ValueError:  # the 4x4 eigvalsh check (ROADMAP pd-check), unchanged
+        except ValueError:  # GaussianState's 4x4 eigvalsh check: the pd-check defect
             continue
         assert areas(state) == _parent_areas(state)
         for keep in (1, 2):
