@@ -212,7 +212,7 @@ def gaussian_purity(cov2: np.ndarray) -> float:
 def symplectic_eigenvalue(cov2: np.ndarray) -> float:
     """mu = 2 sqrt(det cov2); 1 for the vacuum, cosh(2 eta) when coupled.
 
-    Positive definite means a > 0 and det > 0 on the det mu is read from.
+    Positive definite is judged as a > 0 and det > 0, on the det mu is read from.
     """
     cov2 = np.asarray(cov2, dtype=float)
     if cov2.shape != (2, 2):

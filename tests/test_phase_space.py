@@ -170,7 +170,7 @@ def test_gaussian_state_validation():
         GaussianState(-np.eye(4))
 
 
-# inf - inf in the 4x4 symmetry comparison is what turns an inf entry into NaN
+# inf - inf in the symmetry comparison is what turns an inf entry into NaN
 @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
 def test_covariance_refuses_non_finite_entries(entry):
