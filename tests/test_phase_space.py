@@ -389,8 +389,8 @@ def test_near_rank_one_blocks_refuse_or_return_a_positive_mu():
     assert 0 < refused < 2000
 
 
-def _parent_mu(cov2):
-    """mu as the eigvalsh-checked route computed it, kept to check equality."""
+def _reference_mu(cov2):
+    """mu by the eigvalsh-checked formula the block routes replaced: the reference."""
     cov2 = np.asarray(cov2, dtype=float)
     if cov2.shape != (2, 2):
         raise ValueError(f"covariance must be 2x2, got {cov2.shape}")
@@ -402,23 +402,28 @@ def _parent_mu(cov2):
     return float(2.0 * np.sqrt(np.linalg.det(cov2)))
 
 
-def _parent_entropy(cov2):
-    mu = _parent_mu(cov2)
+def _reference_entropy(cov2):
+    mu = _reference_mu(cov2)
     if mu < 1.0 - 1e-12:
         raise SubVacuumError(f"symplectic eigenvalue mu = {mu:.12g} < 1: sub-vacuum "
                              "covariance has no quantum entropy")
     return occupation_entropy(max((mu - 1.0) / 2.0, 0.0))
 
 
-def _parent_areas(state):
+def _reference_areas(state):
     return tuple(float(2.0 * np.pi * np.sqrt(np.linalg.det(reduce_oscillator(state, keep))))
                  for keep in (1, 2))
 
 
-def _parent_is_canonical(m):
+def _reference_is_canonical(m):
     j = symplectic_form()
     deviation = float(np.abs(m @ j @ m.T - j).max())
     return deviation <= 1e-12 * max(1.0, float(np.abs(m).max())) ** 2
+
+
+PAIRED_ROUTES = ((symplectic_eigenvalue, _reference_mu),
+                 (gaussian_purity, lambda b: 1.0 / _reference_mu(b)),
+                 (gaussian_entropy, _reference_entropy))
 
 
 def _outcome(route, arg):
@@ -437,18 +442,16 @@ def test_block_invariants_equal_the_eigvalsh_route(source):
         transforms = [generator_to_transform(source, 0.1 * i) for i in range(-120, 121)]
     compared = 0
     for m in transforms:
-        assert is_canonical(m) == _parent_is_canonical(m)
+        assert is_canonical(m) == _reference_is_canonical(m)
         try:
             state = evolve(vacuum_state(), m)
         except ValueError:  # GaussianState's 4x4 eigvalsh check: the pd-check defect
             continue
-        assert areas(state) == _parent_areas(state)
+        assert areas(state) == _reference_areas(state)
         for keep in (1, 2):
             block = reduce_oscillator(state, keep)
-            for route, parent in ((symplectic_eigenvalue, _parent_mu),
-                                  (gaussian_purity, lambda b: 1.0 / _parent_mu(b)),
-                                  (gaussian_entropy, _parent_entropy)):
-                assert _outcome(route, block) == _outcome(parent, block)
+            for route, reference in PAIRED_ROUTES:
+                assert _outcome(route, block) == _outcome(reference, block)
             compared += 1
     assert compared >= len(transforms)  # both blocks of at least half the states
 
@@ -463,11 +466,9 @@ def test_block_invariants_equal_the_eigvalsh_route(source):
     ([[0.5, -3e-13], [0.0, 0.5]], None),
 ])
 def test_block_refusals_and_symmetrisation_equal_the_eigvalsh_route(block, match):
-    for route, parent in ((symplectic_eigenvalue, _parent_mu),
-                          (gaussian_purity, lambda b: 1.0 / _parent_mu(b)),
-                          (gaussian_entropy, _parent_entropy)):
+    for route, reference in PAIRED_ROUTES:
         got = _outcome(route, block)
-        assert got == _outcome(parent, block)
+        assert got == _outcome(reference, block)
         if match is not None:
             assert got[0] == "ValueError" and re.search(match, got[1])
 
