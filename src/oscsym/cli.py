@@ -302,8 +302,11 @@ def _parse_grid(text: str, parser: argparse.ArgumentParser) -> np.ndarray:
         parser.error(f"--eta-grid must be LO:HI:STEP, got {text!r}")
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo or lo < 0:
         parser.error(f"empty or invalid grid {text!r}")
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(count)
+    count = np.floor((hi - lo) / step + 1e-9) + 1
+    try:
+        return lo + step * np.arange(int(count))
+    except (OverflowError, ValueError, MemoryError) as exc:  # more points than numpy holds
+        parser.error(f"grid {text!r} has {count:.3g} points: {exc}")
 
 
 def _cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:

@@ -46,7 +46,7 @@ MAX_KMAX = 2 ** 24  # largest series truncation kmax_for_tail returns (eta ~ 7.3
 _DENSE_TENFOLD_BYTES = 2 ** 30  # cap on the ten dense members of dirac_tenfold
 _SAFE_MARGIN = 3  # the safe subspace is n1 + n2 <= nmax - _SAFE_MARGIN
 _FOCK_CHUNK = 64  # grid points per band of rows in verify_fock_commutators
-_SERIES_BLOCK = 2 ** 14  # ladder terms per block in _ladder_sums
+_SERIES_BLOCK = 2 ** 14  # ladder terms per block in moments
 _QUADRATURE_BYTES = 2 ** 16  # largest (points, nodes) block in rho_partial_trace
 _MAX_ETA = 350  # largest |eta| whose e^{2|eta|} times a squared node gap stays finite
 
@@ -471,24 +471,38 @@ def rho_partial_trace(eta: float, x, xp):
 # ---------------------------------------------------------------------------
 # series moments and the thermal state
 
-def _ladder_ratio(eta: float) -> float:
-    """Ratio q = tanh^2 |eta| = e^{-1/T} of successive reduced-state weights."""
+def _ladder_logs(eta: float) -> Tuple[float, float]:
+    """(ln q, ln(1 - q)) of the ladder ratio q = tanh^2 |eta| = e^{-1/T}.
+
+    Up to |eta| = 7 from q itself: log1p keeps the -w_0 ln w_0 ~ q term that
+    ln(1 - q) drops once 1 - q rounds to 1.  Past it q rounds toward 1 (to
+    1.0 from |eta| ~ 19), so both logs are read from e = e^{-2|eta|}.
+    ln q is -inf at eta = 0, the pure state.
+    """
     _check_eta(eta)
-    return np.tanh(abs(eta)) ** 2
+    if abs(eta) > 7.0:  # q = ((1 - e)/(1 + e))^2, 1 - q = 4e/(1 + e)^2
+        e = np.exp(-2.0 * abs(eta))
+        return 2.0 * (np.log1p(-e) - np.log1p(e)), np.log(4.0 * e) - 2.0 * np.log1p(e)
+    q = np.tanh(abs(eta)) ** 2  # 1 - q keeps all but a relative 2e-11 here
+    return (np.log(q) if q else -np.inf), np.log1p(-q)
 
 
 def series_weights(eta: float, kmax: int = 200) -> np.ndarray:
-    """Eigenvalue ladder w_k = (1 - tanh^2 eta) tanh(eta)^{2k}, k = 0..kmax.
+    """Eigenvalue ladder w_k = exp(ln(1 - q) + k ln q), q = tanh^2 eta, k = 0..kmax.
 
-    Symmetric in eta (only |eta| enters); nonnegative and non-increasing.
+    The terms ``moments`` sums.  Symmetric in eta (only |eta| enters);
+    nonnegative and non-increasing; exactly (1, 0, 0, ...) at eta = 0.
     """
-    t = _ladder_ratio(eta)
-    return (1.0 - t) * t ** np.arange(kmax + 1)
+    log_q, log_head = _ladder_logs(eta)
+    if log_q == -np.inf:
+        return np.eye(1, kmax + 1)[0]
+    return np.exp(np.arange(kmax + 1) * log_q + log_head)
 
 
 def series_tail_bound(eta: float, kmax: int = 200) -> float:
-    """Exact dropped tail sum_{k > kmax} w_k = tanh(eta)^{2(kmax+1)}."""
-    return float(_ladder_ratio(eta) ** (kmax + 1))
+    """Exact dropped tail sum_{k > kmax} w_k = q^{kmax+1}; the whole ladder for kmax < 0."""
+    log_q, _ = _ladder_logs(eta)
+    return float(np.exp((kmax + 1) * log_q)) if kmax >= 0 else 1.0
 
 
 def kmax_for_tail(eta: float) -> int:
@@ -500,72 +514,31 @@ def kmax_for_tail(eta: float) -> int:
     its memory.
 
     Raises:
-        ValueError: eta is not finite or |eta| > 350, tanh^2 |eta| rounds
-            to 1 (eta above about 19), or the count exceeds ``MAX_KMAX``
-            (eta above about 7.3).
+        ValueError: eta is not finite or |eta| > 350, or the count exceeds
+            ``MAX_KMAX`` (eta above about 7.3).
     """
-    t = _ladder_ratio(eta)
-    if t == 0.0:
-        return 1
-    if t == 1.0:
-        raise ValueError(f"tanh^2(eta) rounds to 1 at eta={eta}: no finite "
-                         f"series truncation clears the tail {DEFAULT_TOLERANCE:.0e}")
-    n = np.ceil(np.log(DEFAULT_TOLERANCE) / np.log(t)) - 1
+    n = np.ceil(np.log(DEFAULT_TOLERANCE) / _ladder_logs(eta)[0]) - 1
     if not n <= MAX_KMAX:
         raise ValueError(f"eta={eta} needs {n:.3g} series terms to clear the tail "
                          f"{DEFAULT_TOLERANCE:.0e}, more than MAX_KMAX = {MAX_KMAX}")
     return max(int(n), 1)
 
 
-def _ladder_sums(eta: float, kmax: int) -> Tuple[float, float, float]:
-    """(sum w, sum w**2, -sum w ln w) over w_k = (1 - q) q**k, k = 0..kmax.
-
-    Streams the ladder in blocks of _SERIES_BLOCK terms: per block
-    ln w_k = ln(1 - q) + k ln q, then w = exp(ln w), so memory does not
-    grow with kmax.  q = 0 is the pure state, (1, 1, 0) exactly, and a
-    ladder with no terms (kmax < 0) sums to zero.
-    """
-    if kmax < 0:
-        return 0.0, 0.0, 0.0
-    q = _ladder_ratio(eta)
-    if q == 0.0:
-        return 1.0, 1.0, 0.0
-    size = min(kmax + 1, _SERIES_BLOCK)
-    if abs(eta) <= 7.0:  # 1 - q keeps all but a relative 2e-11 here
-        log_q, log_head = np.log(q), np.log1p(-q)
-    else:  # q rounds toward 1 (to 1.0 from |eta| ~ 19): read both logs from e^{-2|eta|}
-        e = np.exp(-2.0 * abs(eta))  # q = ((1 - e)/(1 + e))^2, 1 - q = 4e/(1 + e)^2
-        log_q, log_head = 2.0 * (np.log1p(-e) - np.log1p(e)), np.log(4.0 * e) - 2.0 * np.log1p(e)
-    k_log_q = np.arange(size) * log_q
-    log_w, w = np.empty(size), np.empty(size)
-    trace = purity = entropy = 0.0
-    for lo in range(0, kmax + 1, size):
-        n = min(size, kmax + 1 - lo)
-        lw, bw = log_w[:n], w[:n]
-        np.add(k_log_q[:n], log_head + lo * log_q, out=lw)
-        np.exp(lw, out=bw)
-        trace += bw.sum()
-        purity += bw @ bw
-        entropy -= bw @ lw
-    return float(trace), float(purity), float(entropy)
-
-
 @dataclass(frozen=True)
 class SeriesMoments:
-    trace: float
     purity: float
     entropy: float
-    tail_bound: float
 
 
 def moments(eta: float, kmax: int = 200) -> SeriesMoments:
-    """Trace, purity and entropy of the reduced-state eigenvalue ladder.
+    """Purity and entropy of the reduced-state eigenvalue ladder.
 
-    trace = sum w_k, purity = sum w_k^2, entropy = -sum w_k ln w_k.
-    Contracts: purity = 1/cosh(2 eta) and
+    purity = sum w_k^2 and entropy = -sum w_k ln w_k over the
+    ``series_weights`` terms, streamed in blocks of _SERIES_BLOCK so memory
+    does not grow with kmax.  Contracts: purity = 1/cosh(2 eta) and
     entropy = cosh^2(eta) ln cosh^2(eta) - sinh^2(eta) ln sinh^2(eta),
-    both up to the reported geometric tail bound.  Negative eta is folded
-    to |eta|.  A tail bound above DEFAULT_TOLERANCE triggers a warning.
+    both up to the geometric tail ``series_tail_bound``, whose excess over
+    DEFAULT_TOLERANCE triggers a warning.  Negative eta is folded to |eta|.
     """
     tail = series_tail_bound(eta, kmax)
     if tail > DEFAULT_TOLERANCE:
@@ -574,8 +547,23 @@ def moments(eta: float, kmax: int = 200) -> SeriesMoments:
             f"at eta={eta}, kmax={kmax}; increase kmax",
             stacklevel=2,
         )
-    trace, purity, entropy = _ladder_sums(eta, kmax)
-    return SeriesMoments(trace=trace, purity=purity, entropy=entropy, tail_bound=tail)
+    log_q, log_head = _ladder_logs(eta)
+    if kmax < 0:  # a ladder with no terms
+        return SeriesMoments(purity=0.0, entropy=0.0)
+    if log_q == -np.inf:  # the pure state, w = (1, 0, 0, ...)
+        return SeriesMoments(purity=1.0, entropy=0.0)
+    size = min(kmax + 1, _SERIES_BLOCK)
+    k_log_q = np.arange(size) * log_q
+    log_w, w = np.empty(size), np.empty(size)
+    purity = entropy = 0.0
+    for lo in range(0, kmax + 1, size):
+        n = min(size, kmax + 1 - lo)
+        lw, bw = log_w[:n], w[:n]
+        np.add(k_log_q[:n], log_head + lo * log_q, out=lw)
+        np.exp(lw, out=bw)
+        purity += bw @ bw
+        entropy -= bw @ lw
+    return SeriesMoments(purity=float(purity), entropy=float(entropy))
 
 
 @dataclass(frozen=True)
@@ -594,10 +582,15 @@ class ThermalState:
             raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
 
     def entropy(self) -> float:
-        """Closed form S(T) at the mean occupation v = 1/(e^{1/T} - 1)."""
+        """Closed form S(T) at the mean occupation v = 1/(e^{1/T} - 1).
+
+        Below T = 1/709.78 e^{1/T} overflows to inf, so v and S are 0.0; the
+        true S there is below 1e-297.
+        """
         if self.temperature == 0:
             return 0.0
-        return occupation_entropy(1.0 / np.expm1(1.0 / self.temperature))
+        with np.errstate(over="ignore"):
+            return occupation_entropy(1.0 / np.expm1(1.0 / self.temperature))
 
 
 def thermal_state(T: float) -> ThermalState:

@@ -48,7 +48,8 @@ def test_package_reexports_only_listed_names():
 
 
 class _References(ast.NodeVisitor):
-    """Every Name, Attribute and import alias, except inside the definition it names."""
+    """Every Name, Attribute and import alias, except inside the definition it names
+    and the target of a field declaration."""
 
     def __init__(self):
         self.names, self._inside = set(), []
@@ -59,6 +60,12 @@ class _References(ast.NodeVisitor):
         self._inside.pop()
 
     visit_FunctionDef = visit_ClassDef = _definition
+
+    def visit_AnnAssign(self, node):
+        # a field declaration is not a use of the field: skip the target
+        self.visit(node.annotation)
+        if node.value is not None:
+            self.visit(node.value)
 
     def _add(self, name):
         if name not in self._inside:

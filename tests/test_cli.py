@@ -313,7 +313,7 @@ def test_table_empty_grid_exits_2(capsys):
 
 @pytest.mark.parametrize("grid,match", [
     ("8:8:1", "MAX_KMAX"),      # 6.1e7 series terms, about 0.3 s a pass
-    ("19:19:1", "rounds to 1"),  # tanh^2 == 1.0
+    ("19:19:1", "MAX_KMAX"),    # tanh^2 == 1.0; 2.2e17 series terms
     ("0:8:1", "MAX_KMAX"),      # refused before the valid rows are computed
 ])
 def test_table_unbounded_series_exits_2(grid, match, capsys, monkeypatch):
@@ -327,6 +327,28 @@ def test_table_unbounded_series_exits_2(grid, match, capsys, monkeypatch):
     assert exc.value.code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1].startswith("oscsym: error:") and match in err[-1]
+
+
+@pytest.mark.parametrize("grid", [
+    "0:1e308:1e-308",  # the point count is inf
+    "0:1:1e-300",      # 1e300 points, past numpy's largest array
+])
+def test_table_grid_numpy_cannot_hold_exits_2(grid, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--eta-grid", grid])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert [line for line in err if line.startswith("oscsym:")] == [err[-1]]
+    assert err[-1].startswith(f"oscsym: error: grid {grid!r}")
+
+
+def test_table_at_tiny_eta_leaves_stderr_empty(capsys):
+    # T(1e-300) = 7.2e-4, where e^{1/T} overflows inside the thermal entropy
+    code = main(["table", "--eta-grid", "1e-300:1e-300:1"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert captured.out.splitlines()[1].startswith("1e-300,")
 
 
 def test_table_kmax_above_cap_exits_2(capsys):

@@ -334,10 +334,10 @@ def test_series_weights_normalized_and_monotone():
 
 def test_moments_pure_state():
     m = moments(0.0, 10)
-    assert m.trace == 1.0
+    assert series_weights(0.0, 10).sum() == 1.0
     assert m.purity == 1.0
     assert m.entropy == 0.0
-    assert m.tail_bound == 0.0
+    assert series_tail_bound(0.0, 10) == 0.0
 
 
 def test_moments_negative_eta_folds():
@@ -380,7 +380,7 @@ def test_kmax_for_tail_clears_the_tail_up_to_eta_six():
 
 @pytest.mark.parametrize("eta,match", [
     (8.0, "MAX_KMAX"),          # 6.1e7 terms, about 0.3 s a pass
-    (19.0, "rounds to 1"),      # tanh^2 == 1.0: the count would be infinite
+    (19.0, "MAX_KMAX"),         # tanh^2 == 1.0, but ln q from e^{-2 eta}: 2.2e17 terms
     (float("nan"), "finite"),
     (float("inf"), "finite"),
     (_MAX_ETA + 1.0, f"<= {_MAX_ETA}"),
@@ -466,7 +466,7 @@ def _assert_rel_close(got, want, rtol):
 @pytest.mark.parametrize("eta", [0.5, 2.0, 4.0, 6.0])
 def test_moments_blocks_match_full_array_formula(eta, kmax):
     m = moments(eta, kmax)
-    _assert_rel_close((m.trace, m.purity, m.entropy),
+    _assert_rel_close((series_weights(eta, kmax).sum(), m.purity, m.entropy),
                       _full_ladder_sums(np.tanh(eta) ** 2, kmax), 1e-14)
 
 
@@ -474,7 +474,7 @@ def test_moments_blocks_match_full_array_formula(eta, kmax):
 def test_moments_match_full_array_formula_at_the_tail_rule(eta):
     kmax = kmax_for_tail(eta)
     m = moments(eta, kmax)
-    _assert_rel_close((m.trace, m.purity, m.entropy),
+    _assert_rel_close((series_weights(eta, kmax).sum(), m.purity, m.entropy),
                       _full_ladder_sums(np.tanh(eta) ** 2, kmax), 1e-14)
 
 
@@ -492,7 +492,8 @@ def test_thermal_entropy_series_matches_full_array_formula(T):
 def test_moments_of_short_ladders_match_full_array_formula(eta, kmax):
     m = moments(eta, kmax)
     want = _full_ladder_sums(np.tanh(eta) ** 2, kmax)
-    assert np.allclose((m.trace, m.purity, m.entropy), want, rtol=1e-14, atol=0.0)
+    got = (series_weights(eta, kmax).sum(), m.purity, m.entropy)
+    assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("eta", [3.0, 4.5, 5.25, 6.0])
@@ -517,9 +518,31 @@ def test_moments_past_eta_seven_match_high_precision(eta):
         head, q = mp.sech(eta) ** 2, mp.tanh(eta) ** 2
         w = [head * q ** k for k in range(201)]
         want = (mp.fsum(w), mp.fsum(x * x for x in w), -mp.fsum(x * mp.log(x) for x in w))
-    for got, ref in zip((m.trace, m.purity, m.entropy), want):
+    for got, ref in zip((series_weights(eta).sum(), m.purity, m.entropy), want):
         # the purity at eta = 350, about 3e-605, rounds to 0.0 in both
         assert abs(got - float(ref)) <= 1e-14 * float(ref), (got, ref)
+
+
+@pytest.mark.parametrize("eta", [10.0, 15.0, 18.5, 20.0, 100.0, 350.0,
+                                 -10.0, -15.0, -18.5, -20.0, -100.0, -350.0])
+def test_series_weights_past_eta_seven_match_high_precision(eta):
+    # from the rounded tanh^2, w_0 was 1.7e-4 relative off at eta = 15 and
+    # every weight was 0.0 from eta ~ 19 on
+    w = series_weights(eta, 200)
+    with mp.workdps(50):
+        head, q = mp.sech(eta) ** 2, mp.tanh(eta) ** 2
+        want = np.array([float(head * q ** k) for k in range(201)])
+    assert (np.abs(w - want) <= 1e-14 * want).all()
+
+
+@pytest.mark.filterwarnings("ignore:series tail bound")
+@pytest.mark.parametrize("kmax", [0, 1, 200, _SERIES_BLOCK - 1])
+@pytest.mark.parametrize("eta", [0.0, 1e-10, 0.7, -3.0, 6.0, 7.5, 20.0, 350.0])
+def test_moments_sum_the_series_weights(eta, kmax):
+    # one ladder formula: within one block the purity is the weights' own sum
+    # of squares, bit for bit
+    w = series_weights(eta, kmax)
+    assert w @ w == moments(eta, kmax).purity
 
 
 def test_moments_entropy_keeps_the_vacuum_term_at_tiny_eta():
@@ -647,6 +670,13 @@ def test_thermal_weights_equal_series_weights():
     for T in (0.5, 1.0, 2.0, 5.0):
         ratio = np.tanh(eta_from_temperature(T)) ** 2
         assert abs(np.exp(-1.0 / T) - ratio) <= 1e-15, T
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("T", [1e-3, 1.4e-3, 1e-300, 5e-324])
+def test_thermal_entropy_below_the_overflow_temperature(T):
+    # below T = 1/709.78 e^{1/T} overflows a double; the true entropy is below 1e-297
+    assert ThermalState(T).entropy() == 0.0
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
