@@ -23,6 +23,7 @@ Conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Tuple
@@ -53,6 +54,17 @@ def symplectic_form() -> np.ndarray:
 _J = symplectic_form()
 _J.flags.writeable = False
 _ASYMMETRIC = f"covariance must be finite and symmetric (within {DEFAULT_TOLERANCE:.0e})"
+_NOT_PD = "covariance must be positive definite"
+# the largest exponent whose exp is a finite double
+_LOG_MAX = math.log(sys.float_info.max)
+# coupling_transform's 45-degree normal-mode rotation; it is symmetric, so also its transpose
+_R45 = np.array([
+    [1.0, 0.0, 1.0, 0.0],
+    [0.0, 1.0, 0.0, 1.0],
+    [1.0, 0.0, -1.0, 0.0],
+    [0.0, 1.0, 0.0, -1.0],
+]) / np.sqrt(2.0)
+_R45.flags.writeable = False
 
 
 def symplectic_deviation(m: np.ndarray) -> float:
@@ -135,14 +147,31 @@ def coupling_transform(eta: float) -> np.ndarray:
     substitution ((x1 + x2) e^{eta} / sqrt2, (x1 - x2) e^{-eta} / sqrt2 and
     reciprocally for the momenta).
     """
-    r45 = np.array([
-        [1.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 1.0],
-        [1.0, 0.0, -1.0, 0.0],
-        [0.0, 1.0, 0.0, -1.0],
-    ]) / np.sqrt(2.0)
-    squeeze = np.diag([np.exp(eta), np.exp(-eta), np.exp(-eta), np.exp(eta)])
-    return r45.T @ squeeze
+    grow, shrink = np.exp(eta), np.exp(-eta)
+    # r45^T diag(squeeze): each column of r45^T scaled by its squeeze
+    return _R45 * np.array([grow, shrink, shrink, grow])
+
+
+def _pivots_positive(s00, s01, s02, s03, s11, s12, s13, s22, s23, s33) -> bool:
+    """True iff the four pivots of the LDL^T factorisation of a symmetric 4x4 are > 0.
+
+    The arguments are its upper triangle, row by row.  Each step divides by a
+    pivot already known to be positive and takes the Schur complement of the
+    rest; a symmetric matrix is positive definite iff every pivot is positive
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 10).
+    """
+    if not s00 > 0:
+        return False
+    l1, l2, l3 = s01 / s00, s02 / s00, s03 / s00
+    s11, s12, s13 = s11 - l1 * s01, s12 - l1 * s02, s13 - l1 * s03
+    s22, s23, s33 = s22 - l2 * s02, s23 - l2 * s03, s33 - l3 * s03
+    if not s11 > 0:
+        return False
+    l2, l3 = s12 / s11, s13 / s11
+    s22, s23, s33 = s22 - l2 * s12, s23 - l2 * s13, s33 - l3 * s13
+    if not s22 > 0:
+        return False
+    return s33 - s23 / s22 * s23 > 0
 
 
 @dataclass(frozen=True)
@@ -161,11 +190,19 @@ class GaussianState:
         cov = np.asarray(self.cov, dtype=float)
         if cov.shape != (4, 4):
             raise ValueError(f"covariance must be 4x4, got {cov.shape}")
-        if not np.abs(cov - cov.T).max() <= DEFAULT_TOLERANCE:
+        (c00, c01, c02, c03), (c10, c11, c12, c13), \
+            (c20, c21, c22, c23), (c30, c31, c32, c33) = cov.tolist()
+        if not (all(map(math.isfinite, (c00, c01, c02, c03, c10, c11, c12, c13,
+                                        c20, c21, c22, c23, c30, c31, c32, c33)))
+                and max(abs(c01 - c10), abs(c02 - c20), abs(c03 - c30),
+                        abs(c12 - c21), abs(c13 - c31), abs(c23 - c32)) <= DEFAULT_TOLERANCE):
             raise ValueError(_ASYMMETRIC)
-        cov = 0.5 * (cov + cov.T)
-        if np.linalg.eigvalsh(cov).min() <= 0:
-            raise ValueError("covariance must be positive definite")
+        s01, s02, s03 = 0.5 * (c01 + c10), 0.5 * (c02 + c20), 0.5 * (c03 + c30)
+        s12, s13, s23 = 0.5 * (c12 + c21), 0.5 * (c13 + c31), 0.5 * (c23 + c32)
+        if not _pivots_positive(c00, s01, s02, s03, c11, s12, s13, c22, s23, c33):
+            raise ValueError(_NOT_PD)
+        cov = np.array([[c00, s01, s02, s03], [s01, c11, s12, s13],
+                        [s02, s12, c22, s23], [s03, s13, s23, c33]])
         cov.flags.writeable = False
         object.__setattr__(self, "cov", cov)
 
@@ -209,6 +246,32 @@ def gaussian_purity(cov2: np.ndarray) -> float:
     return 1.0 / symplectic_eigenvalue(cov2)
 
 
+def _det2(a: float, b: float, c: float, d: float) -> float:
+    """det [[a, b], [c, d]] of finite entries, bit for bit as np.linalg.det gives it.
+
+    The same steps in Python scalars: LU with row pivoting, whose pivot row
+    (p, r) is the one with the larger |first entry| and whose other row (q, t)
+    leaves u = t - (q * (1/p)) r, then sign * exp(ln|p| + ln|u|) as numpy's
+    slogdet forms it.  A subnormal or zero pivot (LAPACK divides by it instead
+    of scaling) and a det that overflows go to np.linalg.det itself, so its
+    `overflow encountered in det` warning stays.
+    """
+    if abs(c) > abs(a):
+        sign, p, r, q, t = -1.0, c, d, a, b
+    else:
+        sign, p, r, q, t = 1.0, a, b, c, d
+    if abs(p) >= sys.float_info.min:
+        u = t - q * (1.0 / p) * r
+        if u == 0.0:
+            return 0.0
+        if (p < 0) != (u < 0):
+            sign = -sign
+        log_det = math.log(abs(p)) + math.log(abs(u))
+        if log_det <= _LOG_MAX:
+            return sign * math.exp(log_det)
+    return float(np.linalg.det(np.array([[a, b], [c, d]])))
+
+
 def symplectic_eigenvalue(cov2: np.ndarray) -> float:
     """mu = 2 sqrt(det cov2); 1 for the vacuum, cosh(2 eta) when coupled.
 
@@ -221,9 +284,9 @@ def symplectic_eigenvalue(cov2: np.ndarray) -> float:
     if not (all(map(math.isfinite, (a, b, c, d))) and abs(b - c) <= DEFAULT_TOLERANCE):
         raise ValueError(_ASYMMETRIC)
     s = 0.5 * (b + c)
-    det = float(np.linalg.det(np.array([[a, s], [s, d]])))
+    det = _det2(a, s, s, d)
     if not (a > 0 and det > 0):
-        raise ValueError("covariance must be positive definite")
+        raise ValueError(_NOT_PD)
     return 2.0 * math.sqrt(det)
 
 
@@ -273,9 +336,12 @@ def areas(state: GaussianState) -> Tuple[float, float]:
     A_i = 2 pi sqrt(det of the i-th 2x2 covariance block), normalized so the
     vacuum occupies area pi per oscillator (the unit-circle contour).
     """
-    cov = state.cov
-    a1, a2 = 2.0 * np.pi * np.sqrt(np.linalg.det(np.array((cov[:2, :2], cov[2:, 2:]))))
-    return float(a1), float(a2)
+    (a, b, _, _), (c, d, _, _), (_, _, e, f), (_, _, g, h) = state.cov.tolist()
+    dets = _det2(a, b, c, d), _det2(e, f, g, h)
+    if min(dets) < 0:  # a det that cancels below 0: NaN with numpy's invalid-value warning
+        a1, a2 = (2.0 * np.pi * np.sqrt(dets)).tolist()
+        return a1, a2
+    return 2.0 * math.pi * math.sqrt(dets[0]), 2.0 * math.pi * math.sqrt(dets[1])
 
 
 def area_product(state: GaussianState) -> float:

@@ -243,6 +243,7 @@ def test_simulate_unknown_generator_exits_2(capsys):
     ["--generator", "K1", "--eta", "-400"],
     ["--generator", "K1", "--eta", "800"],
     ["--generator", "L1", "--eta", "400"],     # a rotation: only T overflows
+    ["--generator", "G3", "--eta", "200"],     # the area-1 det overflows
 ])
 def test_simulate_overflowing_eta_exits_2(argv, capsys):
     with warnings.catch_warnings(record=True) as caught:

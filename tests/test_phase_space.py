@@ -9,6 +9,7 @@ from mpmath import mp
 
 from oscsym.families import FIFTEEN_LABELS, TENFOLD_LABELS, build_generator_set
 from oscsym.phase_space import (
+    _det2,
     GaussianState,
     SubVacuumError,
     area_product,
@@ -170,8 +171,7 @@ def test_gaussian_state_validation():
         GaussianState(-np.eye(4))
 
 
-# inf - inf in the symmetry comparison is what turns an inf entry into NaN
-@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+# no filterwarnings override: the pyproject error::RuntimeWarning filter applies
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
 def test_covariance_refuses_non_finite_entries(entry):
     block = np.eye(2) / 2
@@ -183,10 +183,15 @@ def test_covariance_refuses_non_finite_entries(entry):
     cov[1, 2] = cov[2, 1] = entry
     with pytest.raises(ValueError, match="finite"):
         GaussianState(cov)
+    for cell in np.ndindex(4, 4):
+        cov = np.eye(4) / 2
+        cov[cell] = entry
+        with pytest.raises(ValueError, match="finite"):
+            GaussianState(cov)
 
 
 def test_evolve_refuses_nan_transform():
-    # the NaN covariance is refused by name, before eigvalsh sees it
+    # the NaN covariance is refused by name, before its pivots are taken
     with pytest.raises(ValueError, match="finite"):
         evolve(vacuum_state(), np.full((4, 4), np.nan))
 
@@ -445,7 +450,7 @@ def test_block_invariants_equal_the_eigvalsh_route(source):
         assert is_canonical(m) == _reference_is_canonical(m)
         try:
             state = evolve(vacuum_state(), m)
-        except ValueError:  # GaussianState's 4x4 eigvalsh check: the pd-check defect
+        except ValueError:  # GaussianState's 4x4 pivot check: the pd-check defect
             continue
         assert areas(state) == _reference_areas(state)
         for keep in (1, 2):
@@ -471,6 +476,168 @@ def test_block_refusals_and_symmetrisation_equal_the_eigvalsh_route(block, match
         assert got == _outcome(reference, block)
         if match is not None:
             assert got[0] == "ValueError" and re.search(match, got[1])
+
+
+# ---------------------------------------------------------------------------
+# 2x2 determinants in Python scalars, bit for bit as np.linalg.det
+
+
+def _det2_draws(count, seed):
+    """(count, 2, 2) blocks: wide, near-singular, exactly singular and plain, of either sign."""
+    rng = np.random.default_rng(seed)
+    n = count // 4
+    # entries over e^-12..e^12, about half with |c| > |a| (a row swap)
+    wide = rng.choice([-1.0, 1.0], (n, 2, 2)) * np.exp(rng.uniform(-12.0, 12.0, (n, 2, 2)))
+    # second row = first row times r, one entry nudged by a few ulps: det near 0
+    row = np.exp(rng.uniform(-12.0, 12.0, (n, 1, 2)))
+    near = np.concatenate([row, row * np.exp(rng.uniform(-3.0, 3.0, (n, 1, 1)))], axis=1)
+    near[:, 1, 1] *= 1.0 + rng.uniform(-4e-16, 4e-16, n)
+    # integer rows, the second an integer multiple of the first: det exactly 0
+    row = rng.integers(1, 60, (n, 1, 2)).astype(float)
+    exact = np.concatenate([row, row * rng.integers(-5, 6, (n, 1, 1))], axis=1)
+    # row and column signs keep the singular ones singular
+    flips = rng.choice([-1.0, 1.0], (2 * n, 2, 1)) * rng.choice([-1.0, 1.0], (2 * n, 1, 2))
+    return np.concatenate([wide, flips * np.concatenate([near, exact]),
+                           rng.normal(size=(n, 2, 2))])
+
+
+def test_det2_equals_numpy_det_on_seeded_draws():
+    blocks = _det2_draws(100_000, seed=2002)
+    expected = np.linalg.det(blocks).tolist()
+    got = [_det2(a, b, c, d) for (a, b), (c, d) in blocks.tolist()]
+    assert got == expected
+    # the sign of a zero too: 0.0 == -0.0 would hide it
+    assert [np.copysign(1.0, x) for x in got] == [np.copysign(1.0, x) for x in expected]
+    assert got.count(0.0) > 10_000 and min(got) < 0 < max(got)
+
+
+def _det_outcome(route, block):
+    """The value of a det route, or the type and message of what it raised."""
+    try:
+        value = route(block)
+    except (ArithmeticError, RuntimeWarning) as exc:
+        return type(exc).__name__, str(exc)
+    return float(value), float(np.copysign(1.0, value))
+
+
+SPECIAL_BLOCKS = [
+    [[1e-310, 0.0], [0.0, 1.0]],       # subnormal pivot: a bare 1/a is inf, 0 * inf NaN
+    # subnormal pivot with a finite 1/a: numpy reads 3.17e-311, the LU steps 7.74e-312
+    [[-7.004646341155436e-309, -0.005677696061279298],
+     [-4.220642160783096e-309, -0.004526492921104458]],
+    [[0.0, 1e-310], [1e-309, 1.0]],    # swap onto a subnormal pivot
+    [[5e-324, 5e-324], [5e-324, 5e-324]],
+    [[5e-324, 0.0], [0.0, 5e-324]],    # the det underflows to 0
+    [[1e-200, 0.0], [0.0, -1e-200]],   # underflows to -0.0
+    [[0.0, 0.0], [0.0, 0.0]],
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[1e300, 0.0], [0.0, 1e300]],      # the det overflows
+    [[1e300, 1.0], [1.0, -1e300]],
+    [[1e-300, 1e300], [-1e300, 1e-300]],
+    [[1e308, 1.0], [1.0, 1e308]],
+    [[1e154, 0.0], [0.0, 1e154]],      # 1e308: just finite
+    [[1.5, 2.5], [-3.5, 4.5]],
+]
+
+
+@pytest.mark.parametrize("block", SPECIAL_BLOCKS)
+def test_det2_equals_numpy_det_on_special_blocks(block):
+    block = np.array(block)
+
+    def scalar_route(x):
+        return _det2(*x.ravel().tolist())
+
+    # under the pyproject error::RuntimeWarning filter, then as simulate runs it
+    assert _det_outcome(scalar_route, block) == _det_outcome(np.linalg.det, block)
+    with np.errstate(over="raise"):
+        assert _det_outcome(scalar_route, block) == _det_outcome(np.linalg.det, block)
+
+
+def test_det2_overflow_warns_as_numpy_det():
+    with pytest.warns(RuntimeWarning, match="overflow encountered in det"):
+        assert _det2(1e300, 0.0, 0.0, 1e300) == np.inf
+
+
+# ---------------------------------------------------------------------------
+# the 4x4 covariance check: LDL^T pivots in Python scalars
+
+
+def _reference_state_cov(cov):
+    """GaussianState's covariance by the eigvalsh-checked route it replaced: the reference."""
+    cov = np.asarray(cov, dtype=float)
+    if not np.abs(cov - cov.T).max() <= 1e-12:
+        raise ValueError("covariance must be finite and symmetric (within 1e-12)")
+    cov = 0.5 * (cov + cov.T)
+    if np.linalg.eigvalsh(cov).min() <= 0:
+        raise ValueError("covariance must be positive definite")
+    return cov
+
+
+def _state_outcome(route, cov):
+    try:
+        return route(cov).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("source", FIFTEEN_LABELS + ("couple",))
+def test_covariance_check_accepts_what_eigvalsh_accepts(source):
+    # up to |theta| = 8.5, below the rounding-dependent pd-check zone
+    params = [0.05 * i for i in range(-170, 171)]
+    if source == "couple":
+        transforms = [coupling_transform(0.01 * i) for i in range(1, 851)]
+    else:
+        transforms = [generator_to_transform(source, theta) for theta in params]
+    vacuum = vacuum_state().cov
+    for m in transforms:
+        cov = m @ vacuum @ m.T
+        # raw M cov M^T is asymmetric by its rounding; evolve symmetrises it first
+        for candidate in (cov, 0.5 * (cov + cov.T)):
+            expected = _state_outcome(_reference_state_cov, candidate)
+            assert _state_outcome(lambda c: GaussianState(c).cov, candidate) == expected
+        assert _state_outcome(lambda t: evolve(vacuum_state(), t).cov, m) == expected
+
+
+def test_covariance_check_stores_the_symmetrised_copy():
+    cov = np.array([[0.7, 0.2, 0.0, 0.1], [0.2 + 9e-13, 0.9, 0.0, 0.0],
+                    [0.0, 0.0, 0.5, -3e-13], [0.1, 0.0, 0.0, 0.5]])
+    state = GaussianState(cov)
+    assert np.array_equal(state.cov, _reference_state_cov(cov))
+    assert np.array_equal(state.cov, state.cov.T) and not state.cov.flags.writeable
+    assert state.cov is not cov
+
+
+ASYMMETRIC = "covariance must be finite and symmetric (within 1e-12)"
+NOT_POSITIVE_DEFINITE = "covariance must be positive definite"
+
+
+@pytest.mark.parametrize("cov,message", [
+    (-np.eye(4), NOT_POSITIVE_DEFINITE),
+    (np.zeros((4, 4)), NOT_POSITIVE_DEFINITE),
+    (np.outer([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]), NOT_POSITIVE_DEFINITE),  # rank one
+    (np.diag([0.5, 0.5, 0.5, -1e-300]), NOT_POSITIVE_DEFINITE),
+    *((np.diag([0.0 if i == k else 0.5 for i in range(4)]), NOT_POSITIVE_DEFINITE)
+      for k in range(4)),  # each LDL^T pivot exactly 0 in turn
+    (np.eye(4) / 2 + 2e-12 * np.eye(4, k=1), ASYMMETRIC),
+])
+def test_covariance_check_refusals_equal_the_eigvalsh_route(cov, message):
+    with pytest.raises(ValueError) as exc:
+        GaussianState(cov)
+    assert str(exc.value) == message == _state_outcome(_reference_state_cov, cov)
+
+
+def test_areas_of_a_block_whose_det_cancels_below_zero_are_nan_as_before():
+    # LDL^T accepts this near-rank-one block, and eigvalsh did too (2.3e-13),
+    # but the block's LU det is -4.3e-9: NaN with numpy's warning, as the reference
+    cov = np.diag([18881.969807879806, 1219.860779961226, 0.5, 0.5])
+    cov[0, 1] = cov[1, 0] = 4799.309785484219
+    state = GaussianState(cov)
+    assert _reference_state_cov(cov).tobytes() == state.cov.tobytes()
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in sqrt"):
+        expected = _reference_areas(state)
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in sqrt"):
+        got = areas(state)
+    assert repr(got) == repr(expected) == repr((np.nan, np.pi))
 
 
 # ---------------------------------------------------------------------------
