@@ -386,19 +386,29 @@ def _psi_eta_grid(eta: float) -> np.ndarray:
     return grid
 
 
+@lru_cache(maxsize=HERMITE_KMAX + 1)
+def _weighted_phi(k: int) -> np.ndarray:
+    """w * phi(k, x) on the gauss_hermite() nodes, read-only (128 doubles a row)."""
+    x, w = gauss_hermite()
+    row = w * phi(k, x)
+    row.flags.writeable = False
+    return row
+
+
 def expansion_overlap(eta: float, k: int) -> float:
     """<phi_k(x1) phi_k(x2) | psi_eta> by two-dimensional quadrature.
 
     sum_ij w_i phi_k(x_i) psi_eta(x_i, x_j) w_j phi_k(x_j) on the
     gauss_hermite() nodes.  The psi_eta grid depends on eta only, so it is
-    built once per eta and reused across k; the result is bit for bit the
-    one a freshly built grid gives.
+    built once per eta and reused across k, and the weighted row depends on
+    k only, so it is built once per k; the result is bit for bit the one a
+    freshly built grid and row give.
     Contract: equals expansion_coefficient(eta, k).
     """
+    k = operator.index(k)
     if k < 0:
         raise ValueError("k must be >= 0")
-    x, w = gauss_hermite()
-    weighted = w * phi(k, x)
+    weighted = _weighted_phi(k)
     return float(weighted @ _psi_eta_grid(float(eta)) @ weighted)
 
 
@@ -442,15 +452,17 @@ def rho_partial_trace(eta: float, x, xp):
     With h = (x + x')/2 and d = x - x' the product of the two factors is
     exactly (1/pi) exp(-cosh(2 eta) d^2 / 4)
     * exp(-[e^{2 eta} (t - h)^2 + e^{-2 eta} (t + h)^2] / 2), so only the
-    second factor depends on the node t: one exp per (point, node), in
-    place, weighted by one matrix-vector product, over blocks of points
-    whose (points, nodes) integrand stays within 64 KiB.  The squares stay
-    centred: expanded into t^2 - 2 t h + h^2 they cancel at large eta.
+    second factor depends on the node t, and only through h: one exp per
+    (distinct h, node), in place, weighted by one matrix-vector product,
+    over blocks of h whose (h, nodes) integrand stays within 64 KiB; a grid
+    of n x n points has only 2n - 1 distinct h.  The squares stay centred:
+    expanded into t^2 - 2 t h + h^2 they cancel at large eta.
     """
     _check_eta(eta)
     x, xp = np.broadcast_arrays(np.asarray(x, float), np.asarray(xp, float))
     t, w = gauss_hermite()
-    h = (0.5 * (x + xp)).reshape(-1, 1)
+    h, where = np.unique(0.5 * (x + xp), return_inverse=True)
+    h = h.reshape(-1, 1)
     c_minus, c_plus = -0.5 * np.exp(2 * eta), -0.5 * np.exp(-2 * eta)
     sums = np.empty(len(h))
     block = max(1, _QUADRATURE_BYTES // (8 * len(t)))
@@ -465,7 +477,7 @@ def rho_partial_trace(eta: float, x, xp):
         exponent += plus
         sums[lo:lo + block] = np.exp(exponent, out=exponent) @ w
     d = x - xp
-    return (np.exp(-0.25 * np.cosh(2 * eta) * d * d) / np.pi * sums.reshape(x.shape))[()]
+    return (np.exp(-0.25 * np.cosh(2 * eta) * d * d) / np.pi * sums[where].reshape(x.shape))[()]
 
 
 # ---------------------------------------------------------------------------

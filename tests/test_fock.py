@@ -14,6 +14,8 @@ from oscsym.fock import (
     _MAX_ETA,
     _SERIES_BLOCK,
     _psi_eta_grid,
+    _weighted_phi,
+    HERMITE_KMAX,
     MAX_KMAX,
     MAX_NMAX,
     ThermalState,
@@ -287,6 +289,35 @@ def test_expansion_rejects_negative_k():
         expansion_overlap(0.5, -1)
     with pytest.raises(ValueError):
         expansion_coefficient(0.5, -1)
+
+
+@pytest.mark.parametrize("eta", [0.05, 0.8, 2.0, -1.3])
+def test_expansion_overlap_equals_a_freshly_weighted_row(eta):
+    # the cached w * phi(k, x) rows against rows and a grid built here
+    x, w = gauss_hermite()
+    grid = psi_eta(eta, x[:, None], x[None, :])
+    for k in range(HERMITE_KMAX + 1):
+        weighted = w * phi(k, x)
+        assert expansion_overlap(eta, k) == float(weighted @ grid @ weighted), k
+
+
+def test_expansion_overlap_refusals_leave_the_row_cache_bounded():
+    for k in range(HERMITE_KMAX + 1):
+        expansion_overlap(0.5, k)
+    for k in (-1, HERMITE_KMAX + 1):
+        with pytest.raises(ValueError):
+            expansion_overlap(0.5, k)
+        assert _weighted_phi.cache_info().currsize <= HERMITE_KMAX + 1
+    with pytest.raises(TypeError):
+        expansion_overlap(0.5, 0.5)  # not silently read as phi_0
+
+
+def test_cached_weighted_rows_are_read_only():
+    expansion_overlap(0.7, 3)
+    row = _weighted_phi(3)
+    assert not row.flags.writeable
+    with pytest.raises(ValueError):
+        row[0] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +646,52 @@ def test_rho_routes_broadcast_and_refuse_like_the_recurrence():
     for kmax in (-1, 201):
         with pytest.raises(ValueError):
             rho_series(0.8, pts, pts, kmax)
+
+
+def _per_point_partial_trace(eta, x, xp):
+    """Reference: the partial trace integrated once per point, not per distinct h."""
+    x, xp = np.broadcast_arrays(np.asarray(x, float), np.asarray(xp, float))
+    t, w = gauss_hermite()
+    h = (0.5 * (x + xp)).reshape(-1, 1)
+    c_minus, c_plus = -0.5 * np.exp(2 * eta), -0.5 * np.exp(-2 * eta)
+    sums = np.empty(len(h))
+    block = max(1, 2 ** 16 // (8 * len(t)))
+    for lo in range(0, len(h), block):
+        hb = h[lo:lo + block]
+        exponent = t - hb
+        exponent *= exponent
+        exponent *= c_minus
+        plus = t + hb
+        plus *= plus
+        plus *= c_plus
+        exponent += plus
+        sums[lo:lo + block] = np.exp(exponent, out=exponent) @ w
+    d = x - xp
+    return (np.exp(-0.25 * np.cosh(2 * eta) * d * d) / np.pi * sums.reshape(x.shape))[()]
+
+
+def test_rho_partial_trace_per_distinct_h_matches_the_per_point_integral():
+    # the same integrand; only how BLAS blocks the weighted row sums differs:
+    # 2.8e-17 at most on the bench grid, and 1.1e-16 (one eps relative) at
+    # rho = 0.497 on the demo grid, whose values reach 0.56
+    x, xp = _bench_grid()
+    demo = np.array([-1.0, 0.0, 0.5])
+    for eta in np.arange(1, 81) * 0.05:
+        got, want = rho_partial_trace(eta, x, xp), _per_point_partial_trace(eta, x, xp)
+        assert np.abs(got - want).max() <= 1e-16, eta
+        got = rho_partial_trace(eta, demo[:, None], demo[None, :])
+        want = _per_point_partial_trace(eta, demo[:, None], demo[None, :])
+        assert (np.abs(got - want) <= 2 * np.finfo(float).eps * want).all(), eta
+
+
+@pytest.mark.parametrize("eta", [0.05, 0.8, 1.49, -1.3, 4.0])
+def test_rho_partial_trace_is_exactly_symmetric(eta):
+    x, xp = _bench_grid()
+    rho = rho_partial_trace(eta, x, xp)
+    assert np.array_equal(rho, rho.T)
+    assert np.array_equal(rho_partial_trace(eta, xp, x), rho)
+    assert isinstance(rho_partial_trace(eta, 0.3, -1.1), np.float64)
+    assert rho_partial_trace(eta, 0.3, -1.1) == rho_partial_trace(eta, -1.1, 0.3)
 
 
 def _peak_bytes(fn, *args):
