@@ -13,10 +13,11 @@ Exit status: 0 when every executed check passes (WARN rows document known
 print discrepancies and do not fail the run), 1 on any FAIL, 2 on bad
 arguments (a ``table`` row needing more than ``fock.MAX_KMAX`` series
 terms and a ``simulate`` eta whose temperature or transform overflows a
-double included), 3 on an internal error: an exception escaping a command
-is printed as one ``oscsym: internal error: <message>`` line on stderr,
-without a traceback.  All output is deterministic: no randomness, stable
-ordering, floats rendered with 17 significant digits.
+double, or whose covariance double precision cannot check, included), 3 on
+an internal error: an exception escaping a command is printed as one
+``oscsym: internal error: <message>`` line on stderr, without a traceback.
+All output is deterministic: no randomness, stable ordering, floats
+rendered with 17 significant digits.
 
 JSON reports follow
 ``{"suite": str, "results": [{"name": str, "residual": float, "status": "PASS|WARN|FAIL"}]}``
@@ -265,9 +266,13 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         except ValueError as exc:
             parser.error(str(exc))
         name = args.generator
-    state = ps.evolve(ps.vacuum_state(), m)
-    cov1 = ps.reduce_oscillator(state, 1)
-    purity = ps.gaussian_purity(cov1)
+    try:
+        state = ps.evolve(ps.vacuum_state(), m)
+        cov1 = ps.reduce_oscillator(state, 1)
+        purity = ps.gaussian_purity(cov1)
+    except ValueError as exc:
+        parser.error(f"at eta = {eta:g} double precision cannot check the transformed "
+                     f"covariance ({exc})")
     try:
         entropy = ps.gaussian_entropy(cov1)
         subvacuum = False

@@ -256,6 +256,23 @@ def test_simulate_overflowing_eta_exits_2(argv, capsys):
     assert usage.startswith("usage:") and error.startswith("oscsym: error:")
 
 
+@pytest.mark.parametrize("argv,eta", [
+    (["--generator", "G3", "--eta", "-200"], "-200"),  # the kept block's det underflows
+    (["--couple", "--eta", "10"], "10"),               # the 4x4 pivots round below 0
+])
+def test_simulate_uncheckable_covariance_exits_2(argv, eta, capsys):
+    # a valid state whose covariance double precision cannot judge is a bad
+    # --eta, not the exit 3 of an internal error
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    usage, error = err.strip().splitlines()
+    assert usage.startswith("usage:")
+    assert error.startswith(f"oscsym: error: at eta = {eta} double precision cannot check")
+
+
 def test_simulate_csv_format(capsys):
     code, out = run(capsys, "simulate", "--generator", "K2", "--eta", "0.3",
                     "--format", "csv")
