@@ -52,6 +52,9 @@ SIMULATE_COLUMNS = ("transform", "eta", "temperature", "purity", "entropy",
                     "area1", "area2", "area_product", "canonical", "subvacuum")
 TABLE_COLUMNS = ("eta", "T", "purity", "entropy_series", "entropy_gaussian",
                  "radius", "max_discrepancy")
+#: the widest residual a double prints (-2.2250738585072014e-308), so that
+#: one changed residual rewrites one row of ``verify --format text``
+_RESIDUAL_WIDTH = 24
 
 
 def _fmt(value) -> str:
@@ -74,9 +77,11 @@ def _emit(text: str, out: Optional[str]) -> None:
         print(text)
 
 
-def _rows_text(rows: List[Dict], columns: Sequence[str]) -> str:
+def _rows_text(rows: List[Dict], columns: Sequence[str],
+               min_widths: Optional[Dict[str, int]] = None) -> str:
     cells = [[_fmt(r.get(c)) for c in columns] for r in rows]
-    widths = [max(len(c), *(len(row[i]) for row in cells)) if cells else len(c)
+    min_widths = min_widths or {}
+    widths = [max(len(c), min_widths.get(c, 0), *(len(row[i]) for row in cells))
               for i, c in enumerate(columns)]
     lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip()]
     for row in cells:
@@ -228,7 +233,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         n_pass = sum(r["status"] == "PASS" for r in rows)
         n_warn = sum(r["status"] == "WARN" for r in rows)
         n_fail = sum(r["status"] == "FAIL" for r in rows)
-        body = _rows_text(rows, ("status", "residual", "name"))
+        body = _rows_text(rows, ("status", "residual", "name"),
+                          {"residual": _RESIDUAL_WIDTH})
         summary = f"{len(rows)} checks: {n_pass} PASS, {n_warn} WARN, {n_fail} FAIL"
         _emit(body + "\n" + summary, args.out)
     return 1 if any(r["status"] == "FAIL" for r in rows) else 0

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oscsym
-from oscsym import fock
+from oscsym import cli, fock
 from oscsym.cli import main
 
 
@@ -156,6 +156,20 @@ def test_verify_csv_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "name,residual,status"
     assert lines[1].endswith(",PASS")
+
+
+def test_verify_text_rewrites_only_the_row_whose_residual_changed(capsys, monkeypatch):
+    # the residual column is as wide as the widest residual a double prints
+    outputs = []
+    for residual in (0.0, -2.2250738585072014e-308):
+        monkeypatch.setitem(cli._SUITE_RUNNERS, "sp4", lambda tol, nmax, r=residual: [
+            cli._check_row("first", 0.0, tol), cli._check_row("second", r, tol)])
+        code, out = run(capsys, "verify", "--suite", "sp4")
+        assert code == 0
+        outputs.append(out.splitlines())
+    before, after = outputs
+    assert [i for i, (a, b) in enumerate(zip(before, after)) if a != b] == [2]
+    assert after[2] == "PASS    -2.2250738585072014e-308  second"
 
 
 # ---------------------------------------------------------------------------
