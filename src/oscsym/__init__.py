@@ -25,7 +25,7 @@ from .fock import (
     verify_fock_commutators, wigner_radius,
 )
 from .phase_space import (
-    SubVacuumError, area_product, areas, coupling_transform,
+    SubVacuumError, areas, coupling_transform,
     eta_from_temperature, evolve, gaussian_entropy, gaussian_purity,
     generator_to_transform, is_canonical, reduce_oscillator,
     symplectic_deviation, temperature_from_eta, vacuum_state,

@@ -16,6 +16,8 @@ terms and a ``simulate`` eta whose temperature or transform overflows a
 double, or whose covariance double precision cannot check, included), 3 on
 an internal error: an exception escaping a command is printed as one
 ``oscsym: internal error: <message>`` line on stderr, without a traceback.
+141 (128 + SIGPIPE, as a shell reports a tool the signal ended) when the
+reader of stdout closes it early, as ``| head -1`` does; stderr stays empty.
 All output is deterministic: no randomness, stable ordering, floats
 rendered with 17 significant digits.
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -74,7 +77,7 @@ def _emit(text: str, out: Optional[str]) -> None:
             if not text.endswith("\n"):
                 fh.write("\n")
     else:
-        print(text)
+        print(text, flush=True)  # a closed pipe raises here, inside main's handlers
 
 
 def _rows_text(rows: List[Dict], columns: Sequence[str],
@@ -276,6 +279,7 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         state = ps.evolve(ps.vacuum_state(), m)
         cov1 = ps.reduce_oscillator(state, 1)
         purity = ps.gaussian_purity(cov1)
+        a1, a2 = ps.areas(state)
     except ValueError as exc:
         parser.error(f"at eta = {eta:g} double precision cannot check the transformed "
                      f"covariance ({exc})")
@@ -285,7 +289,6 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     except ps.SubVacuumError:
         entropy = None
         subvacuum = True
-    a1, a2 = ps.areas(state)
     row = {
         "transform": name,
         "eta": float(eta),
@@ -439,6 +442,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             except FloatingPointError as exc:
                 parser.error(f"the simulate transform overflows a double ({exc})")
         return _cmd_table(args, parser)
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the exit flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception as exc:  # the CLI boundary: exit 3, never a traceback
         message = " ".join(str(exc).split()) or type(exc).__name__
         print(f"{parser.prog}: internal error: {message}", file=sys.stderr)

@@ -306,6 +306,7 @@ def _hermite_rows(kmax: int, x: np.ndarray) -> Iterator[np.ndarray]:
     phi_{k+1} = sqrt(2/(k+1)) x phi_k - sqrt(k/(k+1)) phi_{k-1},
     which is stable upward; k is capped at HERMITE_KMAX.
     """
+    kmax = operator.index(kmax)  # a float k would truncate or fail inside range
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     if kmax > HERMITE_KMAX:

@@ -13,9 +13,9 @@ Conventions, fixed once and used everywhere:
   theta = eta scales the two oscillator planes by e^{+eta} and e^{-eta}.
   A^2 = -I for the rotations (L, S) and +I for the squeezes (K, Q, G), so
   M = cos(theta) I + sin(theta) A or e^theta P + e^-theta (I - P), P = (I + A)/2.
-* Purity of a 2x2 reduced covariance is 1/(2 sqrt(det)), so the vacuum
-  block I/2 gives exactly 1; the phase-space area of a block is
-  2 pi sqrt(det), so the vacuum area is pi.
+* A 2x2 block's symplectic eigenvalue mu = 2 sqrt(det) gives its purity
+  1/mu, so the vacuum block I/2 gives exactly 1, and its phase-space area
+  pi mu = 2 pi sqrt(det), so the vacuum area is pi.
 * Entropy is S(v) = (v + 1) ln(v + 1) - v ln v at the mean occupation
   v = (mu - 1)/2 = 1/(e^{1/T} - 1) = sinh^2(eta) of the reduced state.
 """
@@ -34,24 +34,17 @@ from .algebra import DEFAULT_TOLERANCE
 from .families import build_generator_set
 
 __all__ = [
-    "DEFAULT_TOLERANCE", "symplectic_form", "symplectic_deviation",
-    "is_canonical", "generator_to_transform", "coupling_transform",
-    "GaussianState", "vacuum_state", "evolve", "reduce_oscillator",
-    "gaussian_purity", "symplectic_eigenvalue", "SubVacuumError",
-    "occupation_entropy", "gaussian_entropy", "areas", "area_product",
-    "eta_from_temperature", "temperature_from_eta",
+    "DEFAULT_TOLERANCE", "symplectic_deviation", "is_canonical", "generator_to_transform",
+    "coupling_transform", "GaussianState", "vacuum_state", "evolve", "reduce_oscillator",
+    "gaussian_purity", "SubVacuumError", "occupation_entropy", "gaussian_entropy",
+    "areas", "eta_from_temperature", "temperature_from_eta",
 ]
 
-
-def symplectic_form() -> np.ndarray:
-    """The 4x4 form J, block-diagonal [[0, 1], [-1, 0]]: J^2 = -I, J^T = -J."""
-    return np.array([[0.0, 1.0, 0.0, 0.0],
-                     [-1.0, 0.0, 0.0, 0.0],
-                     [0.0, 0.0, 0.0, 1.0],
-                     [0.0, 0.0, -1.0, 0.0]])
-
-
-_J = symplectic_form()
+# the symplectic form J, block-diagonal [[0, 1], [-1, 0]]: J^2 = -I, J^T = -J
+_J = np.array([[0.0, 1.0, 0.0, 0.0],
+               [-1.0, 0.0, 0.0, 0.0],
+               [0.0, 0.0, 0.0, 1.0],
+               [0.0, 0.0, -1.0, 0.0]])
 _J.flags.writeable = False
 _ASYMMETRIC = f"covariance must be finite and symmetric (within {DEFAULT_TOLERANCE:.0e})"
 _NOT_PD = "covariance must be positive definite"
@@ -243,7 +236,7 @@ def gaussian_purity(cov2: np.ndarray) -> float:
     1/(2 sqrt(det cov2)) under the vacuum = I/2 convention: 1 for the
     vacuum block, 1/cosh(2 eta) for the reduced coupled ground state.
     """
-    return 1.0 / symplectic_eigenvalue(cov2)
+    return 1.0 / _block_mu(cov2)
 
 
 def _det2(a: float, b: float, c: float, d: float) -> float:
@@ -272,15 +265,12 @@ def _det2(a: float, b: float, c: float, d: float) -> float:
     return float(np.linalg.det(np.array([[a, b], [c, d]])))
 
 
-def symplectic_eigenvalue(cov2: np.ndarray) -> float:
-    """mu = 2 sqrt(det cov2); 1 for the vacuum, cosh(2 eta) when coupled.
+def _mu(a: float, b: float, c: float, d: float) -> float:
+    """mu = 2 sqrt(det [[a, b], [c, d]]); 1 for the vacuum, cosh(2 eta) when coupled.
 
-    Positive definite is judged as a > 0 and det > 0, on the det mu is read from.
+    The one check of a 2x2 covariance: finite, symmetric within DEFAULT_TOLERANCE,
+    and positive definite judged as a > 0 and det > 0, on the det mu is read from.
     """
-    cov2 = np.asarray(cov2, dtype=float)
-    if cov2.shape != (2, 2):
-        raise ValueError(f"covariance must be 2x2, got {cov2.shape}")
-    (a, b), (c, d) = cov2.tolist()
     if not (all(map(math.isfinite, (a, b, c, d))) and abs(b - c) <= DEFAULT_TOLERANCE):
         raise ValueError(_ASYMMETRIC)
     s = 0.5 * (b + c)
@@ -288,6 +278,14 @@ def symplectic_eigenvalue(cov2: np.ndarray) -> float:
     if not (a > 0 and det > 0):
         raise ValueError(_NOT_PD)
     return 2.0 * math.sqrt(det)
+
+
+def _block_mu(cov2: np.ndarray) -> float:
+    """_mu of a 2x2 covariance given as an array."""
+    cov2 = np.asarray(cov2, dtype=float)
+    if cov2.shape != (2, 2):
+        raise ValueError(f"covariance must be 2x2, got {cov2.shape}")
+    return _mu(*cov2.ravel().tolist())
 
 
 class SubVacuumError(ValueError):
@@ -321,7 +319,7 @@ def gaussian_entropy(cov2: np.ndarray) -> float:
     Raises:
         SubVacuumError: mu < 1 - DEFAULT_TOLERANCE.
     """
-    mu = symplectic_eigenvalue(cov2)
+    mu = _block_mu(cov2)
     if mu < 1.0 - DEFAULT_TOLERANCE:
         raise SubVacuumError(
             f"symplectic eigenvalue mu = {mu:.12g} < 1: sub-vacuum covariance "
@@ -333,27 +331,12 @@ def gaussian_entropy(cov2: np.ndarray) -> float:
 def areas(state: GaussianState) -> Tuple[float, float]:
     """Phase-space areas (A1, A2) of the two oscillators.
 
-    A_i = 2 pi sqrt(det of the i-th 2x2 covariance block), normalized so the
-    vacuum occupies area pi per oscillator (the unit-circle contour).
+    A_i = pi mu_i = 2 pi sqrt(det of the i-th 2x2 covariance block), so the
+    vacuum occupies area pi per oscillator (the unit-circle contour).  A block
+    is checked as gaussian_purity checks it: one whose det rounds to <= 0 is refused.
     """
     (a, b, _, _), (c, d, _, _), (_, _, e, f), (_, _, g, h) = state.cov.tolist()
-    dets = _det2(a, b, c, d), _det2(e, f, g, h)
-    if min(dets) < 0:  # a det that cancels below 0: NaN with numpy's invalid-value warning
-        a1, a2 = (2.0 * np.pi * np.sqrt(dets)).tolist()
-        return a1, a2
-    return 2.0 * math.pi * math.sqrt(dets[0]), 2.0 * math.pi * math.sqrt(dets[1])
-
-
-def area_product(state: GaussianState) -> float:
-    """Correlation-aware four-volume measure (2 pi)^2 sqrt(det cov).
-
-    Equals areas(state)[0] * areas(state)[1] whenever the two oscillators
-    are uncorrelated (all the block-diagonal flows), and is invariant under
-    every determinant-one transform, correlated or not.  The plain product
-    of marginal areas grows like cosh^2 under the oscillator-mixing
-    squeezes, which build cross correlations.
-    """
-    return float((2.0 * np.pi) ** 2 * np.sqrt(np.linalg.det(state.cov)))
+    return math.pi * _mu(a, b, c, d), math.pi * _mu(e, f, g, h)
 
 
 def eta_from_temperature(T: float) -> float:

@@ -56,6 +56,24 @@ def test_internal_error_exits_3_with_one_line():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("argv", [("verify", "--suite", "all"),
+                                  ("table", "--eta-grid", "0:3:0.001")])
+def test_closed_stdout_exits_141_quietly(argv, buffered):
+    # the reader is gone before the child writes, as in `oscsym ... | true`
+    src = os.path.dirname(os.path.dirname(oscsym.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "oscsym.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate()
+    assert (proc.returncode, err) == (141, b"")
+
+
 def test_internal_error_without_message_names_its_type(capsys, monkeypatch):
     def broken(*args):
         raise ZeroDivisionError

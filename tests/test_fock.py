@@ -204,6 +204,15 @@ def test_phi_caps_recurrence_depth():
         phi(-1, 0.0)
 
 
+@pytest.mark.parametrize("call", [lambda: phi(0.5, 0.0), lambda: phi(2.5, 0.0),
+                                  lambda: rho_series(0.5, 0.1, 0.2, 3.5)])
+def test_non_integer_k_is_refused(call):
+    # phi(0.5, 0.0) used to return phi_0(0) silently
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        call()
+    assert phi(np.int64(3), 0.3) == phi(3, 0.3)
+
+
 def test_psi_eta_reduces_to_ground_state():
     x1 = np.linspace(-2, 2, 9)[:, None]
     x2 = np.linspace(-2, 2, 9)[None, :]

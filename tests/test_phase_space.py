@@ -10,9 +10,9 @@ from mpmath import mp
 from oscsym.families import FIFTEEN_LABELS, TENFOLD_LABELS, build_generator_set
 from oscsym.phase_space import (
     _det2,
+    _J,
     GaussianState,
     SubVacuumError,
-    area_product,
     areas,
     coupling_transform,
     eta_from_temperature,
@@ -24,8 +24,6 @@ from oscsym.phase_space import (
     occupation_entropy,
     reduce_oscillator,
     symplectic_deviation,
-    symplectic_eigenvalue,
-    symplectic_form,
     temperature_from_eta,
     vacuum_state,
 )
@@ -38,9 +36,9 @@ EXTENSION_LABELS = ("S1", "S2", "G1", "G2", "G3")
 # symplectic form and canonicality
 
 def test_symplectic_form_invariants():
-    j = symplectic_form()
-    assert np.array_equal(j.T, -j)
-    assert np.allclose(j @ j, -np.eye(4))
+    assert np.array_equal(_J.T, -_J)
+    assert np.allclose(_J @ _J, -np.eye(4))
+    assert not _J.flags.writeable
 
 
 def test_identity_is_canonical():
@@ -176,7 +174,7 @@ def test_gaussian_state_validation():
 def test_covariance_refuses_non_finite_entries(entry):
     block = np.eye(2) / 2
     block[0, 0] = entry
-    for route in (gaussian_purity, gaussian_entropy, symplectic_eigenvalue):
+    for route in (gaussian_purity, gaussian_entropy):
         with pytest.raises(ValueError, match="finite"):
             route(block)
     cov = np.eye(4) / 2
@@ -327,7 +325,7 @@ def test_entropy_subvacuum_rejected():
     eta = 0.5
     st = evolve(vacuum_state(), generator_to_transform("G3", eta))
     contracted = reduce_oscillator(st, 2)
-    assert abs(symplectic_eigenvalue(contracted) - np.e ** -1.0) <= 1e-12
+    assert abs(1.0 / gaussian_purity(contracted) - np.e ** -1.0) <= 1e-12
     with pytest.raises(SubVacuumError):
         gaussian_entropy(contracted)
     # ...but the contracted block remains a representable classical Gaussian
@@ -346,7 +344,7 @@ def test_entropy_monotone_in_eta():
 # 2x2 block invariants: one check, and positive definiteness judged by the
 # determinant that mu is taken from
 
-BLOCK_ROUTES = (gaussian_purity, gaussian_entropy, symplectic_eigenvalue)
+BLOCK_ROUTES = (gaussian_purity, gaussian_entropy)
 
 
 # no filterwarnings override: the pyproject error::RuntimeWarning filter applies
@@ -364,7 +362,7 @@ def test_block_refuses_non_finite_entries_without_a_warning(entry, cell):
     # eigvalsh reads min 1.8e-12 > 0 here, but det is 0.0: purity divided by
     # zero and entropy reported "mu = 0" as a sub-vacuum state
     [[11256.628253635616, 25776.138655687628], [25776.138655687628, 59023.83102885591]],
-    # eigvalsh passes and det < 0: symplectic_eigenvalue returned NaN
+    # eigvalsh passes and det < 0: mu = 2 sqrt(det) was NaN
     [[0.6529466265982962, 1.1024726151161643], [1.1024726151161643, 1.8614781324673833]],
 ])
 def test_block_refuses_when_its_det_is_not_positive(block):
@@ -375,23 +373,39 @@ def test_block_refuses_when_its_det_is_not_positive(block):
 
 def test_near_rank_one_blocks_refuse_or_return_a_positive_mu():
     # v v^T with the off-diagonal nudged by a few ulps either way: the
-    # eigvalsh check used to pass thousands of these with det <= 0
+    # eigvalsh check used to pass thousands of these with det <= 0.  Each
+    # block also heads a state whose second block is the vacuum: areas
+    # refuses exactly when the block routes do
     rng = np.random.default_rng(13)
     refused = 0
+    states = {"refused": 0, "equal": 0}
     for x, y, nudge in zip(rng.uniform(0.1, 300.0, 2000), rng.uniform(0.1, 300.0, 2000),
                            rng.uniform(-4e-16, 4e-16, 2000)):
         block = np.array([[x * x, x * y * (1 + nudge)], [x * y * (1 + nudge), y * y]])
+        cov = np.eye(4) / 2
+        cov[:2, :2] = block
         try:
-            mu = symplectic_eigenvalue(block)
+            state = GaussianState(cov)
+        except ValueError:  # the 4x4 pivots refuse it first
+            state = None
+        try:
+            purity = gaussian_purity(block)
         except ValueError as exc:
             assert str(exc) == "covariance must be positive definite"
             refused += 1
-            for route in (gaussian_purity, gaussian_entropy):
-                with pytest.raises(ValueError, match="positive definite"):
-                    route(block)
+            with pytest.raises(ValueError, match="positive definite"):
+                gaussian_entropy(block)
+            if state is not None:
+                with pytest.raises(ValueError, match="^covariance must be positive definite$"):
+                    areas(state)
+                states["refused"] += 1
         else:
-            assert mu > 0 and gaussian_purity(block) == 1.0 / mu
+            assert purity > 0
+            if state is not None:
+                assert areas(state) == _reference_areas(state)
+                states["equal"] += 1
     assert 0 < refused < 2000
+    assert min(states.values()) > 0
 
 
 def _reference_mu(cov2):
@@ -421,13 +435,11 @@ def _reference_areas(state):
 
 
 def _reference_is_canonical(m):
-    j = symplectic_form()
-    deviation = float(np.abs(m @ j @ m.T - j).max())
+    deviation = float(np.abs(m @ _J @ m.T - _J).max())
     return deviation <= 1e-12 * max(1.0, float(np.abs(m).max())) ** 2
 
 
-PAIRED_ROUTES = ((symplectic_eigenvalue, _reference_mu),
-                 (gaussian_purity, lambda b: 1.0 / _reference_mu(b)),
+PAIRED_ROUTES = ((gaussian_purity, lambda b: 1.0 / _reference_mu(b)),
                  (gaussian_entropy, _reference_entropy))
 
 
@@ -626,18 +638,21 @@ def test_covariance_check_refusals_equal_the_eigvalsh_route(cov, message):
     assert str(exc.value) == message == _state_outcome(_reference_state_cov, cov)
 
 
-def test_areas_of_a_block_whose_det_cancels_below_zero_are_nan_as_before():
+def test_areas_refuse_a_block_whose_det_cancels_below_zero():
     # LDL^T accepts this near-rank-one block, and eigvalsh did too (2.3e-13),
-    # but the block's LU det is -4.3e-9: NaN with numpy's warning, as the reference
+    # but the block's LU det is -4.3e-9: areas used to return NaN with numpy's
+    # warning; it now refuses the block as gaussian_purity does
     cov = np.diag([18881.969807879806, 1219.860779961226, 0.5, 0.5])
     cov[0, 1] = cov[1, 0] = 4799.309785484219
     state = GaussianState(cov)
     assert _reference_state_cov(cov).tobytes() == state.cov.tobytes()
-    with pytest.warns(RuntimeWarning, match="invalid value encountered in sqrt"):
-        expected = _reference_areas(state)
-    with pytest.warns(RuntimeWarning, match="invalid value encountered in sqrt"):
-        got = areas(state)
-    assert repr(got) == repr(expected) == repr((np.nan, np.pi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            areas(state)
+        assert str(exc.value) == "covariance must be positive definite"
+        with pytest.raises(ValueError, match="^covariance must be positive definite$"):
+            gaussian_purity(reduce_oscillator(state, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +706,7 @@ def test_marginal_area_product_grows_for_mixing_squeezes(label):
 @pytest.mark.parametrize("label", FIFTEEN_LABELS)
 def test_four_volume_invariant_for_all_flows(label):
     st = evolve(vacuum_state(), generator_to_transform(label, 0.6))
-    assert abs(area_product(st) - np.pi ** 2) <= 1e-10
+    assert abs((2 * np.pi) ** 2 * np.sqrt(np.linalg.det(st.cov)) - np.pi ** 2) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
