@@ -1,10 +1,11 @@
-"""``oscsym table`` and ``oscsym simulate`` output is byte-identical to the
-recorded outputs.
+"""``oscsym table`` and ``oscsym simulate`` output, and every ``--help``, is
+byte-identical to the recorded outputs.
 
 The files under ``tests/data/cli_golden`` hold the eta = 0 and eta < 0 rows,
 a deep-squeeze table whose series needs millions of terms, both --eta and
 --temperature inputs, a non-canonical flow, and every output format.  A
-value that moves by one ulp shows up here.
+value that moves by one ulp shows up here.  The help files hold the limits
+and defaults the parser prints (Fock nmax range, MAX_KMAX).
 """
 
 import contextlib
@@ -37,3 +38,16 @@ def test_cli_output_byte_identical(name, argv):
         status = main(argv)
     assert status == 0
     assert out.getvalue().encode() == (GOLDEN / name).read_bytes()
+
+
+HELP_CASES = [("help.txt", []), *((f"help-{command}.txt", [command])
+                                  for command in ("verify", "simulate", "table"))]
+
+
+@pytest.mark.parametrize("name,argv", HELP_CASES, ids=[name for name, _ in HELP_CASES])
+def test_help_byte_identical(name, argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
