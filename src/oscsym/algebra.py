@@ -17,6 +17,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._scalar import DEFAULT_TOLERANCE
 from .families import (FIFTEEN_LABELS, TENFOLD_LABELS, GeneratorSet,
                        build_generator_set, gamma_matrices)
 
@@ -28,8 +29,6 @@ __all__ = [
     "TABLE1_RECIPES", "CorrespondenceEntry", "CorrespondenceReport",
     "table1_correspondence",
 ]
-
-DEFAULT_TOLERANCE = 1e-12
 
 Term = Tuple[complex, str]
 

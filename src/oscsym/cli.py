@@ -21,6 +21,13 @@ reader of stdout closes it early, as ``| head -1`` does; stderr stays empty.
 All output is deterministic: no randomness, stable ordering, floats
 rendered with 17 significant digits.
 
+Each subcommand imports only what it runs: ``simulate`` reads the private
+stdlib-only ``_scalar`` module (the arithmetic behind ``phase_space``) and
+imports no numpy, ``verify`` imports ``algebra`` and ``families`` (and
+``fock`` for the fock and all suites), and ``table`` imports ``fock`` and
+``phase_space``.  An unwritable ``--out`` is a bad argument: exit 2 with
+``cannot write --out PATH: <reason>``.
+
 JSON reports follow
 ``{"suite": str, "results": [{"name": str, "residual": float, "status": "PASS|WARN|FAIL"}]}``
 for verification and ``{"command": str, "rows": [...]}`` for simulations
@@ -34,13 +41,11 @@ import json
 import math
 import os
 import sys
+import warnings
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from . import algebra, families, fock
-from . import phase_space as ps
+from . import _scalar
 
 SUITES = ("sp4", "sl4r", "o33", "o32", "sp2", "fock", "table1", "iso", "all")
 
@@ -70,12 +75,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
+class _UnwritableOut(Exception):
+    """An --out path that cannot be written: a bad argument, exit 2."""
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+                if not text.endswith("\n"):
+                    fh.write("\n")
+        except OSError as exc:
+            raise _UnwritableOut(f"cannot write --out {out}: {exc.strerror or exc}") from None
     else:
         print(text, flush=True)  # a closed pipe raises here, inside main's handlers
 
@@ -120,26 +132,29 @@ def _check_row(name: str, residual: float, tolerance: float,
     return {"name": name, "residual": float(residual), "status": status}
 
 
-#: suite -> (family, expected table, row name, WARN notes)
+#: suite -> (family, name of the expected table in algebra, row name, WARN notes)
 TABLE_SUITES = {
-    "sp4": ("sp4_4", algebra.alge11_table, "sp4:ten-generator-table", ()),
-    "o32": ("o32_5", algebra.alge11_table, "o32:ten-generator-table", ()),
-    "sl4r": ("sl4r_4", algebra.o33gen_table, "sl4r:fifteen-generator-table", (
+    "sp4": ("sp4_4", "alge11_table", "sp4:ten-generator-table", ()),
+    "o32": ("o32_5", "alge11_table", "o32:ten-generator-table", ()),
+    "sl4r": ("sl4r_4", "o33gen_table", "sl4r:fifteen-generator-table", (
         "sl4r:S2 sign opposite to the (i/2) g1 g2 bilinear (required for closure)",)),
-    "o33": ("o33_6", algebra.o33gen_table, "o33:fifteen-generator-table", (
+    "o33": ("o33_6", "o33gen_table", "o33:fifteen-generator-table", (
         "o33gen:[G,G] row read as -i eps L (third slot of the printed row is a "
         "duplicate)",)),
 }
 
 
 def _suite_table(suite: str, tol: float, nmax: int) -> List[Dict]:
+    from . import algebra, families
     family, table, name, notes = TABLE_SUITES[suite]
-    rep = algebra.verify_algebra(families.build_generator_set(family), table(), tol)
+    rep = algebra.verify_algebra(families.build_generator_set(family),
+                                 getattr(algebra, table)(), tol)
     return ([_check_row(name, rep.max_residual, tol)]
             + [_check_row(note, 0.0, tol, warn=True) for note in notes])
 
 
 def _suite_sp2(tol: float, nmax: int) -> List[Dict]:
+    from . import algebra, families
     sp4 = families.build_generator_set("sp4_4")
     rows = []
     for x, y, z in algebra.SP2_TRIPLES:
@@ -152,12 +167,14 @@ def _suite_sp2(tol: float, nmax: int) -> List[Dict]:
 
 
 def _suite_fock(tol: float, nmax: int) -> List[Dict]:
+    from . import fock
     rep = fock.verify_fock_commutators(nmax, tol)
     return [_check_row(f"fock:ten-generator-table(nmax={nmax},safe-subspace)",
                        rep.max_residual, tol)]
 
 
 def _suite_table1(tol: float, nmax: int) -> List[Dict]:
+    from . import algebra
     report = algebra.table1_correspondence(tol)
     rows = []
     for label, entry in report.entries.items():
@@ -175,6 +192,7 @@ def _suite_table1(tol: float, nmax: int) -> List[Dict]:
 
 
 def _suite_iso(tol: float, nmax: int) -> List[Dict]:
+    from . import algebra, families
     rows = []
     for fam_a, fam_b in (("sl4r_4", "o33_6"), ("sp4_4", "o32_5")):
         rep = algebra.check_isomorphism(
@@ -186,6 +204,9 @@ def _suite_iso(tol: float, nmax: int) -> List[Dict]:
 
 
 def _clifford_rows(tol: float) -> List[Dict]:
+    import numpy as np
+
+    from . import algebra, families
     g = families.gamma_matrices()
     metric = np.diag([1.0, -1.0, -1.0, -1.0])
     order = ("g0", "g1", "g2", "g3")
@@ -248,7 +269,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _temperature(eta: float) -> float:
     """The thermal temperature matching eta; eta <= 0 maps to T = 0."""
-    return ps.temperature_from_eta(eta) if eta > 0 else 0.0
+    return _scalar.temperature_from_eta(eta) if eta > 0 else 0.0
 
 
 def _resolve_eta_temperature(args, parser) -> Tuple[float, float]:
@@ -261,44 +282,47 @@ def _resolve_eta_temperature(args, parser) -> Tuple[float, float]:
             parser.error(str(exc))
     if args.temperature <= 0:
         parser.error("--temperature must be > 0")
-    return ps.eta_from_temperature(args.temperature), args.temperature
+    return _scalar.eta_from_temperature(args.temperature), args.temperature
 
 
 def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     eta, temperature = _resolve_eta_temperature(args, parser)
+    # the steps of phase_space's evolve, reduce_oscillator, gaussian_purity,
+    # areas, gaussian_entropy and is_canonical, on _scalar's row tuples
     if args.couple:
         name = "couple"
-        m = ps.coupling_transform(eta)
+        m = _scalar.coupling(eta)
     else:
         try:
-            m = ps.generator_to_transform(args.generator, eta)
+            m = _scalar.flow(args.generator, eta)
         except ValueError as exc:
             parser.error(str(exc))
         name = args.generator
+    cov = _scalar.congruence(m, _scalar.VACUUM)
+    if not all(math.isfinite(x) for row in cov for x in row):
+        raise OverflowError("M C M^T is not finite")
     try:
-        state = ps.evolve(ps.vacuum_state(), m)
-        cov1 = ps.reduce_oscillator(state, 1)
-        purity = ps.gaussian_purity(cov1)
-        a1, a2 = ps.areas(state)
+        mu1, mu2 = _scalar.block_mus(_scalar.checked_cov(cov))
     except ValueError as exc:
         parser.error(f"at eta = {eta:g} double precision cannot check the transformed "
                      f"covariance ({exc})")
     try:
-        entropy = ps.gaussian_entropy(cov1)
+        entropy = _scalar.mu_entropy(mu1)
         subvacuum = False
-    except ps.SubVacuumError:
+    except _scalar.SubVacuumError:
         entropy = None
         subvacuum = True
+    a1, a2 = math.pi * mu1, math.pi * mu2
     row = {
         "transform": name,
         "eta": float(eta),
         "temperature": float(temperature),
-        "purity": purity,
+        "purity": 1.0 / mu1,
         "entropy": entropy,
         "area1": a1,
         "area2": a2,
         "area_product": a1 * a2,
-        "canonical": ps.is_canonical(m),
+        "canonical": _scalar.is_canonical(m),
         "subvacuum": subvacuum,
     }
     _emit_rows("simulate", [row], SIMULATE_COLUMNS, args)
@@ -308,7 +332,9 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 # ---------------------------------------------------------------------------
 # table
 
-def _parse_grid(text: str, parser: argparse.ArgumentParser) -> np.ndarray:
+def _parse_grid(text: str, parser: argparse.ArgumentParser) -> List[float]:
+    import numpy as np
+
     try:
         lo_s, hi_s, step_s = text.split(":")
         lo, hi, step = float(lo_s), float(hi_s), float(step_s)
@@ -318,15 +344,20 @@ def _parse_grid(text: str, parser: argparse.ArgumentParser) -> np.ndarray:
         parser.error(f"empty or invalid grid {text!r}")
     count = np.floor((hi - lo) / step + 1e-9) + 1
     try:
-        return lo + step * np.arange(int(count))
+        return (lo + step * np.arange(int(count))).tolist()
     except (OverflowError, ValueError, MemoryError) as exc:  # more points than numpy holds
         parser.error(f"grid {text!r} has {count:.3g} points: {exc}")
 
 
 def _cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    grid = _parse_grid(args.eta_grid, parser).tolist()
-    if args.kmax > fock.MAX_KMAX:
-        parser.error(f"--kmax must be at most {fock.MAX_KMAX}")
+    import numpy as np
+
+    from . import fock
+    from . import phase_space as ps
+
+    grid = _parse_grid(args.eta_grid, parser)
+    if args.kmax > _scalar.MAX_KMAX:
+        parser.error(f"--kmax must be at most {_scalar.MAX_KMAX}")
     # --kmax is a floor; deep squeezes get enough terms for the series tail
     # to clear the dual-route tolerance.  Every row's count is checked
     # before any series is summed.
@@ -386,10 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="run a verification suite; exit 0 iff everything passes")
     p_verify.add_argument("--suite", choices=SUITES, required=True)
     p_verify.add_argument("--tolerance", type=_finite_float,
-                          default=algebra.DEFAULT_TOLERANCE)
+                          default=_scalar.DEFAULT_TOLERANCE)
     p_verify.add_argument("--nmax", type=int, default=8,
                           help=f"Fock truncation for the fock suite, "
-                               f"{fock.MIN_NMAX}..{fock.MAX_NMAX}")
+                               f"{_scalar.MIN_NMAX}..{_scalar.MAX_NMAX}")
     p_verify.add_argument("--format", choices=("text", "json", "csv"),
                           default="text")
     p_verify.add_argument("--out", default=None)
@@ -415,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--kmax", type=int, default=200,
                          help="series truncation floor (raised per row when "
                               "the geometric tail needs more terms), at most "
-                              f"{fock.MAX_KMAX}")
+                              f"{_scalar.MAX_KMAX}")
     p_table.add_argument("--format", choices=("text", "json", "csv"),
                          default="csv")
     p_table.add_argument("--out", default=None)
@@ -430,18 +461,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.tolerance <= 0:
                 parser.error("--tolerance must be > 0")
             if args.suite in ("fock", "all") and not (
-                    fock.MIN_NMAX <= args.nmax <= fock.MAX_NMAX):
-                parser.error(f"--nmax must be in [{fock.MIN_NMAX}, {fock.MAX_NMAX}] "
+                    _scalar.MIN_NMAX <= args.nmax <= _scalar.MAX_NMAX):
+                parser.error(f"--nmax must be in [{_scalar.MIN_NMAX}, {_scalar.MAX_NMAX}] "
                              f"for the fock suite")
             return _cmd_verify(args)
         if args.command == "simulate":
-            # an overflow anywhere in the pipeline is a bad --eta, not an internal error
+            # an overflow anywhere in the pipeline is a bad --eta, not an internal
+            # error; the warning is numpy's, from _det2's overflow fallback
             try:
-                with np.errstate(over="raise"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
                     return _cmd_simulate(args, parser)
-            except FloatingPointError as exc:
+            except (OverflowError, RuntimeWarning) as exc:
                 parser.error(f"the simulate transform overflows a double ({exc})")
         return _cmd_table(args, parser)
+    except _UnwritableOut as exc:  # a bad argument, but without the usage lines
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     except BrokenPipeError:
         # the reader is gone; point stdout at devnull so the exit flush does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -45,6 +45,8 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from ._scalar import _SL4R
+
 __all__ = [
     "GAMMA_LABELS", "TENFOLD_LABELS", "FIFTEEN_LABELS", "FAMILIES",
     "GeneratorSet", "gamma_matrices", "build_generator_set",
@@ -80,20 +82,6 @@ FAMILIES: Dict[str, Tuple[int, Tuple[str, ...]]] = {
 _GAMMAS = {"g1": "00+ 11- 22+ 33-", "g2": "03+ 12- 21- 30+",
            "g3": "01- 10- 23- 32-", "g0": "03- 12+ 21- 30+"}
 
-#: the fifteen sl4r_4 members on (x1, p1, x2, p2), scale 1/2; sp4_4 is the
-#: ten TENFOLD_LABELS.  S2 sign: the opposite of the gamma bilinear
-#: (i/2) g1 g2.  This is the unique single-member sign for which the fifteen
-#: matrices close with the same structure constants as o33_6 ([S1, S2] = i S3
-#: together with [G_i, K_i] = -i S2); the correspondence checker reports the
-#: flip against the bilinear recipe instead of hiding it.
-_SL4R = {
-    "L1": "03+ 12- 21+ 30-", "L2": "02- 13- 20+ 31+", "L3": "01+ 10- 23- 32+",
-    "S1": "02+ 13- 20- 31+", "S2": "03+ 12+ 21- 30-", "S3": "01- 10+ 23- 32+",
-    "K1": "01+ 10+ 23- 32-", "K2": "00+ 11- 22+ 33-", "K3": "03- 12- 21- 30-",
-    "Q1": "00- 11+ 22+ 33-", "Q2": "01+ 10+ 23+ 32+", "Q3": "02+ 13- 20+ 31-",
-    "G1": "02+ 13+ 20+ 31+", "G2": "03+ 12- 21- 30+", "G3": "00+ 11+ 22- 33-",
-}
-
 #: the fifteen o33_6 members on (x, y, z, t, s, u), scale 1: rotations
 #: L_i = diag(A_i, 0) and S_i = diag(0, A_i) with (A_i)_jk = -i eps_ijk, and
 #: boosts K_i, Q_i, G_i pairing space axis i with time axis t, s, u.  The ten
@@ -106,7 +94,8 @@ _O33 = {
     "G1": "05+ 50+", "G2": "15+ 51+", "G3": "25+ 52+",
 }
 
-#: family tag -> (literal members, scale)
+#: family tag -> (literal members, scale); the sl4r_4 cells live with the
+#: scalar flows that read them, which import no numpy
 _LITERAL = {"sp4_4": (_SL4R, 0.5), "sl4r_4": (_SL4R, 0.5),
             "o32_5": (_O33, 1.0), "o33_6": (_O33, 1.0)}
 

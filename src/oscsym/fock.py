@@ -24,9 +24,9 @@ from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
-from .algebra import DEFAULT_TOLERANCE, VerificationReport, alge11_table
+from ._scalar import DEFAULT_TOLERANCE, MAX_KMAX, MAX_NMAX, MIN_NMAX, occupation_entropy
+from .algebra import VerificationReport, alge11_table
 from .families import GeneratorSet
-from .phase_space import occupation_entropy
 
 __all__ = [
     "HERMITE_KMAX", "MIN_NMAX", "MAX_NMAX", "MAX_KMAX",
@@ -40,9 +40,6 @@ __all__ = [
 ]
 
 HERMITE_KMAX = 200
-MIN_NMAX = 6  # smallest truncation with a nonempty safe subspace
-MAX_NMAX = 256  # largest truncation the bracket check accepts (~0.15 s)
-MAX_KMAX = 2 ** 24  # largest series truncation kmax_for_tail returns (eta ~ 7.3, ~0.1 s a pass)
 _DENSE_TENFOLD_BYTES = 2 ** 30  # cap on the ten dense members of dirac_tenfold
 _SAFE_MARGIN = 3  # the safe subspace is n1 + n2 <= nmax - _SAFE_MARGIN
 _FOCK_CHUNK = 64  # grid points per band of rows in verify_fock_commutators

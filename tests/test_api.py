@@ -38,13 +38,12 @@ def test_every_public_definition_is_exported(name):
 
 
 def test_package_reexports_only_listed_names():
-    tree = ast.parse(inspect.getsource(oscsym))
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        module = MODULES[f"oscsym.{node.module}"]
-        assert node.level == 1
-        assert [a.name for a in node.names if a.name not in module.__all__] == []
+    # the package's lazy map: each name once, from a module whose __all__ lists it
+    assert oscsym.__all__ and len(set(oscsym.__all__)) == len(oscsym.__all__)
+    for module, names in oscsym._EXPORTS.items():
+        module = MODULES[f"oscsym.{module}"]
+        assert [name for name in names if name not in module.__all__] == []
+        assert all(getattr(oscsym, name) is getattr(module, name) for name in names)
 
 
 class _References(ast.NodeVisitor):

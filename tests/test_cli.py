@@ -20,11 +20,15 @@ def run(capsys, *argv):
     return code, out
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # the child imports the same oscsym as this process
+def _child_env():
+    """The environment of a child interpreter that imports the same oscsym as this process."""
     src = os.path.dirname(os.path.dirname(oscsym.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    env = _child_env()
     # the import, then a full verification run including the Fock check
     code = ("import contextlib, io, sys, oscsym.cli\n"
             "imported = 'scipy' in sys.modules\n"
@@ -36,16 +40,36 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False 0 False"
 
 
+SIMULATE_UNLOADED = ("numpy", "oscsym.algebra", "oscsym.families", "oscsym.fock",
+                     "oscsym.phase_space")
+
+
+@pytest.mark.parametrize("argv,unloaded", [
+    (["simulate", "--couple", "--eta", "1"], SIMULATE_UNLOADED),
+    (["simulate", "--generator", "G3", "--eta", "0.5"], SIMULATE_UNLOADED),
+    (["verify", "--suite", "iso"], ("oscsym.fock", "oscsym.phase_space")),
+])
+def test_cold_start_leaves_modules_unloaded(argv, unloaded):
+    # the package and the CLI import lazily: simulate runs without numpy
+    code = ("import contextlib, io, sys, oscsym, oscsym.cli\n"
+            f"unloaded = {unloaded!r}\n"
+            "before = [m for m in unloaded if m in sys.modules]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    status = oscsym.cli.main({argv!r})\n"
+            "print(before, status, [m for m in unloaded if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_child_env(), check=True)
+    assert proc.stdout.strip() == "[] 0 []"
+
+
 def test_internal_error_exits_3_with_one_line():
     # an exception escaping a command: exit 3 and one stderr line, not the
     # exit 1 of a FAILed check nor a traceback
-    src = os.path.dirname(os.path.dirname(oscsym.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = _child_env()
     code = ("import sys, oscsym.cli\n"
             "def broken(*args):\n"
             "    raise RuntimeError('covariance broke\\n  on a second line')\n"
-            "oscsym.cli.ps.evolve = broken\n"
+            "oscsym._scalar.congruence = broken\n"
             "sys.exit(oscsym.cli.main(['simulate', '--couple', '--eta', '1']))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
@@ -61,9 +85,7 @@ def test_internal_error_exits_3_with_one_line():
                                   ("table", "--eta-grid", "0:3:0.001")])
 def test_closed_stdout_exits_141_quietly(argv, buffered):
     # the reader is gone before the child writes, as in `oscsym ... | true`
-    src = os.path.dirname(os.path.dirname(oscsym.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = _child_env()
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -166,6 +188,20 @@ def test_verify_out_file(tmp_path, capsys):
     assert code == 0
     payload = json.loads(path.read_text())
     assert payload["suite"] == "sp2"
+
+
+@pytest.mark.parametrize("argv,where,reason", [
+    (["simulate", "--couple", "--eta", "1"], "missing/x.txt", "No such file or directory"),
+    (["verify", "--suite", "iso"], ".", "Is a directory"),
+])
+def test_unwritable_out_exits_2_with_one_line(argv, where, reason, tmp_path, capsys):
+    out = tmp_path / where
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"oscsym: error: cannot write --out {out}: {reason}"]
 
 
 def test_verify_csv_format(capsys):
