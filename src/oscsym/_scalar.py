@@ -46,8 +46,8 @@ J: Rows = ((0.0, 1.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0),
            (0.0, 0.0, 0.0, 1.0), (0.0, 0.0, -1.0, 0.0))
 #: the vacuum covariance I/2
 VACUUM: Rows = tuple(tuple(0.5 * x for x in row) for row in _IDENTITY)
-ASYMMETRIC = f"covariance must be finite and symmetric (within {DEFAULT_TOLERANCE:.0e})"
-NOT_PD = "covariance must be positive definite"
+_ASYMMETRIC = f"covariance must be finite and symmetric (within {DEFAULT_TOLERANCE:.0e})"
+_NOT_PD = "covariance must be positive definite"
 # the largest exponent whose exp is a finite double
 _LOG_MAX = math.log(sys.float_info.max)
 # the entries of coupling's 45-degree normal-mode rotation, +-1/sqrt2
@@ -170,7 +170,7 @@ def checked_cov(c: Sequence[Sequence[float]]) -> Rows:
     with an LDL^T pivot <= 0.
 
     Raises:
-        ValueError: with ASYMMETRIC or NOT_PD.
+        ValueError: with _ASYMMETRIC or _NOT_PD.
     """
     (c00, c01, c02, c03), (c10, c11, c12, c13), \
         (c20, c21, c22, c23), (c30, c31, c32, c33) = c
@@ -178,11 +178,11 @@ def checked_cov(c: Sequence[Sequence[float]]) -> Rows:
                                     c20, c21, c22, c23, c30, c31, c32, c33)))
             and max(abs(c01 - c10), abs(c02 - c20), abs(c03 - c30),
                     abs(c12 - c21), abs(c13 - c31), abs(c23 - c32)) <= DEFAULT_TOLERANCE):
-        raise ValueError(ASYMMETRIC)
+        raise ValueError(_ASYMMETRIC)
     s01, s02, s03 = 0.5 * (c01 + c10), 0.5 * (c02 + c20), 0.5 * (c03 + c30)
     s12, s13, s23 = 0.5 * (c12 + c21), 0.5 * (c13 + c31), 0.5 * (c23 + c32)
     if not _pivots_positive(c00, s01, s02, s03, c11, s12, s13, c22, s23, c33):
-        raise ValueError(NOT_PD)
+        raise ValueError(_NOT_PD)
     return ((c00, s01, s02, s03), (s01, c11, s12, s13),
             (s02, s12, c22, s23), (s03, s13, s23, c33))
 
@@ -252,11 +252,11 @@ def _mu(a: float, b: float, c: float, d: float) -> float:
     and positive definite judged as a > 0 and det > 0, on the det mu is read from.
     """
     if not (all(map(math.isfinite, (a, b, c, d))) and abs(b - c) <= DEFAULT_TOLERANCE):
-        raise ValueError(ASYMMETRIC)
+        raise ValueError(_ASYMMETRIC)
     s = 0.5 * (b + c)
     det = _det2(a, s, s, d)
     if not (a > 0 and det > 0):
-        raise ValueError(NOT_PD)
+        raise ValueError(_NOT_PD)
     return 2.0 * math.sqrt(det)
 
 
