@@ -226,7 +226,7 @@ def _det2(a: float, b: float, c: float, d: float) -> float:
     leaves u = t - (q * (1/p)) r, then sign * exp(ln|p| + ln|u|) as numpy's
     slogdet forms it.  A subnormal or zero pivot (LAPACK divides by it instead
     of scaling) and a det that overflows go to np.linalg.det itself, imported
-    only then, so its `overflow encountered in det` warning stays.
+    only then, so the caller sees its `overflow encountered in det` warning.
     """
     if abs(c) > abs(a):
         sign, p, r, q, t = -1.0, c, d, a, b
@@ -307,11 +307,11 @@ def eta_from_temperature(T: float) -> float:
 
     Equivalent to arccosh(1/tanh(1/2T))/2 and to arctanh(e^{-1/2T}).  With
     x = 1/2T, arctanh(e^{-x}) is evaluated as it stands for T < 1 (x > 1/2)
-    and as (log1p(e^{-x}) - ln(-expm1(-x)))/2 above, where e^{-x} nears 1:
-    each form within 2 ulp of the exact value on its side (the second form
-    used up to x = 20 lost up to 2.5e7 ulp near T = 0.026, where
-    -expm1(-x) rounds next to 1).  Rejects T <= 0 and non-finite T; the
-    T -> 0+ limit is eta -> 0+.
+    and as (log1p(e^{-x}) - ln(-expm1(-x)))/2 above, where e^{-x} nears 1.
+    The second form cancels at large x, where -expm1(-x) rounds next to 1
+    (2.5e7 ulp off at x = 19).  The result is within 2 (1 + x) ulp of the
+    exact value: the rounding of x itself reaches e^{-x} x-fold.  Rejects
+    T <= 0 and non-finite T; the T -> 0+ limit is eta -> 0+.
     """
     if not 0 < T < math.inf:
         raise ValueError(f"temperature must be finite and > 0, got {T}")
@@ -327,8 +327,8 @@ def temperature_from_eta(eta: float) -> float:
     For eta >= 1/4, ln tanh eta is evaluated as
     log1p(-e^{-2 eta}) - log1p(e^{-2 eta}) so deep squeezes do not round
     tanh to one; below that, ln tanh eta is well conditioned and the direct
-    form is used.  Each form stays within 3 ulp of the exact T on its side;
-    the direct form up to eta = 1 lost up to 7.6 ulp near eta = 0.95.
+    form is used (at eta = 0.95 it is 7.6 ulp off).  The result is within
+    3 ulp of the exact T.
     Rejects eta <= 0 and non-finite eta; the eta -> 0+ limit is T -> 0+.
     Also rejects eta above about 355.6, where T ~ e^{2 eta}/4 passes the
     largest double.
