@@ -10,12 +10,12 @@ temperature map cosh(2 eta) = 1/tanh(1/2T).
 
 The generator algebras and the Fock realization are dense or banded numpy
 at double precision; generator entries are exact multiples of 1/2 and i/2,
-so all verification residuals are rounding-level.  The Gaussian pipeline's
-arithmetic is Python floats (``phase_space`` wraps it for ndarrays).
+so all verification residuals are rounding-level.  The Gaussian pipeline
+(``phase_space``) is Python floats on tuples of rows and imports no numpy.
 
 The names below are loaded on first access (PEP 562), so ``import oscsym``
 imports no submodule and no numpy; ``oscsym.evolve`` imports ``phase_space``
-and numpy when it is first read.
+when it is first read, and ``oscsym.moments`` imports ``fock`` and numpy.
 """
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._scalar import DEFAULT_TOLERANCE
+from .phase_space import DEFAULT_TOLERANCE
 from .families import (FIFTEEN_LABELS, TENFOLD_LABELS, GeneratorSet,
                        build_generator_set, gamma_matrices)
 

@@ -21,11 +21,10 @@ reader of stdout closes it early, as ``| head -1`` does; stderr stays empty.
 All output is deterministic: no randomness, stable ordering, floats
 rendered with 17 significant digits.
 
-Each subcommand imports only what it runs: ``simulate`` reads the private
-stdlib-only ``_scalar`` module (the arithmetic behind ``phase_space``) and
-imports no numpy, ``verify`` imports ``algebra`` and ``families`` (and
-``fock`` for the fock and all suites), and ``table`` imports ``fock`` and
-``phase_space``.  An unwritable ``--out`` is a bad argument: exit 2 with
+Each subcommand imports only what it runs: ``simulate`` runs the numpy-free
+``phase_space`` pipeline and imports no numpy, ``verify`` imports ``algebra``
+and ``families`` (and ``fock`` for the fock and all suites), and ``table``
+imports ``fock``.  An unwritable ``--out`` is a bad argument: exit 2 with
 ``cannot write --out PATH: <reason>``.
 
 JSON reports follow
@@ -45,7 +44,7 @@ import warnings
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import _scalar
+from . import phase_space as ps
 
 SUITES = ("sp4", "sl4r", "o33", "o32", "sp2", "fock", "table1", "iso", "all")
 
@@ -269,7 +268,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _temperature(eta: float) -> float:
     """The thermal temperature matching eta; eta <= 0 maps to T = 0."""
-    return _scalar.temperature_from_eta(eta) if eta > 0 else 0.0
+    return ps.temperature_from_eta(eta) if eta > 0 else 0.0
 
 
 def _resolve_eta_temperature(args, parser) -> Tuple[float, float]:
@@ -282,47 +281,45 @@ def _resolve_eta_temperature(args, parser) -> Tuple[float, float]:
             parser.error(str(exc))
     if args.temperature <= 0:
         parser.error("--temperature must be > 0")
-    return _scalar.eta_from_temperature(args.temperature), args.temperature
+    return ps.eta_from_temperature(args.temperature), args.temperature
 
 
 def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     eta, temperature = _resolve_eta_temperature(args, parser)
-    # the steps of phase_space's evolve, reduce_oscillator, gaussian_purity,
-    # areas, gaussian_entropy and is_canonical, on _scalar's row tuples
     if args.couple:
         name = "couple"
-        m = _scalar.coupling(eta)
+        m = ps.coupling_transform(eta)
     else:
         try:
-            m = _scalar.flow(args.generator, eta)
+            m = ps.generator_to_transform(args.generator, eta)
         except ValueError as exc:
             parser.error(str(exc))
         name = args.generator
-    cov = _scalar.congruence(m, _scalar.VACUUM)
-    if not all(math.isfinite(x) for row in cov for x in row):
-        raise OverflowError("M C M^T is not finite")
     try:
-        mu1, mu2 = _scalar.block_mus(_scalar.checked_cov(cov))
+        state = ps.evolve(ps.vacuum_state(), m)
+        block = ps.reduce_oscillator(state, 1)
+        purity = ps.gaussian_purity(block)
+        try:
+            entropy, subvacuum = ps.gaussian_entropy(block), False
+        except ps.SubVacuumError:
+            entropy, subvacuum = None, True
+        a1, a2 = ps.areas(state)
     except ValueError as exc:
+        # M is finite and evolve mirrors M C M^T, so only an overflowed entry is "asymmetric"
+        if str(exc) == ps._ASYMMETRIC:
+            raise OverflowError("M C M^T is not finite") from None
         parser.error(f"at eta = {eta:g} double precision cannot check the transformed "
                      f"covariance ({exc})")
-    try:
-        entropy = _scalar.mu_entropy(mu1)
-        subvacuum = False
-    except _scalar.SubVacuumError:
-        entropy = None
-        subvacuum = True
-    a1, a2 = math.pi * mu1, math.pi * mu2
     row = {
         "transform": name,
         "eta": float(eta),
         "temperature": float(temperature),
-        "purity": 1.0 / mu1,
+        "purity": purity,
         "entropy": entropy,
         "area1": a1,
         "area2": a2,
         "area_product": a1 * a2,
-        "canonical": _scalar.is_canonical(m),
+        "canonical": ps.is_canonical(m),
         "subvacuum": subvacuum,
     }
     _emit_rows("simulate", [row], SIMULATE_COLUMNS, args)
@@ -353,11 +350,10 @@ def _cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     import numpy as np
 
     from . import fock
-    from . import phase_space as ps
 
     grid = _parse_grid(args.eta_grid, parser)
-    if args.kmax > _scalar.MAX_KMAX:
-        parser.error(f"--kmax must be at most {_scalar.MAX_KMAX}")
+    if args.kmax > ps.MAX_KMAX:
+        parser.error(f"--kmax must be at most {ps.MAX_KMAX}")
     # --kmax is a floor; deep squeezes get enough terms for the series tail
     # to clear the dual-route tolerance.  Every row's count is checked
     # before any series is summed.
@@ -417,10 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="run a verification suite; exit 0 iff everything passes")
     p_verify.add_argument("--suite", choices=SUITES, required=True)
     p_verify.add_argument("--tolerance", type=_finite_float,
-                          default=_scalar.DEFAULT_TOLERANCE)
+                          default=ps.DEFAULT_TOLERANCE)
     p_verify.add_argument("--nmax", type=int, default=8,
                           help=f"Fock truncation for the fock suite, "
-                               f"{_scalar.MIN_NMAX}..{_scalar.MAX_NMAX}")
+                               f"{ps.MIN_NMAX}..{ps.MAX_NMAX}")
     p_verify.add_argument("--format", choices=("text", "json", "csv"),
                           default="text")
     p_verify.add_argument("--out", default=None)
@@ -446,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--kmax", type=int, default=200,
                          help="series truncation floor (raised per row when "
                               "the geometric tail needs more terms), at most "
-                              f"{_scalar.MAX_KMAX}")
+                              f"{ps.MAX_KMAX}")
     p_table.add_argument("--format", choices=("text", "json", "csv"),
                          default="csv")
     p_table.add_argument("--out", default=None)
@@ -461,8 +457,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.tolerance <= 0:
                 parser.error("--tolerance must be > 0")
             if args.suite in ("fock", "all") and not (
-                    _scalar.MIN_NMAX <= args.nmax <= _scalar.MAX_NMAX):
-                parser.error(f"--nmax must be in [{_scalar.MIN_NMAX}, {_scalar.MAX_NMAX}] "
+                    ps.MIN_NMAX <= args.nmax <= ps.MAX_NMAX):
+                parser.error(f"--nmax must be in [{ps.MIN_NMAX}, {ps.MAX_NMAX}] "
                              f"for the fock suite")
             return _cmd_verify(args)
         if args.command == "simulate":

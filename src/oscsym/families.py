@@ -45,7 +45,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from ._scalar import _SL4R
+from .phase_space import _SL4R
 
 __all__ = [
     "GAMMA_LABELS", "TENFOLD_LABELS", "FIFTEEN_LABELS", "FAMILIES",

@@ -24,7 +24,7 @@ from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
-from ._scalar import DEFAULT_TOLERANCE, MAX_KMAX, MAX_NMAX, MIN_NMAX, occupation_entropy
+from .phase_space import DEFAULT_TOLERANCE, MAX_KMAX, MAX_NMAX, MIN_NMAX, occupation_entropy
 from .algebra import VerificationReport, alge11_table
 from .families import GeneratorSet
 

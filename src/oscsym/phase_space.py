@@ -18,24 +18,23 @@ Conventions, fixed once and used everywhere:
   pi mu = 2 pi sqrt(det), so the vacuum area is pi.
 * Entropy is S(v) = (v + 1) ln(v + 1) - v ln v at the mean occupation
   v = (mu - 1)/2 = 1/(e^{1/T} - 1) = sinh^2(eta) of the reduced state.
+* Matrices are tuples of rows: 4x4 transforms and covariances
+  (``GaussianState.cov``), 2x2 blocks.  Every function that takes a matrix
+  also reads an ndarray (through ``.tolist()``) or nested sequences, and
+  refuses any other shape.
 
-The arithmetic lives in the private ``_scalar`` module, in Python floats and
-``math``; these functions check and convert ndarrays to and from its 4x4 row
-tuples.  ``oscsym simulate`` calls ``_scalar`` directly, without numpy, so
-its rows equal what this module returns.
+The arithmetic is Python floats and ``math``, without numpy: sums are formed
+left to right in plain double precision (no fused multiply-add).  So
+``oscsym simulate`` runs this pipeline without importing numpy.  The module
+also holds the constants the CLI's parser needs (``DEFAULT_TOLERANCE`` and
+the Fock and series limits), which ``algebra`` and ``fock`` re-export.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Tuple
-
-import numpy as np
-
-from . import _scalar
-from ._scalar import (DEFAULT_TOLERANCE, SubVacuumError, eta_from_temperature,
-                      occupation_entropy, temperature_from_eta)
+import sys
+from typing import Sequence, Tuple
 
 __all__ = [
     "DEFAULT_TOLERANCE", "symplectic_deviation", "is_canonical", "generator_to_transform",
@@ -44,46 +43,158 @@ __all__ = [
     "areas", "eta_from_temperature", "temperature_from_eta",
 ]
 
+# a matrix as its rows: tuples where a function returns one, lists inside
+_Rows = Sequence[Sequence[float]]
 
-def _rows(m: np.ndarray, shape: Tuple[int, int], what: str) -> list:
-    """A float array's nested lists, after checking its shape."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != shape:
-        raise ValueError(f"{what} must be {shape[0]}x{shape[1]}, got {m.shape}")
-    return m.tolist()
+#: the one tolerance constant of the program
+DEFAULT_TOLERANCE = 1e-12
+MIN_NMAX = 6  # smallest truncation with a nonempty safe subspace
+MAX_NMAX = 256  # largest truncation the bracket check accepts (~0.15 s)
+MAX_KMAX = 2 ** 24  # largest series truncation kmax_for_tail returns (eta ~ 7.3, ~0.1 s a pass)
+
+#: the fifteen sl4r_4 members on (x1, p1, x2, p2), scale 1/2; sp4_4 is the
+#: ten TENFOLD_LABELS.  Each cell "rc+" or "rc-" puts +-i/2 at row r,
+#: column c.  S2 sign: the opposite of the gamma bilinear (i/2) g1 g2.  This
+#: is the unique single-member sign for which the fifteen matrices close with
+#: the same structure constants as o33_6 ([S1, S2] = i S3 together with
+#: [G_i, K_i] = -i S2); the correspondence checker reports the flip against
+#: the bilinear recipe instead of hiding it.
+_SL4R = {
+    "L1": "03+ 12- 21+ 30-", "L2": "02- 13- 20+ 31+", "L3": "01+ 10- 23- 32+",
+    "S1": "02+ 13- 20- 31+", "S2": "03+ 12+ 21- 30-", "S3": "01- 10+ 23- 32+",
+    "K1": "01+ 10+ 23- 32-", "K2": "00+ 11- 22+ 33-", "K3": "03- 12- 21- 30-",
+    "Q1": "00- 11+ 22+ 33-", "Q2": "01+ 10+ 23+ 32+", "Q3": "02+ 13- 20+ 31-",
+    "G1": "02+ 13+ 20+ 31+", "G2": "03+ 12- 21- 30+", "G3": "00+ 11+ 22- 33-",
+}
+
+_IDENTITY: _Rows = tuple(tuple(float(i == k) for k in range(4)) for i in range(4))
+#: the vacuum covariance I/2
+_VACUUM: _Rows = tuple(tuple(0.5 * x for x in row) for row in _IDENTITY)
+_ASYMMETRIC = f"covariance must be finite and symmetric (within {DEFAULT_TOLERANCE:.0e})"
+_NOT_PD = "covariance must be positive definite"
+# the largest exponent whose exp is a finite double
+_LOG_MAX = math.log(sys.float_info.max)
+# the entries of coupling's 45-degree normal-mode rotation, +-1/sqrt2
+_R45 = 1.0 / math.sqrt(2.0)
 
 
-def symplectic_deviation(m: np.ndarray) -> float:
+def _shape(m) -> tuple:
+    """The shape numpy gives an array, or a nested list or tuple read along its first entries."""
+    if hasattr(m, "shape"):
+        return m.shape
+    if isinstance(m, (list, tuple)):
+        return (len(m), *_shape(m[0])) if m else (0,)
+    return ()
+
+
+def _rows(m, n: int, what: str) -> _Rows:
+    """The float rows of an n x n ndarray or nested sequence; refuses any other shape."""
+    try:
+        rows = [[*map(float, row)] for row in (m.tolist() if hasattr(m, "tolist") else m)]
+    except TypeError:  # a scalar, or a row that is one
+        rows = []
+    if [*map(len, rows)] != [n] * n:
+        raise ValueError(f"{what} must be {n}x{n}, got {_shape(m)}")
+    return rows
+
+
+def _product(x: _Rows, y: _Rows) -> _Rows:
+    """X Y of two 4x4 row sequences."""
+    return tuple(tuple(r0 * c0 + r1 * c1 + r2 * c2 + r3 * c3 for c0, c1, c2, c3 in zip(*y))
+                 for r0, r1, r2, r3 in x)
+
+
+def _flow_terms(cells: str) -> Tuple[bool, Tuple[Tuple[float, float], ...]]:
+    """(rotation?, the 16 (B1, B2) entry pairs, row by row) of one member.
+
+    M = B1 cos(theta) + B2 sin(theta) = cos I + sin A for a rotation and
+    M = B1 e^theta + B2 e^-theta = e^theta P + e^-theta (I - P) for a squeeze.
+
+    A = 2 Im G has entries 0 and +-1, so A^2 = +-I is checked exactly; the
+    projector form P = (I + A)/2 keeps the small entries that cosh I + sinh A
+    cancels.
+    """
+    a = [[0.0] * 4 for _ in range(4)]
+    for r, c, sign in cells.split():
+        a[int(r)][int(c)] = 1.0 if sign == "+" else -1.0
+    square = _product(a, a)
+    eye, flat = sum(_IDENTITY, ()), sum(map(tuple, a), ())
+    if square == tuple(tuple(-x for x in row) for row in _IDENTITY):
+        return True, tuple(zip(eye, flat))
+    if square != _IDENTITY:
+        raise ValueError("(2 Im G)^2 is not +-I, so exp(-2i theta G) has no two-term closed form")
+    p = [0.5 * (i + x) for i, x in zip(eye, flat)]
+    return False, tuple((x, i - x) for i, x in zip(eye, p))
+
+
+#: label -> (rotation?, the 16 (B1, B2) entry pairs) for every sl4r_4 member
+_FLOWS = {label: _flow_terms(cells) for label, cells in _SL4R.items()}
+
+
+def _deviation(m: _Rows) -> float:
+    """Max-abs entry of M J M^T - J of float rows; NaN when an entry is.
+
+    M J M^T is antisymmetric, and its (i, l) entry is the sum of the two
+    oscillator planes' minors M_i0 M_l1 - M_i1 M_l0 and M_i2 M_l3 - M_i3 M_l2,
+    so the six entries above the diagonal are read; J is 1 at (0, 1) and
+    (2, 3) and 0 at the other four.
+    """
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m
+    deviations = (
+        abs(a0 * b1 - a1 * b0 + (a2 * b3 - a3 * b2) - 1.0),
+        abs(a0 * c1 - a1 * c0 + (a2 * c3 - a3 * c2)),
+        abs(a0 * d1 - a1 * d0 + (a2 * d3 - a3 * d2)),
+        abs(b0 * c1 - b1 * c0 + (b2 * c3 - b3 * c2)),
+        abs(b0 * d1 - b1 * d0 + (b2 * d3 - b3 * d2)),
+        abs(c0 * d1 - c1 * d0 + (c2 * d3 - c3 * d2) - 1.0),
+    )
+    # max() keeps a NaN only when it comes first; their sum always keeps it
+    return math.nan if math.isnan(sum(deviations)) else max(deviations)
+
+
+def symplectic_deviation(m) -> float:
     """Max-abs entry of M J M^T - J (zero iff M is canonical)."""
-    return _scalar.symplectic_deviation(_rows(m, (4, 4), "transform"))
+    return _deviation(_rows(m, 4, "transform"))
 
 
-def is_canonical(m: np.ndarray) -> bool:
+def is_canonical(m) -> bool:
     """True iff M preserves the symplectic form within DEFAULT_TOLERANCE.
 
     The deviation max|M J M^T - J| is compared with
     DEFAULT_TOLERANCE * max(1, max|M|)**2: the rounding of M J M^T grows with
     the square of the entries, which reach e^|theta| under a squeeze.
     """
-    return _scalar.is_canonical(_rows(m, (4, 4), "transform"))
+    m = _rows(m, 4, "transform")
+    scale = max(1.0, *map(abs, m[0]), *map(abs, m[1]), *map(abs, m[2]), *map(abs, m[3])) ** 2
+    return _deviation(m) <= DEFAULT_TOLERANCE * scale
 
 
-def generator_to_transform(label: str, theta: float) -> np.ndarray:
+def generator_to_transform(label: str, theta: float) -> _Rows:
     """Finite transformation M(theta) = exp(-2i theta G) for one generator.
 
     G is the named sl4r_4 member; since its entries are purely imaginary the
     exponent theta A, A = 2 Im G, is real and so is M, evaluated in the
-    closed forms of the module conventions.  M(0) = I and
+    closed forms of the module conventions: cos(theta) B1 + sin(theta) B2 or
+    e^theta B1 + e^-theta B2.  M(0) = I and
     M(theta1 + theta2) = M(theta1) M(theta2) along each one-parameter flow.
 
     Raises:
         ValueError: unknown generator label.
         OverflowError: a squeeze with e^|theta| above the largest double.
     """
-    return np.array(_scalar.flow(label, theta))
+    if label not in _FLOWS:
+        raise ValueError(f"unknown generator {label!r}; expected one of {list(_FLOWS)}")
+    rotation, pairs = _FLOWS[label]
+    theta = float(theta)
+    if rotation:
+        u, v = math.cos(theta), math.sin(theta)
+    else:
+        u, v = math.exp(theta), math.exp(-theta)
+    entries = iter([u * x + v * y for x, y in pairs])
+    return tuple(zip(entries, entries, entries, entries))
 
 
-def coupling_transform(eta: float) -> np.ndarray:
+def coupling_transform(eta: float) -> _Rows:
     """The oscillator-coupling canonical transformation at squeeze eta.
 
     Composition of the 45-degree normal-mode rotation with reciprocal
@@ -95,6 +206,7 @@ def coupling_transform(eta: float) -> np.ndarray:
                [sinh 2eta, 0,          cosh 2eta,  0        ],
                [0,        -sinh 2eta,  0,          cosh 2eta]] / 2.
 
+    That is the rotation's columns scaled by e^eta, e^-eta, e^-eta, e^eta.
     The transpose of the returned matrix is the corresponding coordinate
     substitution ((x1 + x2) e^{eta} / sqrt2, (x1 - x2) e^{-eta} / sqrt2 and
     reciprocally for the momenta).
@@ -102,42 +214,119 @@ def coupling_transform(eta: float) -> np.ndarray:
     Raises:
         OverflowError: e^|eta| above the largest double.
     """
-    return np.array(_scalar.coupling(eta))
+    grow, shrink = math.exp(eta), math.exp(-eta)
+    plus_g, plus_s, minus_g, minus_s = _R45 * grow, _R45 * shrink, -_R45 * grow, -_R45 * shrink
+    return ((plus_g, 0.0, plus_s, 0.0),
+            (0.0, plus_s, 0.0, plus_g),
+            (plus_g, 0.0, minus_s, 0.0),
+            (0.0, plus_s, 0.0, minus_g))
 
 
-@dataclass(frozen=True)
+def _congruence(m: _Rows, c: _Rows) -> _Rows:
+    """M C M^T of a symmetric C: the upper triangle, mirrored, so the result is exactly symmetric."""
+    (c00, c01, c02, c03), (c10, c11, c12, c13), \
+        (c20, c21, c22, c23), (c30, c31, c32, c33) = c
+    # the rows of T = M C, reading C's rows as its columns
+    (p0, p1, p2, p3), (q0, q1, q2, q3), (s0, s1, s2, s3), (t0, t1, t2, t3) = [
+        (x0 * c00 + x1 * c01 + x2 * c02 + x3 * c03, x0 * c10 + x1 * c11 + x2 * c12 + x3 * c13,
+         x0 * c20 + x1 * c21 + x2 * c22 + x3 * c23, x0 * c30 + x1 * c31 + x2 * c32 + x3 * c33)
+        for x0, x1, x2, x3 in m]
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (d0, d1, d2, d3), (e0, e1, e2, e3) = m
+    # (T M^T)_il, the row of T times the row of M, for l >= i
+    r00, r01 = p0 * a0 + p1 * a1 + p2 * a2 + p3 * a3, p0 * b0 + p1 * b1 + p2 * b2 + p3 * b3
+    r02, r03 = p0 * d0 + p1 * d1 + p2 * d2 + p3 * d3, p0 * e0 + p1 * e1 + p2 * e2 + p3 * e3
+    r11, r12 = q0 * b0 + q1 * b1 + q2 * b2 + q3 * b3, q0 * d0 + q1 * d1 + q2 * d2 + q3 * d3
+    r13, r22 = q0 * e0 + q1 * e1 + q2 * e2 + q3 * e3, s0 * d0 + s1 * d1 + s2 * d2 + s3 * d3
+    r23, r33 = s0 * e0 + s1 * e1 + s2 * e2 + s3 * e3, t0 * e0 + t1 * e1 + t2 * e2 + t3 * e3
+    return ((r00, r01, r02, r03), (r01, r11, r12, r13),
+            (r02, r12, r22, r23), (r03, r13, r23, r33))
+
+
+def _pivots_positive(s00, s01, s02, s03, s11, s12, s13, s22, s23, s33) -> bool:
+    """True iff the four pivots of the LDL^T factorisation of a symmetric 4x4 are > 0.
+
+    The arguments are its upper triangle, row by row.  Each step divides by a
+    pivot already known to be positive and takes the Schur complement of the
+    rest; a symmetric matrix is positive definite iff every pivot is positive
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 10).
+    """
+    if not s00 > 0:
+        return False
+    l1, l2, l3 = s01 / s00, s02 / s00, s03 / s00
+    s11, s12, s13 = s11 - l1 * s01, s12 - l1 * s02, s13 - l1 * s03
+    s22, s23, s33 = s22 - l2 * s02, s23 - l2 * s03, s33 - l3 * s03
+    if not s11 > 0:
+        return False
+    l2, l3 = s12 / s11, s13 / s11
+    s22, s23, s33 = s22 - l2 * s12, s23 - l2 * s13, s33 - l3 * s13
+    if not s22 > 0:
+        return False
+    return s33 - s23 / s22 * s23 > 0
+
+
+def _checked_cov(c: _Rows) -> _Rows:
+    """A 4x4 covariance of float rows, checked and symmetrised.
+
+    Refuses non-finite entries and off-diagonal pairs further apart than
+    DEFAULT_TOLERANCE, replaces each pair by its mean, and refuses a result
+    with an LDL^T pivot <= 0.
+
+    Raises:
+        ValueError: with _ASYMMETRIC or _NOT_PD.
+    """
+    (c00, c01, c02, c03), (c10, c11, c12, c13), \
+        (c20, c21, c22, c23), (c30, c31, c32, c33) = c
+    if not (all(map(math.isfinite, (c00, c01, c02, c03, c10, c11, c12, c13,
+                                    c20, c21, c22, c23, c30, c31, c32, c33)))
+            and max(abs(c01 - c10), abs(c02 - c20), abs(c03 - c30),
+                    abs(c12 - c21), abs(c13 - c31), abs(c23 - c32)) <= DEFAULT_TOLERANCE):
+        raise ValueError(_ASYMMETRIC)
+    s01, s02, s03 = 0.5 * (c01 + c10), 0.5 * (c02 + c20), 0.5 * (c03 + c30)
+    s12, s13, s23 = 0.5 * (c12 + c21), 0.5 * (c13 + c31), 0.5 * (c23 + c32)
+    if not _pivots_positive(c00, s01, s02, s03, c11, s12, s13, c22, s23, c33):
+        raise ValueError(_NOT_PD)
+    return ((c00, s01, s02, s03), (s01, c11, s12, s13),
+            (s02, s12, c22, s23), (s03, s13, s23, c33))
+
+
 class GaussianState:
     """Zero-mean Gaussian state over (x1, p1, x2, p2), held as its covariance.
 
     The covariance must be symmetric positive definite; sub-vacuum
     covariances (symplectic eigenvalue below 1) are representable --
     classically legal states produced by non-canonical contraction -- and
-    are only flagged when a quantum entropy is requested.
+    are only flagged when a quantum entropy is requested.  ``cov`` is the
+    checked, symmetrised 4x4 as row tuples, and cannot be reassigned.
     """
 
-    cov: np.ndarray
+    __slots__ = ("_cov",)
 
-    def __post_init__(self):
-        cov = np.array(_scalar.checked_cov(_rows(self.cov, (4, 4), "covariance")))
-        cov.flags.writeable = False
-        object.__setattr__(self, "cov", cov)
+    def __init__(self, cov):
+        self._cov = _checked_cov(_rows(cov, 4, "covariance"))
+
+    @property
+    def cov(self) -> _Rows:
+        return self._cov
+
+    def __repr__(self) -> str:
+        return f"GaussianState(cov={self._cov!r})"
 
 
 def vacuum_state() -> GaussianState:
     """Ground state of both oscillators: covariance I/2."""
-    return GaussianState(np.array(_scalar.VACUUM))
+    return GaussianState(_VACUUM)
 
 
-def evolve(state: GaussianState, m: np.ndarray) -> GaussianState:
+def evolve(state: GaussianState, m) -> GaussianState:
     """Push a Gaussian state through a linear phase-space map.
 
     cov -> M cov M^T, i.e. the Wigner function transforms by substitution
     W'(xi) = W(M^{-1} xi).
     """
-    return GaussianState(_scalar.congruence(_rows(m, (4, 4), "transform"), state.cov.tolist()))
+    return GaussianState(_congruence(_rows(m, 4, "transform"), state.cov))
 
 
-def reduce_oscillator(state: GaussianState, keep: int) -> np.ndarray:
+def reduce_oscillator(state: GaussianState, keep: int) -> _Rows:
     """2x2 marginal covariance of the kept oscillator (1 or 2).
 
     For a Gaussian Wigner function, integrating out the other oscillator's
@@ -146,25 +335,85 @@ def reduce_oscillator(state: GaussianState, keep: int) -> np.ndarray:
     if keep not in (1, 2):
         raise ValueError(f"keep must be 1 or 2, got {keep!r}")
     i = 0 if keep == 1 else 2
-    return state.cov[i:i + 2, i:i + 2].copy()
+    first, second = state.cov[i:i + 2]
+    return first[i:i + 2], second[i:i + 2]
 
 
-def _block_mu(cov2: np.ndarray) -> float:
-    """mu = 2 sqrt(det cov2) of a 2x2 covariance given as an array, checked."""
-    (a, b), (c, d) = _rows(cov2, (2, 2), "covariance")
-    return _scalar._mu(a, b, c, d)
+def _det2(a: float, b: float, c: float, d: float) -> float:
+    """det [[a, b], [c, d]] of finite entries, bit for bit as np.linalg.det gives it.
+
+    The same steps in Python scalars: LU with row pivoting, whose pivot row
+    (p, r) is the one with the larger |first entry| and whose other row (q, t)
+    leaves u = t - (q * (1/p)) r, then sign * exp(ln|p| + ln|u|) as numpy's
+    slogdet forms it.  A subnormal or zero pivot (LAPACK divides by it instead
+    of scaling) and a det that overflows go to np.linalg.det itself, imported
+    only then, so the caller sees its `overflow encountered in det` warning.
+    """
+    if abs(c) > abs(a):
+        sign, p, r, q, t = -1.0, c, d, a, b
+    else:
+        sign, p, r, q, t = 1.0, a, b, c, d
+    if abs(p) >= sys.float_info.min:
+        u = t - q * (1.0 / p) * r
+        if u == 0.0:
+            return 0.0
+        if (p < 0) != (u < 0):
+            sign = -sign
+        log_det = math.log(abs(p)) + math.log(abs(u))
+        if log_det <= _LOG_MAX:
+            return sign * math.exp(log_det)
+    import numpy as np
+    return float(np.linalg.det(np.array([[a, b], [c, d]])))
 
 
-def gaussian_purity(cov2: np.ndarray) -> float:
+def _mu(block: _Rows) -> float:
+    """mu = 2 sqrt(det) of a 2x2 covariance of float rows; 1 for the vacuum, cosh(2 eta) when coupled.
+
+    The one check of a 2x2 covariance: finite, symmetric within DEFAULT_TOLERANCE,
+    and positive definite judged as a > 0 and det > 0, on the det mu is read from.
+    """
+    (a, b), (c, d) = block
+    if not (all(map(math.isfinite, (a, b, c, d))) and abs(b - c) <= DEFAULT_TOLERANCE):
+        raise ValueError(_ASYMMETRIC)
+    s = 0.5 * (b + c)
+    det = _det2(a, s, s, d)
+    if not (a > 0 and det > 0):
+        raise ValueError(_NOT_PD)
+    return 2.0 * math.sqrt(det)
+
+
+def gaussian_purity(cov2) -> float:
     """Tr(rho^2) of the Gaussian state with 2x2 covariance cov2.
 
     1/(2 sqrt(det cov2)) under the vacuum = I/2 convention: 1 for the
     vacuum block, 1/cosh(2 eta) for the reduced coupled ground state.
     """
-    return 1.0 / _block_mu(cov2)
+    return 1.0 / _mu(_rows(cov2, 2, "covariance"))
 
 
-def gaussian_entropy(cov2: np.ndarray) -> float:
+class SubVacuumError(ValueError):
+    """Covariance below the vacuum noise floor (mu < 1).
+
+    Such states are classically admissible (non-canonical contraction can
+    always shrink a phase-space area further) but carry no quantum entropy;
+    they are reported distinctly instead of silently clipped.
+    """
+
+
+def occupation_entropy(v: float) -> float:
+    """Entropy (v + 1) ln(v + 1) - v ln v of a mode with mean occupation v >= 0.
+
+    As log1p(v) + v log1p(1/v): no cancellation at large v, exactly 0 at
+    v = 0; below v = 1, log1p(1/v) = log1p(v) - ln v keeps 1/v from overflowing.
+    """
+    v = float(v)
+    if v == 0:
+        return 0.0
+    tail = math.log1p(1.0 / v) if v >= 1.0 else math.log1p(v) - math.log(v)
+    return math.log1p(v) + v * tail
+
+
+def gaussian_entropy(cov2) -> float:
     """von Neumann entropy from the symplectic eigenvalue of cov2.
 
     With mu = 2 sqrt(det cov2) this is occupation_entropy((mu - 1)/2).  For
@@ -174,7 +423,13 @@ def gaussian_entropy(cov2: np.ndarray) -> float:
     Raises:
         SubVacuumError: mu < 1 - DEFAULT_TOLERANCE.
     """
-    return _scalar.mu_entropy(_block_mu(cov2))
+    mu = _mu(_rows(cov2, 2, "covariance"))
+    if mu < 1.0 - DEFAULT_TOLERANCE:
+        raise SubVacuumError(
+            f"symplectic eigenvalue mu = {mu:.12g} < 1: sub-vacuum covariance "
+            "has no quantum entropy"
+        )
+    return occupation_entropy(max((mu - 1.0) / 2.0, 0.0))
 
 
 def areas(state: GaussianState) -> Tuple[float, float]:
@@ -184,5 +439,51 @@ def areas(state: GaussianState) -> Tuple[float, float]:
     vacuum occupies area pi per oscillator (the unit-circle contour).  A block
     is checked as gaussian_purity checks it: one whose det rounds to <= 0 is refused.
     """
-    mu1, mu2 = _scalar.block_mus(state.cov.tolist())
-    return math.pi * mu1, math.pi * mu2
+    return (math.pi * _mu(reduce_oscillator(state, 1)),
+            math.pi * _mu(reduce_oscillator(state, 2)))
+
+
+def eta_from_temperature(T: float) -> float:
+    """Squeeze parameter matching a temperature: cosh(2 eta) = 1/tanh(1/2T).
+
+    Equivalent to arccosh(1/tanh(1/2T))/2 and to arctanh(e^{-1/2T}).  With
+    x = 1/2T, arctanh(e^{-x}) is evaluated as it stands for T < 1 (x > 1/2)
+    and as (log1p(e^{-x}) - ln(-expm1(-x)))/2 above, where e^{-x} nears 1.
+    The second form cancels at large x, where -expm1(-x) rounds next to 1
+    (2.5e7 ulp off at x = 19).  The result is within 2 (1 + x) ulp of the
+    exact value: the rounding of x itself reaches e^{-x} x-fold.  Rejects
+    T <= 0 and non-finite T; the T -> 0+ limit is eta -> 0+.
+    """
+    if not 0 < T < math.inf:
+        raise ValueError(f"temperature must be finite and > 0, got {T}")
+    x = 0.5 / float(T)
+    if x > 0.5:
+        return math.atanh(math.exp(-x))
+    return 0.5 * (math.log1p(math.exp(-x)) - math.log(-math.expm1(-x)))
+
+
+def temperature_from_eta(eta: float) -> float:
+    """Inverse map T = -1/(2 ln tanh eta), from e^{-1/T} = tanh^2 eta.
+
+    For eta >= 1/4, ln tanh eta is evaluated as
+    log1p(-e^{-2 eta}) - log1p(e^{-2 eta}) so deep squeezes do not round
+    tanh to one; below that, ln tanh eta is well conditioned and the direct
+    form is used (at eta = 0.95 it is 7.6 ulp off).  The result is within
+    3 ulp of the exact T.
+    Rejects eta <= 0 and non-finite eta; the eta -> 0+ limit is T -> 0+.
+    Also rejects eta above about 355.6, where T ~ e^{2 eta}/4 passes the
+    largest double.
+    """
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta must be finite and > 0, got {eta}")
+    eta = float(eta)
+    if eta < 0.25:
+        log_tanh = math.log(math.tanh(eta))
+    else:
+        q = math.exp(-2.0 * eta)
+        log_tanh = math.log1p(-q) - math.log1p(q)
+    # Python float division: an overflow is inf without a warning
+    temperature = -0.5 / log_tanh if log_tanh else math.inf
+    if temperature == math.inf:
+        raise ValueError(f"eta={eta} gives a temperature above the largest double")
+    return temperature

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from oscsym._scalar import VACUUM, J, _det2, congruence
 from oscsym.families import FIFTEEN_LABELS, TENFOLD_LABELS, build_generator_set
 from oscsym.phase_space import (
     GaussianState,
@@ -26,6 +25,7 @@ from oscsym.phase_space import (
     temperature_from_eta,
     vacuum_state,
 )
+from oscsym.phase_space import _VACUUM, _congruence, _det2
 from oscsym.fock import gauss_hermite, moments
 
 EXTENSION_LABELS = ("S1", "S2", "G1", "G2", "G3")
@@ -34,14 +34,15 @@ EXTENSION_LABELS = ("S1", "S2", "G1", "G2", "G3")
 # ---------------------------------------------------------------------------
 # symplectic form and canonicality
 
-_J = np.array(J)
+_J = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
+               [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
 
 
 def test_symplectic_form_invariants():
     assert np.array_equal(_J.T, -_J)
     assert np.allclose(_J @ _J, -np.eye(4))
-    # rows of a tuple: nothing can write to the one J
-    assert isinstance(J, tuple) and all(isinstance(row, tuple) for row in J)
+    # J J J^T = J: the form the deviation is measured against is this J
+    assert symplectic_deviation(_J) == 0.0 and is_canonical(_J)
 
 
 def test_identity_is_canonical():
@@ -77,7 +78,7 @@ def test_transform_one_parameter_group(label):
     m1 = generator_to_transform(label, 0.4)
     m2 = generator_to_transform(label, 0.9)
     m12 = generator_to_transform(label, 1.3)
-    assert np.abs(m1 @ m2 - m12).max() <= 1e-12
+    assert np.abs(np.array(m1) @ m2 - m12).max() <= 1e-12
 
 
 @pytest.mark.parametrize("label", FIFTEEN_LABELS)
@@ -172,6 +173,51 @@ def test_gaussian_state_validation():
         GaussianState(-np.eye(4))
 
 
+def test_gaussian_state_cov_cannot_be_assigned():
+    state = vacuum_state()
+    with pytest.raises(AttributeError):
+        state.cov = np.eye(4) / 2
+    assert state.cov == vacuum_state().cov
+
+
+_COUPLED = evolve(vacuum_state(), coupling_transform(0.3))
+#: every function that takes a matrix: (route, a valid n x n input)
+MATRIX_ROUTES = {
+    "symplectic_deviation": (symplectic_deviation, _COUPLED.cov),
+    "is_canonical": (is_canonical, _COUPLED.cov),
+    "GaussianState": (lambda c: GaussianState(c).cov, _COUPLED.cov),
+    "evolve": (lambda m: evolve(_COUPLED, m).cov, _COUPLED.cov),
+    "gaussian_purity": (gaussian_purity, reduce_oscillator(_COUPLED, 1)),
+    "gaussian_entropy": (gaussian_entropy, reduce_oscillator(_COUPLED, 1)),
+}
+
+
+def _tuples(x):
+    return tuple(map(_tuples, x)) if isinstance(x, list) else x
+
+
+def _spellings(matrix):
+    """The same matrix as an ndarray, nested lists and nested tuples."""
+    array = np.array(matrix, dtype=float)
+    return array, array.tolist(), _tuples(array.tolist())
+
+
+@pytest.mark.parametrize("name", MATRIX_ROUTES)
+def test_ndarray_list_and_tuple_inputs_read_alike(name):
+    route, valid = MATRIX_ROUTES[name]
+    n = len(valid)
+    results = [route(m) for m in _spellings(valid)]
+    assert results[0] == results[1] == results[2]
+    for wrong in (np.eye(n + 1), np.zeros(n)):
+        refusals = []
+        for m in _spellings(wrong):
+            shape = re.escape(str(wrong.shape))
+            with pytest.raises(ValueError, match=rf"must be {n}x{n}, got {shape}$") as exc:
+                route(m)
+            refusals.append(str(exc.value))
+        assert refusals[0] == refusals[1] == refusals[2]
+
+
 # no filterwarnings override: the pyproject error::RuntimeWarning filter applies
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
 def test_covariance_refuses_non_finite_entries(entry):
@@ -212,7 +258,7 @@ def test_evolve_rotations_fix_vacuum():
     vac = vacuum_state()
     for label in ("L1", "L2", "S1", "S2"):
         out = evolve(vac, generator_to_transform(label, 0.6))
-        assert np.abs(out.cov - vac.cov).max() <= 1e-14, label
+        assert np.abs(np.array(out.cov) - vac.cov).max() <= 1e-14, label
 
 
 def test_coupled_state_covariance():
@@ -438,6 +484,7 @@ def _reference_areas(state):
 
 
 def _reference_is_canonical(m):
+    m = np.array(m)
     deviation = float(np.abs(m @ _J @ m.T - _J).max())
     return deviation <= 1e-12 * max(1.0, float(np.abs(m).max())) ** 2
 
@@ -590,7 +637,7 @@ def _reference_state_cov(cov):
 
 def _state_outcome(route, cov):
     try:
-        return route(cov).tobytes()
+        return np.array(route(cov)).tobytes()
     except ValueError as exc:
         return str(exc)
 
@@ -603,9 +650,9 @@ def test_covariance_check_accepts_what_eigvalsh_accepts(source):
         transforms = [coupling_transform(0.01 * i) for i in range(1, 851)]
     else:
         transforms = [generator_to_transform(source, theta) for theta in params]
-    vacuum = vacuum_state().cov
+    vacuum = np.array(vacuum_state().cov)
     for m in transforms:
-        cov = m @ vacuum @ m.T
+        cov = np.array(m) @ vacuum @ np.transpose(m)
         # raw M cov M^T is asymmetric by its rounding; evolve symmetrises it first
         for candidate in (cov, 0.5 * (cov + cov.T)):
             expected = _state_outcome(_reference_state_cov, candidate)
@@ -613,8 +660,7 @@ def test_covariance_check_accepts_what_eigvalsh_accepts(source):
         # evolve forms M C M^T in plain scalar sums, where BLAS may fuse a
         # multiply-add: the same acceptance, judged on its own product
         got = _state_outcome(lambda t: evolve(vacuum_state(), t).cov, m)
-        assert got == _state_outcome(_reference_state_cov,
-                                     np.array(congruence(m.tolist(), VACUUM)))
+        assert got == _state_outcome(_reference_state_cov, np.array(_congruence(m, _VACUUM)))
         assert isinstance(got, bytes) == isinstance(expected, bytes)
 
 
@@ -623,8 +669,8 @@ def test_covariance_check_stores_the_symmetrised_copy():
                     [0.0, 0.0, 0.5, -3e-13], [0.1, 0.0, 0.0, 0.5]])
     state = GaussianState(cov)
     assert np.array_equal(state.cov, _reference_state_cov(cov))
-    assert np.array_equal(state.cov, state.cov.T) and not state.cov.flags.writeable
-    assert state.cov is not cov
+    assert np.array_equal(state.cov, np.transpose(state.cov))
+    assert isinstance(state.cov, tuple) and all(isinstance(row, tuple) for row in state.cov)
 
 
 ASYMMETRIC = "covariance must be finite and symmetric (within 1e-12)"
@@ -653,7 +699,7 @@ def test_areas_refuse_a_block_whose_det_cancels_below_zero():
     cov = np.diag([18881.969807879806, 1219.860779961226, 0.5, 0.5])
     cov[0, 1] = cov[1, 0] = 4799.309785484219
     state = GaussianState(cov)
-    assert _reference_state_cov(cov).tobytes() == state.cov.tobytes()
+    assert _reference_state_cov(cov).tobytes() == np.array(state.cov).tobytes()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as exc:

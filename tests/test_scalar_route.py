@@ -1,5 +1,5 @@
-"""The scalar Gaussian route: the CLI and the library give equal rows, the
-flows read the sl4r_4 members, and the math-module maps hold to 50 digits."""
+"""The Gaussian pipeline in Python floats: simulate's rows equal the library's,
+the flows read the sl4r_4 members, and the math-module maps hold to 50 digits."""
 
 import json
 import math
@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from oscsym._scalar import FLOWS
 from oscsym.cli import main
 from oscsym.families import FIFTEEN_LABELS, build_generator_set
 from oscsym.phase_space import (
@@ -26,13 +25,14 @@ from oscsym.phase_space import (
     temperature_from_eta,
     vacuum_state,
 )
+from oscsym.phase_space import _FLOWS
 
 
 def test_flows_read_the_sl4r_members():
     # A = 2 Im G: B2 of a rotation, B1 - B2 = 2P - I of a squeeze
     sl4r = build_generator_set("sl4r_4")
-    assert tuple(FLOWS) == FIFTEEN_LABELS
-    for label, (rotation, pairs) in FLOWS.items():
+    assert tuple(_FLOWS) == FIFTEEN_LABELS
+    for label, (rotation, pairs) in _FLOWS.items():
         b1, b2 = np.array(pairs).T.reshape(2, 4, 4)
         a = b2 if rotation else b1 - b2
         assert np.array_equal(a, 2.0 * sl4r[label].imag)
@@ -53,7 +53,7 @@ def _library_row(source, eta):
             "area_product": a1 * a2, "canonical": is_canonical(m), "subvacuum": subvacuum}
 
 
-# below the pd-check zone (|theta| >= 9.1), where both routes accept every state
+# below the pd-check zone (|theta| >= 9.1), where every state is accepted
 GRID = [0.5 * i for i in range(-16, 17)]
 
 
