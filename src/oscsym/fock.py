@@ -571,8 +571,10 @@ def moments(eta: float, kmax: int = 200) -> SeriesMoments:
         lw, bw = log_w[:n], w[:n]
         np.add(k_log_q[:n], log_head + lo * log_q, out=lw)
         np.exp(lw, out=bw)
-        purity += bw @ bw
-        entropy -= bw @ lw
+        # einsum's own loop, not a BLAS dot, whose split of the sum (and so
+        # its rounding) follows the thread count
+        purity += np.einsum("i,i->", bw, bw)
+        entropy -= np.einsum("i,i->", bw, lw)
     return SeriesMoments(purity=float(purity), entropy=float(entropy))
 
 

@@ -580,9 +580,9 @@ def test_series_weights_past_eta_seven_match_high_precision(eta):
 @pytest.mark.parametrize("eta", [0.0, 1e-10, 0.7, -3.0, 6.0, 7.5, 20.0, 350.0])
 def test_moments_sum_the_series_weights(eta, kmax):
     # one ladder formula: within one block the purity is the weights' own sum
-    # of squares, bit for bit
+    # of squares, bit for bit, summed by einsum as moments sums it
     w = series_weights(eta, kmax)
-    assert w @ w == moments(eta, kmax).purity
+    assert np.einsum("i,i->", w, w) == moments(eta, kmax).purity
 
 
 def test_moments_entropy_keeps_the_vacuum_term_at_tiny_eta():
