@@ -190,8 +190,8 @@ def generator_to_transform(label: str, theta: float) -> _Rows:
         u, v = math.cos(theta), math.sin(theta)
     else:
         u, v = math.exp(theta), math.exp(-theta)
-    entries = iter([u * x + v * y for x, y in pairs])
-    return tuple(zip(entries, entries, entries, entries))
+    flat = tuple([u * x + v * y for x, y in pairs])
+    return flat[0:4], flat[4:8], flat[8:12], flat[12:16]
 
 
 def coupling_transform(eta: float) -> _Rows:
