@@ -120,16 +120,23 @@ def _diagonal_values(n1: np.ndarray, n2: np.ndarray, nmax: int) -> np.ndarray:
 
 
 def fock_index(nmax: int, n1: int, n2: int) -> int:
-    """Flat index of |n1, n2> in the product basis."""
+    """Flat index of |n1, n2> in the product basis.
+
+    Raises:
+        TypeError: nmax, n1 or n2 is not an integer.
+        ValueError: (n1, n2) lies outside [0, nmax)**2.
+    """
+    nmax, n1, n2 = map(operator.index, (nmax, n1, n2))
     if not (0 <= n1 < nmax and 0 <= n2 < nmax):
         raise ValueError(f"occupation ({n1}, {n2}) outside truncation {nmax}")
     return n1 * nmax + n2
 
 
 def basis_state(nmax: int, n1: int, n2: int) -> np.ndarray:
-    """Unit vector for |n1, n2>."""
+    """Unit vector for |n1, n2>; refuses arguments as ``fock_index`` does."""
+    i = fock_index(nmax, n1, n2)
     v = np.zeros(nmax * nmax)
-    v[fock_index(nmax, n1, n2)] = 1.0
+    v[i] = 1.0
     return v
 
 
@@ -143,8 +150,10 @@ def dirac_tenfold(nmax: int) -> GeneratorSet:
     ([K_i, Q_i] = -i S3); writing the same quadratic forms with opposite
     sign satisfies the mirrored table instead.
 
-    The members are dense complex (nmax**2, nmax**2) matrices, written from
-    the 26 diagonals without any dense product.
+    The members are the ten read-only C-contiguous (nmax**2, nmax**2) views
+    of one zeroed complex (10, nmax**2, nmax**2) block.  One scatter into the
+    block's interleaved (real, imag) doubles writes the nonzeros of the 26
+    diagonals, with no dense product and no loop over diagonals.
 
     Raises:
         TypeError: nmax is not an integer.
@@ -162,17 +171,16 @@ def dirac_tenfold(nmax: int) -> GeneratorSet:
     gen, step, _, phase, _, _ = _diagonal_layout()
     n, dim = np.arange(nmax), nmax * nmax
     values = _diagonal_values(n[:, None], n[None, :], nmax).reshape(len(gen), dim)
-    row = np.stack(np.divmod(np.arange(dim), nmax))
-    members = [np.zeros((dim, dim), complex) for _ in _QUADRATICS]
-    for u, g in enumerate(gen):
-        col = row + step[u, :, None]
-        i = np.flatnonzero(((0 <= col) & (col < nmax)).all(axis=0))
-        part = members[g].imag if phase[u] == 1j else members[g].real
-        part[i, col[0, i] * nmax + col[1, i]] = values[u, i]
-    for m in members:
-        m.flags.writeable = False
+    # diagonal u puts row i's value at column i + s1 nmax + s2 of member gen[u]:
+    # double 2 * (complex index in the block), + 1 for an imaginary diagonal
+    at = ((2 * (gen * dim * dim + step @ (nmax, 1)) + (phase == 1j))[:, None]
+          + 2 * (dim + 1) * np.arange(dim))
+    inside = values != 0  # zero wherever the column leaves the truncation
+    block = np.zeros((len(_QUADRATICS), dim, dim), complex)
+    block.view(float).reshape(-1)[at[inside]] = values[inside]
+    block.flags.writeable = False
     return GeneratorSet(family=f"fock(nmax={nmax})", dim=dim,
-                        members=dict(zip(_QUADRATICS, members)))
+                        members=dict(zip(_QUADRATICS, block)))
 
 
 def safe_subspace_mask(nmax: int) -> np.ndarray:
@@ -180,7 +188,13 @@ def safe_subspace_mask(nmax: int) -> np.ndarray:
 
     With margin 3 every raising path of a quadratic-times-quadratic product
     stays below the truncation, so restricted commutators are exact.
+
+    Raises:
+        TypeError: nmax is not an integer.
+        ValueError: nmax < 4, below the smallest ``dirac_tenfold`` it indexes.
     """
+    if operator.index(nmax) < 4:
+        raise ValueError(f"nmax must be >= 4 for the quadratic generators, got {nmax}")
     n1, n2 = np.divmod(np.arange(nmax * nmax), nmax)
     return (n1 + n2) <= (nmax - _SAFE_MARGIN)
 
@@ -452,9 +466,11 @@ def rho_partial_trace(eta: float, x, xp):
     * exp(-[e^{2 eta} (t - h)^2 + e^{-2 eta} (t + h)^2] / 2), so only the
     second factor depends on the node t, and only through h: one exp per
     (distinct h, node), in place, weighted by one matrix-vector product,
-    over blocks of h whose (h, nodes) integrand stays within 64 KiB; a grid
-    of n x n points has only 2n - 1 distinct h.  The squares stay centred:
-    expanded into t^2 - 2 t h + h^2 they cancel at large eta.
+    over blocks of h whose (h, nodes) integrand stays within 64 KiB.  An
+    n x n grid has 2n - 1 distinct h in exact arithmetic; rounding of
+    (x + x')/2 splits some (91 on a 21 x 21 linspace(-3, 3) grid).  The
+    squares stay centred: expanded into t^2 - 2 t h + h^2 they cancel at
+    large eta.
     """
     _check_eta(eta)
     x, xp = np.broadcast_arrays(np.asarray(x, float), np.asarray(xp, float))

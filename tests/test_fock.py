@@ -50,6 +50,31 @@ def test_fock_index_bounds():
         fock_index(4, 4, 0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: fock_index(8.5, 1, 1), lambda: fock_index(8, 1.5, 1),
+    lambda: fock_index(8, 1, 1.0), lambda: basis_state(8, 1.0, 0),
+    lambda: basis_state(8.0, 0, 0),
+])
+def test_basis_refuses_non_integer_arguments(call):
+    # a float once gave a fractional index (fock_index(8.5, 1, 1) == 9.5) or
+    # leaked numpy's own IndexError/TypeError from basis_state
+    with pytest.raises(TypeError, match="integer"):
+        call()
+
+
+def test_basis_accepts_numpy_integers():
+    assert fock_index(np.int64(8), np.int64(1), 2) == 10
+    assert np.array_equal(basis_state(np.int64(4), 1, 1), np.eye(16)[5])
+
+
+@pytest.mark.parametrize("nmax, error", [(8.5, TypeError), (8.0, TypeError),
+                                         (3, ValueError), (-3, ValueError)])
+def test_safe_subspace_mask_refuses_what_dirac_tenfold_refuses(nmax, error):
+    for build in (safe_subspace_mask, dirac_tenfold):
+        with pytest.raises(error):
+            build(nmax)
+
+
 # ---------------------------------------------------------------------------
 # the ten quadratic generators
 
@@ -110,7 +135,7 @@ def _dense_tenfold(nmax):
     }
 
 
-@pytest.mark.parametrize("nmax", range(4, 11))
+@pytest.mark.parametrize("nmax", [*range(4, 11), 12, 16])
 def test_tenfold_equals_dense_reference(nmax):
     gens = dirac_tenfold(nmax)
     ref = _dense_tenfold(nmax)
@@ -118,6 +143,19 @@ def test_tenfold_equals_dense_reference(nmax):
     for label, m in ref.items():
         assert gens[label].dtype == m.dtype, label
         assert np.array_equal(gens[label], m), label
+
+
+def test_tenfold_members_are_read_only_c_contiguous_complex():
+    for label, m in dirac_tenfold(6).members.items():
+        assert m.dtype == np.complex128 and m.flags.c_contiguous, label
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("nmax", [12, 24])
+def test_tenfold_holds_no_transient_dense_copy(nmax):
+    dirac_tenfold(4)  # the diagonal layout is cached on first use
+    assert _peak_bytes(dirac_tenfold, nmax) <= 1.05 * 10 * nmax ** 4 * 16
 
 
 @pytest.mark.parametrize("nmax", [6, 8, 10])
