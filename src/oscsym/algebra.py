@@ -254,21 +254,20 @@ def verify_algebra(genset: GeneratorSet, expected: StructureTable,
     max|[A, B] - i sum_c f_abc G_c| / max(1, max_l max|G_l|)**2, the scale
     taken once over all members of the set; the report passes iff every
     residual is within tolerance.  All pairs come from one product of the
-    stacked members and one contraction of ``f`` with the stack.  Every shipped
+    set's block with itself and one contraction of ``f`` with it.  Every shipped
     4x4, 5x5 and 6x6 family has entries of at most 1, so its scale is 1 and
     its residuals are absolute.
 
     Raises:
         ValueError: the expected table references a label absent from the set.
     """
-    missing = set(expected.labels) - set(genset.members)
+    missing = set(expected.labels) - set(genset.labels)
     if missing:
         raise ValueError(f"expected table references labels absent from "
                          f"{genset.family}: {sorted(missing)}")
-    mats = np.stack(list(genset.members.values()))
-    scale = max(1.0, float(np.abs(mats).max())) ** 2
+    scale = max(1.0, float(np.abs(genset.block).max())) ** 2
     index = {l: k for k, l in enumerate(genset.labels)}
-    g = mats[[index[l] for l in expected.labels]]
+    g = genset.block[[index[l] for l in expected.labels]]
     m, d = len(g), genset.dim
     products = _products(g)
     expansion = (expected.f.reshape(m * m, m) @ g.reshape(m, d * d)).reshape(m, m, d, d)
@@ -290,8 +289,7 @@ def structure_table(genset: GeneratorSet) -> StructureTable:
     (non-closure) and is reported rather than raised.
     """
     n, d = len(genset), genset.dim
-    mats = np.stack(list(genset.members.values()))  # (n, d, d)
-    products = _products(mats)
+    products = _products(genset.block)
     brackets = products - products.transpose(1, 0, 2, 3)
     rows, cols = np.nonzero(~np.eye(n, dtype=bool))  # row-major: (a, b) order
     coeffs, residuals = _project(genset, brackets[rows, cols].reshape(-1, d * d))

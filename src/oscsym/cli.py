@@ -217,9 +217,9 @@ def _clifford_rows(tol: float) -> List[Dict]:
             worst = max(worst, float(np.abs(r).max()))
     g5_worst = max(
         float(np.abs(algebra.anticommutator(g["g5"], g[m])).max()) for m in order)
-    dirac = families.build_generator_set("dirac_gamma")
-    trace_worst = max(float(abs(np.trace(m))) for m in dirac.members.values())
-    real_worst = max(float(np.abs(m.real).max()) for m in dirac.members.values())
+    dirac = families.build_generator_set("dirac_gamma").block
+    trace_worst = float(np.abs(np.trace(dirac, axis1=1, axis2=2)).max())
+    real_worst = float(np.abs(dirac.real).max())
     return [
         _check_row("dirac:clifford {g_mu,g_nu}=2g I", worst, tol),
         _check_row("dirac:g5 anticommutes with g_mu", g5_worst, tol),

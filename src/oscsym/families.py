@@ -1,6 +1,6 @@
 """Generator families for the coupled-oscillator symmetry groups.
 
-Five families of explicit matrices, each a named map ``label -> matrix``:
+Five families of explicit matrices, each one read-only labelled block:
 
 ``dirac_gamma``
     The fifteen traceless 4x4 gamma bilinears in the Majorana
@@ -41,7 +41,9 @@ is rounding-limited.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from functools import cached_property
+from types import MappingProxyType
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -110,31 +112,47 @@ def _literal(cells: Dict[str, str], scale: float, labels: Tuple[str, ...],
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorSet:
     """A named family of same-dimension generator matrices.
 
-    Immutable after construction; matrices are stored by label in a fixed
-    order so that flattened stacks and coefficient vectors line up.
+    ``block`` is one read-only complex (n, dim, dim) array, member k labelled
+    ``labels[k]``; ``members``, ``gens[label]`` and ``stack()`` are views of
+    it.  A block that is not (n, dim, dim), or labels that are not n distinct
+    names, raise ValueError.
     """
 
     family: str
-    dim: int
-    members: Dict[str, np.ndarray]
+    labels: Tuple[str, ...]
+    block: np.ndarray
+
+    def __post_init__(self):
+        block, labels = np.asarray(self.block, complex).view(), tuple(self.labels)
+        if block.ndim != 3 or block.shape[1] != block.shape[2]:
+            raise ValueError(f"{self.family}: block shape {block.shape} is not (n, dim, dim)")
+        if len(labels) != len(block) or len(set(labels)) != len(labels):
+            raise ValueError(f"{self.family}: need {len(block)} distinct labels, got {labels}")
+        block.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "block", block)
 
     @property
-    def labels(self) -> Tuple[str, ...]:
-        return tuple(self.members)
+    def dim(self) -> int:
+        return self.block.shape[1]
+
+    @cached_property
+    def members(self) -> Mapping[str, np.ndarray]:
+        return MappingProxyType(dict(zip(self.labels, self.block)))
 
     def __getitem__(self, label: str) -> np.ndarray:
         return self.members[label]
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.labels)
 
     def stack(self) -> np.ndarray:
-        """Members flattened row-wise into an (n_members, dim*dim) array."""
-        return np.stack([m.ravel() for m in self.members.values()])
+        """Members flattened row-wise into (n_members, dim*dim); a view of a C-contiguous block."""
+        return self.block.reshape(len(self.block), -1)
 
 
 def gamma_matrices() -> Dict[str, np.ndarray]:
@@ -148,12 +166,10 @@ def gamma_matrices() -> Dict[str, np.ndarray]:
     return g
 
 
-def _dirac_members() -> Dict[str, np.ndarray]:
+def _dirac_block() -> np.ndarray:
+    """The gamma family as one (15, 4, 4) block; label "g{a}g{b}" is i g_a g_b."""
     g = gamma_matrices()
-    members = dict(g)
-    for label in GAMMA_LABELS[5:]:  # i g5 g_mu and i g_mu g_nu, label "g{a}g{b}"
-        members[label] = 1j * (g[label[:2]] @ g[label[2:]])
-    return members
+    return np.array([g[l] if l in g else 1j * (g[l[:2]] @ g[l[2:]]) for l in GAMMA_LABELS])
 
 
 def build_generator_set(family: str) -> GeneratorSet:
@@ -176,10 +192,6 @@ def build_generator_set(family: str) -> GeneratorSet:
         raise ValueError(
             f"unknown family {family!r}; expected one of {sorted(FAMILIES)}"
         ) from None
-    if family == "dirac_gamma":
-        members = _dirac_members()
-    else:
-        members = dict(zip(labels, _literal(*_LITERAL[family], labels, dim)))
-    for m in members.values():
-        m.flags.writeable = False
-    return GeneratorSet(family=family, dim=dim, members=members)
+    block = (_dirac_block() if family == "dirac_gamma"
+             else _literal(*_LITERAL[family], labels, dim))
+    return GeneratorSet(family, labels, block)

@@ -150,10 +150,10 @@ def dirac_tenfold(nmax: int) -> GeneratorSet:
     ([K_i, Q_i] = -i S3); writing the same quadratic forms with opposite
     sign satisfies the mirrored table instead.
 
-    The members are the ten read-only C-contiguous (nmax**2, nmax**2) views
-    of one zeroed complex (10, nmax**2, nmax**2) block.  One scatter into the
-    block's interleaved (real, imag) doubles writes the nonzeros of the 26
-    diagonals, with no dense product and no loop over diagonals.
+    The set's read-only ``block`` is one zeroed complex (10, nmax**2, nmax**2)
+    array, handed over without a copy, whose C-contiguous views are the
+    members.  One scatter into its interleaved (real, imag) doubles writes
+    the nonzeros of the 26 diagonals, with no dense product and no loop over them.
 
     Raises:
         TypeError: nmax is not an integer.
@@ -178,9 +178,7 @@ def dirac_tenfold(nmax: int) -> GeneratorSet:
     inside = values != 0  # zero wherever the column leaves the truncation
     block = np.zeros((len(_QUADRATICS), dim, dim), complex)
     block.view(float).reshape(-1)[at[inside]] = values[inside]
-    block.flags.writeable = False
-    return GeneratorSet(family=f"fock(nmax={nmax})", dim=dim,
-                        members=dict(zip(_QUADRATICS, block)))
+    return GeneratorSet(f"fock(nmax={nmax})", _QUADRATICS, block)
 
 
 def safe_subspace_mask(nmax: int) -> np.ndarray:
@@ -380,7 +378,7 @@ def psi_eta(eta: float, x1, x2):
 def expansion_coefficient(eta: float, k: int) -> float:
     """Closed-form expansion coefficient tanh(eta)**k / cosh(eta)."""
     _check_eta(eta)
-    if k < 0:
+    if operator.index(k) < 0:  # a float k would give a non-ladder power
         raise ValueError("k must be >= 0")
     return float(np.tanh(eta) ** k / np.cosh(eta))
 
@@ -519,7 +517,7 @@ def series_weights(eta: float, kmax: int = 200) -> np.ndarray:
     The terms ``moments`` sums.  Symmetric in eta (only |eta| enters);
     nonnegative and non-increasing; exactly (1, 0, 0, ...) at eta = 0.
     """
-    log_q, log_head = _ladder_logs(eta)
+    kmax, (log_q, log_head) = operator.index(kmax), _ladder_logs(eta)
     if log_q == -np.inf:
         return np.eye(1, kmax + 1)[0]
     return np.exp(np.arange(kmax + 1) * log_q + log_head)
@@ -527,7 +525,7 @@ def series_weights(eta: float, kmax: int = 200) -> np.ndarray:
 
 def series_tail_bound(eta: float, kmax: int = 200) -> float:
     """Exact dropped tail sum_{k > kmax} w_k = q^{kmax+1}; the whole ladder for kmax < 0."""
-    log_q, _ = _ladder_logs(eta)
+    kmax, (log_q, _) = operator.index(kmax), _ladder_logs(eta)
     return float(np.exp((kmax + 1) * log_q)) if kmax >= 0 else 1.0
 
 
@@ -566,7 +564,7 @@ def moments(eta: float, kmax: int = 200) -> SeriesMoments:
     both up to the geometric tail ``series_tail_bound``, whose excess over
     DEFAULT_TOLERANCE triggers a warning.  Negative eta is folded to |eta|.
     """
-    tail = series_tail_bound(eta, kmax)
+    tail = series_tail_bound(eta, kmax)  # refuses a non-integer kmax before warning
     if tail > DEFAULT_TOLERANCE:
         warnings.warn(
             f"series tail bound {tail:.3e} exceeds {DEFAULT_TOLERANCE:.0e} "

@@ -141,8 +141,9 @@ def test_03_gamma_bilinear_correspondence_pattern():
     sl4r = build_generator_set("sl4r_4")
     coeff, (fa, fb) = TABLE1_RECIPES["S2"]
     g = gamma_matrices()
-    recipe_s2 = GeneratorSet("sl4r_4 with recipe S2", sl4r.dim,
-                             {**sl4r.members, "S2": coeff * g[fa] @ g[fb]})
+    block = sl4r.block.copy()
+    block[sl4r.labels.index("S2")] = coeff * g[fa] @ g[fb]
+    recipe_s2 = GeneratorSet("sl4r_4 with recipe S2", sl4r.labels, block)
     shipped = verify_algebra(sl4r, o33gen_table(), 1e-12)
     flipped = verify_algebra(recipe_s2, o33gen_table(), 1e-12)
     s1s2 = flipped.residuals[("S1", "S2")]

@@ -168,7 +168,7 @@ def test_sp2_first_triple_brackets():
 # structure_table
 
 def test_structure_table_single_member_trivially_closed():
-    solo = GeneratorSet(family="solo", dim=4, members={"L3": SP4["L3"]})
+    solo = GeneratorSet("solo", ("L3",), [SP4["L3"]])
     table = structure_table(solo)
     assert table.entries == {}
     assert table.max_closure_residual() == 0.0
@@ -215,8 +215,7 @@ def test_structure_table_matches_per_pair_reference(family):
 
 def test_structure_table_reports_non_closure():
     # [K1, K2] = -i L3 leaves span{K1, K2}: reported, not raised
-    pair_set = GeneratorSet(family="k1k2", dim=4,
-                            members={"K1": SP4["K1"], "K2": SP4["K2"]})
+    pair_set = GeneratorSet("k1k2", ("K1", "K2"), [SP4["K1"], SP4["K2"]])
     table = structure_table(pair_set)
     assert table.closure_residuals == {("K1", "K2"): 0.5, ("K2", "K1"): 0.5}
     assert table.entries == {("K1", "K2"): (), ("K2", "K1"): ()}
@@ -262,8 +261,7 @@ def test_isomorphism_self():
 
 
 def test_isomorphism_matches_by_label_not_position():
-    permuted = GeneratorSet(family="sl4r_reversed", dim=SL4R.dim,
-                            members=dict(reversed(list(SL4R.members.items()))))
+    permuted = GeneratorSet("sl4r_reversed", SL4R.labels[::-1], SL4R.block[::-1])
     assert permuted.labels == SL4R.labels[::-1]
     rep = check_isomorphism(permuted, O33, 1e-12)
     assert rep.passed, rep.summary()
@@ -272,8 +270,7 @@ def test_isomorphism_matches_by_label_not_position():
 
 def test_isomorphism_names_worst_closure_pairs():
     # span{K1, K2} does not close: both brackets leave it with residual 0.5
-    pair_set = GeneratorSet(family="k1k2", dim=4,
-                            members={"K1": SP4["K1"], "K2": SP4["K2"]})
+    pair_set = GeneratorSet("k1k2", ("K1", "K2"), [SP4["K1"], SP4["K2"]])
     rep = check_isomorphism(pair_set, pair_set, 1e-12)
     assert not rep.passed
     residuals = structure_table(pair_set).closure_residuals
@@ -295,8 +292,8 @@ def test_zero_residuals_name_no_worst_pair(gens, table_builder):
 
 
 def test_non_orthogonal_basis_rejected():
-    skew = GeneratorSet(family="skew", dim=4, members={"A": SP4["L3"], "B": SP4["L3"] + SP4["K1"]})
-    zero = GeneratorSet(family="zero", dim=4, members={"A": SP4["L3"], "B": 0 * SP4["K1"]})
+    skew = GeneratorSet("skew", ("A", "B"), [SP4["L3"], SP4["L3"] + SP4["K1"]])
+    zero = GeneratorSet("zero", ("A", "B"), [SP4["L3"], 0 * SP4["K1"]])
     for genset in (skew, zero):
         with pytest.raises(ValueError, match="orthogonal"):
             structure_table(genset)
@@ -352,7 +349,7 @@ def test_decompose_reconstruct_random_combinations():
 
 
 def test_isomorphism_single_member_passes_trivially():
-    solo = GeneratorSet(family="solo", dim=4, members={"L3": SP4["L3"]})
+    solo = GeneratorSet("solo", ("L3",), [SP4["L3"]])
     rep = check_isomorphism(solo, solo, 1e-12)
     assert rep.passed
     assert rep.max_deviation == 0.0 and rep.worst is None
@@ -369,7 +366,7 @@ def test_isomorphism_zero_gap_names_no_pair():
 
 
 def test_verify_against_own_empty_table():
-    solo = GeneratorSet(family="solo", dim=4, members={"L3": SP4["L3"]})
+    solo = GeneratorSet("solo", ("L3",), [SP4["L3"]])
     rep = verify_algebra(solo, structure_table(solo), 1e-12)
     assert rep.passed
     assert rep.residuals == {}

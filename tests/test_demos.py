@@ -1,4 +1,5 @@
-"""Smoke test: every narrative script under demos/ runs to completion."""
+"""Smoke test: every narrative script under demos/ runs to completion and
+writes nothing to stderr."""
 
 import os
 import subprocess
@@ -21,3 +22,4 @@ def test_demo_exits_zero(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""  # a RuntimeWarning a demo prints is a failure too

@@ -8,9 +8,11 @@ from oscsym.families import (
     FIFTEEN_LABELS,
     GAMMA_LABELS,
     TENFOLD_LABELS,
+    GeneratorSet,
     build_generator_set,
     gamma_matrices,
 )
+from oscsym.fock import dirac_tenfold
 
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -40,6 +42,48 @@ def test_member_counts_and_dimensions(family):
     assert len(gens) in (10, 15)
     for m in gens.members.values():
         assert m.shape == (dim, dim)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_family_is_one_read_only_block(family):
+    gens = build_generator_set(family)
+    assert gens.block.shape == (len(gens), gens.dim, gens.dim)
+    assert not gens.block.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        gens.block[0, 0, 0] = 1.0
+    with pytest.raises(TypeError):
+        gens.members["L1"] = np.eye(gens.dim)
+    assert np.shares_memory(gens.block, gens.stack())
+    for k, label in enumerate(gens.labels):
+        assert np.shares_memory(gens[label], gens.block)
+        assert np.array_equal(gens[label], gens.block[k])
+    with pytest.raises(KeyError):
+        gens["no such label"]
+
+
+def test_dirac_tenfold_members_are_views_of_its_block():
+    gens = dirac_tenfold(8)
+    assert not gens.block.flags.writeable
+    assert all(np.shares_memory(m, gens.block) for m in gens.members.values())
+    assert np.shares_memory(gens.block, gens.stack())
+
+
+def test_generator_set_takes_its_block_without_a_copy():
+    block = np.zeros((2, 3, 3), complex)
+    gens = GeneratorSet("pair", ("A", "B"), block)
+    assert np.shares_memory(gens.block, block) and gens.dim == 3
+    assert block.flags.writeable  # the set's view is read-only, not the caller's array
+
+
+@pytest.mark.parametrize("labels, block", [
+    (("A",), np.zeros((2, 3, 3))),
+    (("A", "B"), np.zeros((2, 3, 4))),
+    (("A", "B"), np.zeros((2, 3))),
+    (("A", "A"), np.zeros((2, 3, 3))),
+], ids=["label-count", "non-square", "not-3d", "duplicate-labels"])
+def test_generator_set_refuses_an_inconsistent_block(labels, block):
+    with pytest.raises(ValueError):
+        GeneratorSet("bad", labels, block)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

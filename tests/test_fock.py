@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+import warnings
 from dataclasses import astuple
 from pathlib import Path
 
@@ -336,6 +337,24 @@ def test_expansion_rejects_negative_k():
         expansion_overlap(0.5, -1)
     with pytest.raises(ValueError):
         expansion_coefficient(0.5, -1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: expansion_coefficient(0.5, 1.5),
+    lambda: expansion_overlap(0.5, 1.5),
+    lambda: series_weights(0.5, 2.5),
+    lambda: series_weights(0.0, 2.5),
+    lambda: series_tail_bound(0.5, 2.5),
+    lambda: series_tail_bound(0.5, -1.0),
+    lambda: moments(0.5, 2.5),
+], ids=["coefficient", "overlap", "weights", "weights-pure", "tail", "tail-negative",
+        "moments"])
+def test_series_functions_refuse_non_integer_k(call):
+    # one TypeError, raised before moments' tail warning (an error here)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError, match="integer"):
+            call()
 
 
 @pytest.mark.parametrize("eta", [0.05, 0.8, 2.0, -1.3])
