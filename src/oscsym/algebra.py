@@ -2,7 +2,10 @@
 
 Every bracket table is one (n, n, n) tensor f with
 [G_a, G_b] = i sum_c f_abc G_c, and every check is a batched contraction
-over it.  The expected tables shipped here (``o33gen_table``, its
+over it.  All five shipped families are purely imaginary, G = iA, so the
+checks run on the real form A = Im G, where the same f reads
+[A_a, A_b] = sum_c f_abc A_c; any other block is checked on G itself.
+The expected tables shipped here (``o33gen_table``, its
 ten-generator restriction ``alge11_table``, and ``sp2_table``) are frozen
 integer tensors; the test suite projects every table out of the explicit
 matrices and fails the build unless it equals the shipped tensor.
@@ -68,14 +71,33 @@ def _products(mats: np.ndarray) -> np.ndarray:
     return blocks.reshape(n, d, n, d).transpose(0, 2, 1, 3)
 
 
-def _project(genset: GeneratorSet, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Coefficients tr(X G_c^H) / tr(G_c G_c^H) of each row X of ``x`` (k, dim*dim),
-    and each row's max-abs remainder; the members must be trace-orthogonal."""
-    stack = genset.stack()
+def _real_form(block: np.ndarray) -> Tuple[np.ndarray, complex]:
+    """(Im G, 1) for a purely imaginary block, else (G, 1j).
+
+    For G = iA, [G_a, G_b] = i sum_c f_abc G_c is exactly the real bracket
+    [A_a, A_b] = sum_c f_abc A_c, so each check reads members M and unit u
+    with [M_a, M_b] = u sum_c f_abc M_c.
+    """
+    return (block.imag, 1.0) if not block.real.any() else (block, 1j)
+
+
+@lru_cache(maxsize=64)
+def _pair_plan(labels: Tuple[str, ...]) -> Tuple[Tuple[Tuple[str, str], ...],
+                                                 np.ndarray, np.ndarray]:
+    """Every ordered pair of distinct labels, row-major, and its (row, col) indices."""
+    rows, cols = np.nonzero(~np.eye(len(labels), dtype=bool))
+    rows.flags.writeable = cols.flags.writeable = False
+    return tuple((labels[a], labels[b]) for a, b in zip(rows.tolist(), cols.tolist())), rows, cols
+
+
+def _project(family: str, stack: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Coefficients tr(X M_c^H) / tr(M_c M_c^H) of each row X of ``x`` (k, dim*dim)
+    over the rows M_c of ``stack``, and each row's max-abs remainder; the
+    members must be trace-orthogonal."""
     gram = stack @ stack.conj().T
     norms = gram.diagonal().real
     if np.any(gram - np.diag(norms)) or not norms.all():
-        raise ValueError(f"{genset.family}: members are not all nonzero and mutually "
+        raise ValueError(f"{family}: members are not all nonzero and mutually "
                          f"orthogonal under tr(G_a G_b^H)")
     coeffs = x @ stack.conj().T / norms
     return coeffs, np.abs(x - coeffs @ stack).max(axis=1)
@@ -93,7 +115,7 @@ def decompose(x: np.ndarray, basis: GeneratorSet) -> Tuple[np.ndarray, float]:
     x = np.asarray(x, dtype=complex)
     if x.shape != (basis.dim, basis.dim):
         raise ValueError(f"dimension mismatch: {x.shape} vs {(basis.dim, basis.dim)}")
-    coeffs, residuals = _project(basis, x.reshape(1, -1))
+    coeffs, residuals = _project(basis.family, basis.stack(), x.reshape(1, -1))
     return coeffs[0], float(residuals[0])
 
 
@@ -113,7 +135,7 @@ class StructureTable:
 
     def pairs(self) -> Tuple[Tuple[str, str], ...]:
         """Every ordered pair of distinct labels, row-major."""
-        return tuple((a, b) for a in self.labels for b in self.labels if a != b)
+        return _pair_plan(tuple(self.labels))[0]
 
     @property
     def entries(self) -> Dict[Tuple[str, str], Tuple[Term, ...]]:
@@ -251,12 +273,14 @@ def verify_algebra(genset: GeneratorSet, expected: StructureTable,
     """Check every bracket of ``expected`` against the matrices.
 
     The residual for a pair (a, b) is
-    max|[A, B] - i sum_c f_abc G_c| / max(1, max_l max|G_l|)**2, the scale
-    taken once over all members of the set; the report passes iff every
-    residual is within tolerance.  All pairs come from one product of the
-    set's block with itself and one contraction of ``f`` with it.  Every shipped
-    4x4, 5x5 and 6x6 family has entries of at most 1, so its scale is 1 and
-    its residuals are absolute.
+    max|[G_a, G_b] - i sum_c f_abc G_c| / max(1, max_l max|G_l|)**2, the
+    scale taken once over all members of the set; the report passes iff
+    every residual is within tolerance.  A purely imaginary set is checked
+    on its real form A = Im G as max|[A_a, A_b] - sum_c f_abc A_c|, the same
+    number.  All pairs come from one product of the members with themselves
+    and one contraction of ``f`` with them.  Every shipped 4x4, 5x5 and 6x6
+    family has entries of at most 1, so its scale is 1 and its residuals
+    are absolute.
 
     Raises:
         ValueError: the expected table references a label absent from the set.
@@ -265,38 +289,42 @@ def verify_algebra(genset: GeneratorSet, expected: StructureTable,
     if missing:
         raise ValueError(f"expected table references labels absent from "
                          f"{genset.family}: {sorted(missing)}")
-    scale = max(1.0, float(np.abs(genset.block).max())) ** 2
+    members, unit = _real_form(genset.block)
+    scale = max(1.0, float(np.abs(members).max())) ** 2
     index = {l: k for k, l in enumerate(genset.labels)}
-    g = genset.block[[index[l] for l in expected.labels]]
+    g = members[[index[l] for l in expected.labels]]
     m, d = len(g), genset.dim
     products = _products(g)
     expansion = (expected.f.reshape(m * m, m) @ g.reshape(m, d * d)).reshape(m, m, d, d)
-    r = products - products.transpose(1, 0, 2, 3) - 1j * expansion
+    r = products - products.transpose(1, 0, 2, 3) - unit * expansion
     residuals = np.abs(r).reshape(m, m, -1).max(axis=2) / scale
-    rows, cols = np.nonzero(~np.eye(m, dtype=bool))  # row-major, as pairs()
+    pairs, rows, cols = _pair_plan(tuple(expected.labels))
     return VerificationReport(genset.family, tolerance,
-                              dict(zip(expected.pairs(), residuals[rows, cols].tolist())))
+                              dict(zip(pairs, residuals[rows, cols].tolist())))
 
 
 def structure_table(genset: GeneratorSet) -> StructureTable:
     """Expand every ordered commutator pair in the set's own basis.
 
-    All n(n-1) off-diagonal commutators come from one broadcast product and
-    are expanded by one trace projection, f_abc = -i tr([G_a, G_b] G_c^H) /
-    tr(G_c G_c^H), which raises ``ValueError`` unless the members are nonzero
-    and trace-orthogonal.  Each remainder is kept in ``closure_residuals``; a
-    residual above tolerance marks a pair whose bracket leaves the span
-    (non-closure) and is reported rather than raised.
+    A purely imaginary family G = iA is expanded on its real form A = Im G,
+    f_abc = tr([A_a, A_b] A_c^T) / tr(A_c A_c^T); any other block on G itself,
+    f_abc = -i tr([G_a, G_b] G_c^H) / tr(G_c G_c^H).  All n(n-1) off-diagonal
+    commutators come from one broadcast product and are expanded by one
+    trace projection, which raises ``ValueError`` unless the members are
+    nonzero and trace-orthogonal.  Each remainder is kept in
+    ``closure_residuals``; a residual above tolerance marks a pair whose
+    bracket leaves the span (non-closure) and is reported rather than raised.
     """
+    members, unit = _real_form(genset.block)
     n, d = len(genset), genset.dim
-    products = _products(genset.block)
+    products = _products(members)
     brackets = products - products.transpose(1, 0, 2, 3)
-    rows, cols = np.nonzero(~np.eye(n, dtype=bool))  # row-major: (a, b) order
-    coeffs, residuals = _project(genset, brackets[rows, cols].reshape(-1, d * d))
+    pairs, rows, cols = _pair_plan(genset.labels)
+    coeffs, residuals = _project(genset.family, members.reshape(n, d * d),
+                                 brackets[rows, cols].reshape(-1, d * d))
     f = np.zeros((n, n, n), complex)
-    f[rows, cols] = -1j * coeffs
+    f[rows, cols] = coeffs if unit == 1 else -1j * coeffs
     f.flags.writeable = False
-    pairs = [(a, b) for a in genset.labels for b in genset.labels if a != b]  # as rows, cols
     return StructureTable(genset.labels, f, dict(zip(pairs, residuals.tolist())))
 
 

@@ -515,11 +515,12 @@ def series_weights(eta: float, kmax: int = 200) -> np.ndarray:
     """Eigenvalue ladder w_k = exp(ln(1 - q) + k ln q), q = tanh^2 eta, k = 0..kmax.
 
     The terms ``moments`` sums.  Symmetric in eta (only |eta| enters);
-    nonnegative and non-increasing; exactly (1, 0, 0, ...) at eta = 0.
+    nonnegative and non-increasing; exactly (1, 0, 0, ...) at eta = 0; empty
+    for kmax < 0.
     """
     kmax, (log_q, log_head) = operator.index(kmax), _ladder_logs(eta)
     if log_q == -np.inf:
-        return np.eye(1, kmax + 1)[0]
+        return np.eye(1, max(kmax + 1, 0))[0]
     return np.exp(np.arange(kmax + 1) * log_q + log_head)
 
 

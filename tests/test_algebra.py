@@ -5,6 +5,7 @@ import pytest
 
 from oscsym.algebra import (
     SP2_TRIPLES,
+    _pair_plan,
     StructureTable,
     alge11_table,
     check_isomorphism,
@@ -16,7 +17,9 @@ from oscsym.algebra import (
     table1_correspondence,
     verify_algebra,
 )
-from oscsym.families import FAMILIES, GeneratorSet, build_generator_set
+from oscsym.families import (FAMILIES, FIFTEEN_LABELS, TENFOLD_LABELS, GeneratorSet,
+                             build_generator_set)
+from oscsym.fock import dirac_tenfold
 
 SP4 = build_generator_set("sp4_4")
 SL4R = build_generator_set("sl4r_4")
@@ -435,3 +438,124 @@ def test_computed_tensor_is_read_only():
     with pytest.raises(ValueError, match="read-only"):
         table.f[0, 1, 2] = 5
     assert table.entries[("L1", "L2")] == ((1j, "L3"),)
+
+
+# ---------------------------------------------------------------------------
+# the real form A = Im G against complex arithmetic on G itself
+
+def _complex_verify(genset, expected):
+    """verify_algebra's residuals computed on the complex members, whatever the block."""
+    scale = max(1.0, float(np.abs(genset.block).max())) ** 2
+    g = np.array([genset[l] for l in expected.labels])
+    m, d = len(g), genset.dim
+    products = (g.reshape(m * d, d) @ g.transpose(1, 0, 2).reshape(d, m * d)
+                ).reshape(m, d, m, d).transpose(0, 2, 1, 3)
+    expansion = (expected.f.reshape(m * m, m) @ g.reshape(m, d * d)).reshape(m, m, d, d)
+    r = np.abs(products - products.transpose(1, 0, 2, 3) - 1j * expansion)
+    return {(a, b): float(r[i, j].max()) / scale
+            for i, a in enumerate(expected.labels)
+            for j, b in enumerate(expected.labels) if i != j}
+
+
+def _complex_table(genset):
+    """structure_table's f and closure residuals projected on the complex members."""
+    n, d = len(genset), genset.dim
+    stack = genset.block.reshape(n, d * d)
+    pairs = [(a, b) for a in genset.labels for b in genset.labels if a != b]
+    x = np.array([commutator(genset[a], genset[b]).ravel() for a, b in pairs])
+    coeffs = x @ stack.conj().T / (stack @ stack.conj().T).diagonal().real
+    f = np.zeros((n, n, n), complex)
+    rows, cols = zip(*[(genset.labels.index(a), genset.labels.index(b)) for a, b in pairs])
+    f[rows, cols] = -1j * coeffs
+    closure = np.abs(x - coeffs @ stack).max(axis=1)
+    return f, dict(zip(pairs, closure.tolist()))
+
+
+def _complex_isomorphism(set_a, set_b, tolerance):
+    (f_a, closure_a), (f_b, closure_b) = _complex_table(set_a), _complex_table(set_b)
+    perm = [set_b.labels.index(l) for l in set_a.labels]
+    gap = np.abs(f_a - f_b[np.ix_(perm, perm, perm)])
+    worst = None
+    if gap.max():
+        a, b, c = np.unravel_index(gap.argmax(), gap.shape)
+        worst = ((set_a.labels[a], set_a.labels[b]), set_a.labels[c])
+
+    def worst_pair(closure):
+        return max(closure, key=closure.get) if max(closure.values()) else None
+    return (float(gap.max()), worst, max(closure_a.values()), max(closure_b.values()),
+            worst_pair(closure_a), worst_pair(closure_b), tolerance)
+
+
+#: 1j times the sp4_4 block: real-valued, so it is checked on G itself
+SP4_REAL = GeneratorSet("sp4_real", SP4.labels, 1j * SP4.block)
+
+
+@pytest.mark.parametrize("gens,table", [
+    (SP4, alge11_table()), (O32, alge11_table()),
+    (SL4R, o33gen_table()), (O33, o33gen_table()),
+    (SP4_REAL, alge11_table()), (SP4_REAL, structure_table(SP4_REAL)),
+    (SP4, structure_table(SP4_REAL)),
+], ids=["sp4_4", "o32_5", "sl4r_4", "o33_6", "real", "real-own", "sp4-on-real"])
+def test_verify_equals_complex_reference(gens, table):
+    assert verify_algebra(gens, table, 1e-12).residuals == _complex_verify(gens, table)
+
+
+def test_verify_tenfold_equals_complex_reference():
+    # real and imaginary Fock members: the 1j branch, with rounding-level residuals
+    tenfold = dirac_tenfold(6)
+    assert tenfold.block.real.any() and tenfold.block.imag.any()
+    rep = verify_algebra(tenfold, alge11_table(), 1e-12)
+    assert rep.residuals == _complex_verify(tenfold, alge11_table())
+    assert max(rep.residuals.values()) > 0.0
+
+
+@pytest.mark.parametrize("gens", [SP4, O32, SL4R, O33, SP4_REAL],
+                         ids=["sp4_4", "o32_5", "sl4r_4", "o33_6", "real"])
+def test_structure_table_equals_complex_reference(gens):
+    f, closure = _complex_table(gens)
+    table = structure_table(gens)
+    assert table.f.dtype == complex and not table.f.flags.writeable
+    assert np.array_equal(table.f, f)
+    assert table.closure_residuals == closure
+
+
+def test_real_valued_set_has_i_times_the_shipped_coefficients():
+    # [iG_a, iG_b] = -i f_abc G_c = i (i f_abc) (iG_c)
+    assert np.array_equal(structure_table(SP4_REAL).f, 1j * alge11_table().f)
+
+
+@pytest.mark.parametrize("set_a,set_b", [
+    (SL4R, O33), (SP4, O32), (O33, SL4R), (SP4_REAL, SP4), (SP4, SP4_REAL), (SP4_REAL, SP4_REAL),
+], ids=["sl4r~o33", "sp4~o32", "o33~sl4r", "real~sp4", "sp4~real", "real~real"])
+def test_isomorphism_equals_complex_reference(set_a, set_b):
+    rep = check_isomorphism(set_a, set_b, 1e-12)
+    assert (rep.max_deviation, rep.worst, rep.closure_a, rep.closure_b,
+            rep.worst_closure_a, rep.worst_closure_b, rep.tolerance) == \
+        _complex_isomorphism(set_a, set_b, 1e-12)
+    assert rep.passed == (set_a.block.real.any() == set_b.block.real.any())
+
+
+@pytest.mark.parametrize("part", ["imag", "real"])
+def test_nan_member_fails_in_both_branches(part):
+    block = SP4.block.copy()
+    getattr(block, part)[0, 1, 2] = np.nan  # "imag" keeps the real form, "real" leaves it
+    nan_set = GeneratorSet("nan", SP4.labels, block)
+    rep = verify_algebra(nan_set, alge11_table(), 1e-12)
+    assert not rep.passed and np.isnan(rep.max_residual)
+    with pytest.raises(ValueError, match="orthogonal"):
+        structure_table(nan_set)
+    with pytest.raises(ValueError, match="orthogonal"):
+        check_isomorphism(nan_set, SP4, 1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 3, 10, 15])
+def test_pair_plan_is_row_major(n):
+    labels = FIFTEEN_LABELS[:n]
+    pairs, rows, cols = _pair_plan(labels)
+    assert pairs == tuple((a, b) for a in labels for b in labels if a != b)
+    assert [(labels[r], labels[c]) for r, c in zip(rows, cols)] == list(pairs)
+
+
+def test_pairs_of_a_shipped_table_is_one_tuple():
+    assert o33gen_table().pairs() is o33gen_table().pairs()
+    assert alge11_table().pairs() == _pair_plan(TENFOLD_LABELS)[0]

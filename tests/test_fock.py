@@ -429,6 +429,18 @@ def test_series_weights_normalized_and_monotone():
     assert w.sum() >= 1.0 - series_tail_bound(0.9, 200)
 
 
+@pytest.mark.parametrize("eta", [0.0, 0.5])
+@pytest.mark.parametrize("kmax", [-1, -2])
+def test_series_weights_negative_kmax_is_empty_ladder(eta, kmax):
+    # the pure state (eta = 0) takes its own branch; both read kmax < 0 as no terms
+    w = series_weights(eta, kmax)
+    assert w.shape == (0,) and w.dtype == np.float64
+    assert series_tail_bound(eta, kmax) == 1.0
+    with pytest.warns(UserWarning, match="tail bound"):
+        m = moments(eta, kmax)
+    assert (m.purity, m.entropy) == (w @ w, 0.0)
+
+
 def test_moments_pure_state():
     m = moments(0.0, 10)
     assert series_weights(0.0, 10).sum() == 1.0
