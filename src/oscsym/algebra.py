@@ -21,8 +21,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .phase_space import DEFAULT_TOLERANCE
-from .families import (FIFTEEN_LABELS, TENFOLD_LABELS, GeneratorSet,
-                       build_generator_set, gamma_matrices)
+from .families import FIFTEEN_LABELS, TENFOLD_LABELS, GeneratorSet, build_generator_set
 
 __all__ = [
     "DEFAULT_TOLERANCE", "commutator", "anticommutator",
@@ -127,11 +126,18 @@ class StructureTable:
     omits is a vanishing bracket).  ``f`` is read-only and antisymmetric in
     (a, b): integer for the shipped tables (every coefficient is +-i or 0),
     complex for computed ones, which also carry the per-pair closure residual.
+    Labels that are not n distinct names, or f not (n, n, n), raise ValueError.
     """
 
     labels: Tuple[str, ...]
     f: np.ndarray
     closure_residuals: Optional[Mapping[Tuple[str, str], float]] = field(default=None)
+
+    def __post_init__(self):
+        n = len(self.labels)
+        if len(set(self.labels)) != n or np.shape(self.f) != (n, n, n):
+            raise ValueError(f"need {n} distinct labels and an ({n}, {n}, {n}) table, "
+                             f"got {tuple(self.labels)} and shape {np.shape(self.f)}")
 
     def pairs(self) -> Tuple[Tuple[str, str], ...]:
         """Every ordered pair of distinct labels, row-major."""
@@ -297,7 +303,7 @@ def verify_algebra(genset: GeneratorSet, expected: StructureTable,
     products = _products(g)
     expansion = (expected.f.reshape(m * m, m) @ g.reshape(m, d * d)).reshape(m, m, d, d)
     r = products - products.transpose(1, 0, 2, 3) - unit * expansion
-    residuals = np.abs(r).reshape(m, m, -1).max(axis=2) / scale
+    residuals = np.abs(r).reshape(m, m, d * d).max(axis=2) / scale
     pairs, rows, cols = _pair_plan(tuple(expected.labels))
     return VerificationReport(genset.family, tolerance,
                               dict(zip(pairs, residuals[rows, cols].tolist())))
@@ -448,22 +454,26 @@ def table1_correspondence(tolerance: float = DEFAULT_TOLERANCE) -> Correspondenc
     member, FACTOR_MISMATCH with the complex ratio candidate/member when the
     two are otherwise proportional, UNRELATED when not proportional at all.
     The recipes are checked as claimed, never used as constructors, so sign
-    and factor slips show up here instead of propagating.
+    and factor slips show up here instead of propagating.  The candidates are
+    one stacked product of gamma block members, padded with the identity.  A
+    tolerance that is not a finite number > 0 raises ValueError.
     """
-    g = gamma_matrices()
-    sl4r = build_generator_set("sl4r_4")
+    if not (np.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be a finite number > 0, got {tolerance}")
+    dirac, sl4r = build_generator_set("dirac_gamma"), build_generator_set("sl4r_4")
+    labels, (coeffs, recipes) = list(TABLE1_RECIPES), zip(*TABLE1_RECIPES.values())
+    width, names = max(map(len, recipes)), dirac.labels + ("1",)
+    factors = np.concatenate((dirac.block, np.eye(4)[None]))[
+        [[names.index(f) for f in tuple(fs) + ("1",) * (width - len(fs))] for fs in recipes]]
+    candidates = np.array(coeffs)[:, None, None] * reduce(np.matmul, factors.transpose(1, 0, 2, 3))
+    members = sl4r.block[[sl4r.labels.index(label) for label in labels]]
     entries = {}
-    for label, (coeff, factors) in TABLE1_RECIPES.items():
-        candidate = coeff * reduce(np.matmul, [g[f] for f in factors])
-        member = sl4r[label]
-        deviation = float(np.abs(candidate - member).max())
-        if deviation <= tolerance:
-            entries[label] = CorrespondenceEntry(label, "EXACT", None, deviation)
-            continue
-        ratio = complex(np.vdot(member, candidate) / np.vdot(member, member))
-        if np.abs(candidate - ratio * member).max() <= tolerance:
-            status = "SIGN_FLIP" if abs(ratio + 1) <= tolerance else "FACTOR_MISMATCH"
-            entries[label] = CorrespondenceEntry(label, status, ratio, deviation)
-        else:
-            entries[label] = CorrespondenceEntry(label, "UNRELATED", None, deviation)
+    for label, candidate, member, deviation in zip(
+            labels, candidates, members, np.abs(candidates - members).max(axis=(1, 2)).tolist()):
+        ratio = complex(np.vdot(member, candidate) / np.vdot(member, member)) \
+            if deviation > tolerance else None
+        close = ratio is not None and np.abs(candidate - ratio * member).max() <= tolerance
+        status = ("EXACT" if ratio is None else "UNRELATED" if not close
+                  else "SIGN_FLIP" if abs(ratio + 1) <= tolerance else "FACTOR_MISMATCH")
+        entries[label] = CorrespondenceEntry(label, status, ratio if close else None, deviation)
     return CorrespondenceReport(entries)

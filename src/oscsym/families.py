@@ -32,16 +32,17 @@ Five families of explicit matrices, each one read-only labelled block:
     first, second and third time axis.
 
 The four matrix families and the gamma matrices are written from literal
-cells (row, column, +-i times a scale); the bilinears are their products.
-All entries are exact multiples of 1/2 and i/2 (or products of such), so
-construction is exact in double precision and every algebraic check below
-is rounding-limited.
+cells (row, column, +-i times a scale) by one scatter, once per process, into
+blocks every ``GeneratorSet`` of the family shares; the bilinears are their
+products.  All entries are exact multiples of 1/2 and i/2 (or products of
+such), so construction is exact in double precision and every algebraic
+check below is rounding-limited.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Dict, Mapping, Tuple
 
@@ -106,9 +107,9 @@ def _literal(cells: Dict[str, str], scale: float, labels: Tuple[str, ...],
              dim: int) -> np.ndarray:
     """The (n, dim, dim) stack of the literal members ``labels``."""
     out = np.zeros((len(labels), dim, dim), complex)
-    for k, label in enumerate(labels):
-        for r, c, sign in cells[label].split():
-            out.imag[k, int(r), int(c)] = scale if sign == "+" else -scale
+    k, r, c, v = zip(*[(k, int(r), int(c), scale if sign == "+" else -scale)
+                       for k, label in enumerate(labels) for r, c, sign in cells[label].split()])
+    out.imag[k, r, c] = v
     return out
 
 
@@ -156,20 +157,26 @@ class GeneratorSet:
 
 
 def gamma_matrices() -> Dict[str, np.ndarray]:
-    """The four Majorana gamma matrices plus the pseudoscalar g5.
+    """The four Majorana gamma matrices plus the pseudoscalar g5, as fresh arrays.
 
     g5 is computed as i g0 g1 g2 g3 and comes out block-diagonal
     (sigma_2, -sigma_2).  Every entry is purely imaginary.
     """
-    g = dict(zip(_GAMMAS, _literal(_GAMMAS, 1.0, tuple(_GAMMAS), 4)))
-    g["g5"] = 1j * (g["g0"] @ g["g1"] @ g["g2"] @ g["g3"])
-    return g
+    return dict(zip(GAMMA_LABELS[:5], _family_block("dirac_gamma")[:5].copy()))
 
 
-def _dirac_block() -> np.ndarray:
-    """The gamma family as one (15, 4, 4) block; label "g{a}g{b}" is i g_a g_b."""
-    g = gamma_matrices()
-    return np.array([g[l] if l in g else 1j * (g[l[:2]] @ g[l[2:]]) for l in GAMMA_LABELS])
+@lru_cache(maxsize=None)
+def _family_block(family: str) -> np.ndarray:
+    """One family's read-only block, built on first use; "g{a}g{b}" is i g_a g_b."""
+    dim, labels = FAMILIES[family]
+    if family == "dirac_gamma":
+        g = dict(zip(_GAMMAS, _literal(_GAMMAS, 1.0, tuple(_GAMMAS), 4)))
+        g["g5"] = 1j * (g["g0"] @ g["g1"] @ g["g2"] @ g["g3"])
+        block = np.array([g[l] if l in g else 1j * (g[l[:2]] @ g[l[2:]]) for l in labels])
+    else:
+        block = _literal(*_LITERAL[family], labels, dim)
+    block.flags.writeable = False
+    return block
 
 
 def build_generator_set(family: str) -> GeneratorSet:
@@ -181,17 +188,11 @@ def build_generator_set(family: str) -> GeneratorSet:
 
     Returns:
         GeneratorSet with 15, 10, 15, 10 or 15 members respectively, all
-        traceless, all sharing the family dimension.
+        traceless, wrapping the family's one shared read-only block.
 
     Raises:
         ValueError: unknown family tag.
     """
-    try:
-        dim, labels = FAMILIES[family]
-    except KeyError:
-        raise ValueError(
-            f"unknown family {family!r}; expected one of {sorted(FAMILIES)}"
-        ) from None
-    block = (_dirac_block() if family == "dirac_gamma"
-             else _literal(*_LITERAL[family], labels, dim))
-    return GeneratorSet(family, labels, block)
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {sorted(FAMILIES)}")
+    return GeneratorSet(family, FAMILIES[family][1], _family_block(family))

@@ -43,6 +43,7 @@ HERMITE_KMAX = 200
 _DENSE_TENFOLD_BYTES = 2 ** 30  # cap on the ten dense members of dirac_tenfold
 _SAFE_MARGIN = 3  # the safe subspace is n1 + n2 <= nmax - _SAFE_MARGIN
 _FOCK_CHUNK = 64  # grid points per band of rows in verify_fock_commutators
+_DIAGONAL_BAND = 4096  # grid points per band of rows in _diagonal_values
 _SERIES_BLOCK = 2 ** 14  # ladder terms per block in moments
 _QUADRATURE_BYTES = 2 ** 16  # largest (points, nodes) block in rho_partial_trace
 _MAX_ETA = 350  # largest |eta| whose e^{2|eta|} times a squared node gap stays finite
@@ -73,9 +74,10 @@ def _diagonal_layout():
 
     Returns (gen, step, pos, phase, coeff, terms), diagonals grouped by step:
     diagonal u holds <n|G|n + step[u]> of generator gen[u], is its pos[u]-th in formula order,
-    and equals phase[u] (1 or 1j) times coeff[u] times its ladder products;
-    each term (sign, tables, u), in formula order, adds sign times the
-    product of three ``_diagonal_values`` tables to diagonal u.
+    and equals phase[u] (1 or 1j) times coeff[u] times its ladder products.
+    ``terms`` = (sign, x_rows, y_rows, y_of, again) holds each diagonal's first
+    term in diagonal order, then the second term of diagonal again[i]; term i is
+    sign[i] times its mode-1 tables x_rows[i] times its mode-2 tables y_rows[y_of[i]].
     """
     places: Dict[Tuple[int, int, int], int] = {}  # (gen, dn1, dn2) -> place in gen
     terms = []
@@ -85,37 +87,54 @@ def _diagonal_layout():
                                   for op in (t[1:3], t[3:5]))
             step = tuple(s1 * (m1 == m) + s2 * (m2 == m) for m in (0, 1))
             # a factor is sqrt of the larger occupation of its step, read off
-            # the row: n + 1 lowering, n raising, after the first factor's step
-            tables = (4 * m1 + (s1 > 0) + 1, 4 * m2 + (s1 if m2 == m1 else 0) + (s2 > 0) + 1,
-                      9 - m1 if m1 == m2 else 10)
+            # the row: n + 1 lowering, n raising, after the first factor's step;
+            # a one-mode product also needs the other mode inside the truncation
+            factors = [(m1, (s1 > 0) + 1), (m2, (s1 if m2 == m1 else 0) + (s2 > 0) + 1)]
+            factors += [(1 - m1, 4)] if m1 == m2 else []
+            x, y = ([r for m, r in factors if m == mode] + [5, 5] for mode in (0, 1))
             places.setdefault((g, *step), sum(k[0] == g for k in places))
-            terms.append((1.0 if t[0] == "+" else -1.0, tables, (g, *step)))
+            terms.append((1.0 if t[0] == "+" else -1.0, x[:2], tuple(y[:2]), (g, *step)))
     keys = sorted(places, key=lambda k: k[1:])  # grouped by step
-    index = {k: u for u, k in enumerate(keys)}
+    u_of = [keys.index(k) for *_, k in terms]
+    order = sorted(range(len(terms)), key=lambda i: (u_of[i] in u_of[:i], u_of[i]))
+    sign, x_rows, y_pairs = zip(*[terms[i][:3] for i in order])
+    y_rows = list(dict.fromkeys(y_pairs))  # each distinct mode-2 product once
     gen = np.array([k[0] for k in keys])
     coeffs = np.array([c for c, _ in _QUADRATICS.values()])[gen]
     return (gen, np.array([k[1:] for k in keys]), np.array([places[k] for k in keys]),
             np.where(coeffs.imag != 0, 1j, 1), coeffs.real + coeffs.imag,
-            tuple((sign, tables, index[k]) for sign, tables, k in terms))
+            (np.array(sign), np.array(x_rows), np.array(y_rows),
+             np.array([y_rows.index(y) for y in y_pairs]), np.array(u_of)[order[len(keys):]]))
 
 
 def _diagonal_values(n1: np.ndarray, n2: np.ndarray, nmax: int) -> np.ndarray:
     """Real values of the 26 diagonals at broadcastable occupation grids.
 
     Zero wherever the row, the intermediate or the column state leaves the
-    truncation [0, nmax)**2.  The tables are sqrt(n_m + c) for each mode m
-    and c in -1..2 (zero off [0, nmax)), then whether each mode's occupation
-    lies in [0, nmax), then one.  Products are summed and scaled as the
-    formulas read, so values equal the dense ladder products bit for bit.
+    truncation [0, nmax)**2.  The tables of one mode's occupation k are
+    sqrt(k + c) for c in -1..2 (zero off [0, nmax)), [0 <= k < nmax] and 1;
+    the 28 terms, mode-1 tables at n1 times mode-2 tables at n2, are formed
+    together in bands of ``_DIAGONAL_BAND`` grid points, then summed and scaled
+    as the formulas read, so values equal the dense ladder products bit for bit.
     """
-    *_, coeff, terms = _diagonal_layout()
+    *_, coeff, (sign, x_rows, y_rows, y_of, again) = _diagonal_layout()
+    k = np.arange(-3, nmax + 2)  # every table is 0 for k < -2 and k > nmax: indices clip
     root = np.r_[0.0, np.sqrt(np.arange(nmax)), 0.0]  # root[k + 1] = sqrt(k)
-    tables = [root[np.clip(n + c, -1, nmax) + 1] for n in (n1, n2) for c in (-1, 0, 1, 2)]
-    tables += [((0 <= n) & (n < nmax)) * 1.0 for n in (n1, n2)] + [1.0]
-    values = np.zeros((len(coeff),) + np.broadcast_shapes(n1.shape, n2.shape))
-    for sign, (a, b, c), u in terms:
-        values[u] += sign * tables[a] * tables[b] * tables[c]
-    values *= coeff.reshape((-1,) + (1,) * (values.ndim - 1))
+    tables = np.concatenate((root[np.clip(k + np.arange(-1, 3)[:, None], -1, nmax) + 1],
+                             [(0 <= k) & (k < nmax), np.ones(len(k))]))
+    x = sign[:, None] * tables[x_rows[:, 0]] * tables[x_rows[:, 1]]
+    y = tables[y_rows[:, 0]] * tables[y_rows[:, 1]]
+    shape = np.broadcast_shapes(n1.shape, n2.shape)
+    x = np.broadcast_to(np.take(x, n1 + 3, axis=1, mode="clip"), x.shape[:1] + shape)
+    n2, nd = np.broadcast_to(n2 + 3, shape), len(coeff)
+    values, scale = np.empty((nd,) + shape), coeff.reshape((-1,) + (1,) * len(shape))
+    band = max(1, _DIAGONAL_BAND // max(1, int(np.prod(shape[1:]))))
+    for lo in range(0, shape[0], band):
+        terms = np.take(np.take(y, n2[lo:lo + band], axis=1, mode="clip"), y_of, axis=0)
+        terms *= x[:, lo:lo + band]
+        v = np.add(terms[:nd], 0.0, out=values[:, lo:lo + band])  # a sum starts from +0.0
+        v[again] += terms[nd:]
+        v *= scale
     return values
 
 

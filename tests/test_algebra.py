@@ -1,10 +1,14 @@
 """Bracket tables, verification reports, isomorphism and correspondence."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from oscsym.algebra import (
     SP2_TRIPLES,
+    TABLE1_RECIPES,
+    CorrespondenceEntry,
     _pair_plan,
     StructureTable,
     alge11_table,
@@ -18,7 +22,7 @@ from oscsym.algebra import (
     verify_algebra,
 )
 from oscsym.families import (FAMILIES, FIFTEEN_LABELS, TENFOLD_LABELS, GeneratorSet,
-                             build_generator_set)
+                             build_generator_set, gamma_matrices)
 from oscsym.fock import dirac_tenfold
 
 SP4 = build_generator_set("sp4_4")
@@ -338,6 +342,49 @@ def test_correspondence_exact_examples():
         assert report.entries[label].status == "EXACT"
 
 
+def _looped_correspondence(tolerance):
+    """Recipe by recipe: each candidate multiplied out and classified on its own."""
+    g, sl4r = gamma_matrices(), build_generator_set("sl4r_4")
+    entries = {}
+    for label, (coeff, factors) in TABLE1_RECIPES.items():
+        candidate = coeff * reduce(np.matmul, [g[f] for f in factors])
+        member = sl4r[label]
+        deviation = float(np.abs(candidate - member).max())
+        if deviation <= tolerance:
+            entries[label] = CorrespondenceEntry(label, "EXACT", None, deviation)
+            continue
+        ratio = complex(np.vdot(member, candidate) / np.vdot(member, member))
+        if np.abs(candidate - ratio * member).max() <= tolerance:
+            status = "SIGN_FLIP" if abs(ratio + 1) <= tolerance else "FACTOR_MISMATCH"
+            entries[label] = CorrespondenceEntry(label, status, ratio, deviation)
+        else:
+            entries[label] = CorrespondenceEntry(label, "UNRELATED", None, deviation)
+    return entries
+
+
+@pytest.mark.parametrize("tolerance", [1e-300, 1e-12, 0.5, 0.75, 1.0, 2.0])
+def test_correspondence_equals_the_recipe_loop(tolerance):
+    entries = table1_correspondence(tolerance).entries
+    reference = _looped_correspondence(tolerance)
+    assert entries == reference
+    assert [repr(e.ratio) for e in entries.values()] == [repr(e.ratio) for e in reference.values()]
+
+
+def test_correspondence_of_edited_recipes_equals_the_recipe_loop(monkeypatch):
+    """An unrelated recipe and a three-factor one, so shorter recipes are padded twice."""
+    monkeypatch.setitem(TABLE1_RECIPES, "K2", (0.5, ("g0",)))
+    monkeypatch.setitem(TABLE1_RECIPES, "S1", (0.5j, ("g0", "g5", "g1")))
+    for tolerance in (1e-12, 0.5, 1.0):
+        assert table1_correspondence(tolerance).entries == _looped_correspondence(tolerance)
+    assert table1_correspondence(1e-12).entries["K2"].status == "UNRELATED"
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0, 0.0])
+def test_correspondence_refuses_a_tolerance_that_is_not_finite_and_positive(tolerance):
+    with pytest.raises(ValueError, match="finite number > 0"):
+        table1_correspondence(tolerance)
+
+
 def test_decompose_reconstruct_random_combinations():
     """Round trip on the span: coefficients recovered to 1e-10."""
     rng = np.random.default_rng(42)
@@ -375,6 +422,30 @@ def test_verify_against_own_empty_table():
     assert rep.residuals == {}
     assert rep.max_residual == 0.0 and rep.worst_pair is None
     assert "worst [-]" in rep.summary()
+
+
+@pytest.mark.parametrize("labels", [(), ("L3",)])
+def test_table_with_no_pairs_passes_with_residual_zero(labels):
+    n = len(labels)
+    rep = verify_algebra(SP4, StructureTable(labels, np.zeros((n, n, n), np.int8)), 1e-12)
+    assert rep.passed and rep.residuals == {}
+    assert rep.max_residual == 0.0 and rep.worst_pair is None
+
+
+@pytest.mark.parametrize("labels,shape", [
+    (("S3", "S3", "Q2"), (3, 3, 3)),
+    (("S3", "K2", "Q2"), (3, 3)),
+    (("S3", "K2", "Q2"), (3, 3, 2)),
+    (("S3", "K2"), (3, 3, 3)),
+])
+def test_structure_table_refuses_repeated_labels_and_misshapen_tensors(labels, shape):
+    with pytest.raises(ValueError, match="distinct labels"):
+        StructureTable(labels, np.zeros(shape, np.int8))
+
+
+def test_sp2_table_refuses_a_repeated_label():
+    with pytest.raises(ValueError, match="distinct labels"):
+        sp2_table("S3", "S3", "Q2")
 
 
 # ---------------------------------------------------------------------------

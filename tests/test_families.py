@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from oscsym.families import (
+    _GAMMAS,
+    _LITERAL,
     FAMILIES,
     FIFTEEN_LABELS,
     GAMMA_LABELS,
@@ -288,3 +290,42 @@ def test_literal_members_byte_equal_block_recipes(family):
     for label, m in ref.items():
         assert gens[label].dtype == m.dtype and gens[label].shape == m.shape, label
         assert (gens[label] + 0.0).tobytes() == (m + 0.0).tobytes(), label
+
+
+def _parsed_cells(cells, scale, labels, dim):
+    """Members written cell by cell from the literal "rc+"/"rc-" strings."""
+    out = np.zeros((len(labels), dim, dim), complex)
+    for k, label in enumerate(labels):
+        for r, c, sign in cells[label].split():
+            out.imag[k, int(r), int(c)] = scale if sign == "+" else -scale
+    return out
+
+
+def _parsed_block(family):
+    dim, labels = FAMILIES[family]
+    if family != "dirac_gamma":
+        return _parsed_cells(*_LITERAL[family], labels, dim)
+    g = dict(zip(_GAMMAS, _parsed_cells(_GAMMAS, 1.0, tuple(_GAMMAS), 4)))
+    g["g5"] = 1j * (g["g0"] @ g["g1"] @ g["g2"] @ g["g3"])
+    return np.array([g[l] if l in g else 1j * (g[l[:2]] @ g[l[2:]]) for l in labels])
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_block_is_the_parsed_cells_built_once_and_shared_read_only(family):
+    a, b = build_generator_set(family), build_generator_set(family)
+    assert a is not b
+    assert a.block.tobytes() == _parsed_block(family).tobytes()
+    assert a.block.base is b.block.base and not a.block.base.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        a.block.base[0, 0, 0] = 1.0
+
+
+def test_gamma_matrices_are_fresh_copies_of_the_block():
+    block = build_generator_set("dirac_gamma").block
+    g, h = gamma_matrices(), gamma_matrices()
+    assert list(g) == list(GAMMA_LABELS[:5])
+    for k, (label, m) in enumerate(g.items()):
+        assert m.tobytes() == block[k].tobytes() and m.flags.writeable, label
+        assert not np.shares_memory(m, block) and not np.shares_memory(m, h[label]), label
+    g["g1"][0, 0] = 7.0  # the caller owns its copy
+    assert gamma_matrices()["g1"].tobytes() == block[0].tobytes()

@@ -13,7 +13,10 @@ from mpmath import mp
 from oscsym.algebra import alge11_table
 from oscsym.fock import (
     _MAX_ETA,
+    _QUADRATICS,
     _SERIES_BLOCK,
+    _diagonal_layout,
+    _diagonal_values,
     _psi_eta_grid,
     _weighted_phi,
     HERMITE_KMAX,
@@ -157,6 +160,39 @@ def test_tenfold_members_are_read_only_c_contiguous_complex():
 def test_tenfold_holds_no_transient_dense_copy(nmax):
     dirac_tenfold(4)  # the diagonal layout is cached on first use
     assert _peak_bytes(dirac_tenfold, nmax) <= 1.05 * 10 * nmax ** 4 * 16
+
+
+def _looped_diagonal_values(n1, n2, nmax):
+    """The diagonals term by term: the 28 ladder products of the formulas,
+    each three tables multiplied and added to its diagonal in formula order."""
+    gen, step, *_, coeff, _ = _diagonal_layout()
+    diagonal = {(g, *s): u for u, (g, s) in enumerate(zip(gen.tolist(), step.tolist()))}
+    root = np.r_[0.0, np.sqrt(np.arange(nmax)), 0.0]  # root[k + 1] = sqrt(k)
+    tables = [root[np.clip(n + c, -1, nmax) + 1] for n in (n1, n2) for c in (-1, 0, 1, 2)]
+    tables += [((0 <= n) & (n < nmax)) * 1.0 for n in (n1, n2)] + [1.0]
+    values = np.zeros((len(coeff),) + np.broadcast_shapes(n1.shape, n2.shape))
+    for g, (_, formula) in enumerate(_QUADRATICS.values()):
+        for t in formula.split():
+            (m1, s1), (m2, s2) = ((int(op[1]) - 1, 1 if op[0] == "a" else -1)
+                                  for op in (t[1:3], t[3:5]))
+            u = diagonal[(g, *(s1 * (m1 == m) + s2 * (m2 == m) for m in (0, 1)))]
+            a = 4 * m1 + (s1 > 0) + 1
+            b = 4 * m2 + (s1 if m2 == m1 else 0) + (s2 > 0) + 1
+            c = 9 - m1 if m1 == m2 else 10
+            values[u] += (1.0 if t[0] == "+" else -1.0) * tables[a] * tables[b] * tables[c]
+    values *= coeff.reshape((-1,) + (1,) * (values.ndim - 1))
+    return values
+
+
+@pytest.mark.parametrize("nmax", [*range(4, 41), 128, 256])
+def test_diagonal_values_equal_the_term_loop_bit_for_bit(nmax):
+    """Both callers' grids: dirac_tenfold's (n1, n2) and the check's (s, n1)
+    with n2 = s - n1, which reaches past the truncation on every side."""
+    n, grid = np.arange(nmax), np.arange(-2, nmax)
+    for n1, n2 in ((n[:, None], n[None, :]), (grid[None, :], grid[:, None] - grid[None, :])):
+        got = _diagonal_values(n1, n2, nmax)
+        assert got.shape == (26,) + np.broadcast_shapes(n1.shape, n2.shape)
+        assert got.tobytes() == _looped_diagonal_values(n1, n2, nmax).tobytes()
 
 
 @pytest.mark.parametrize("nmax", [6, 8, 10])
