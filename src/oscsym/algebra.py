@@ -2,9 +2,9 @@
 
 Every bracket table is one (n, n, n) tensor f with
 [G_a, G_b] = i sum_c f_abc G_c, and every check is a batched contraction
-over it.  All five shipped families are purely imaginary, G = iA, so the
-checks run on the real form A = Im G, where the same f reads
-[A_a, A_b] = sum_c f_abc A_c; any other block is checked on G itself.
+over it.  The checks run on A = -iG, where the same f reads
+[A_a, A_b] = sum_c f_abc A_c; all five shipped families are purely
+imaginary, so their A is real.
 The expected tables shipped here (``o33gen_table``, its
 ten-generator restriction ``alge11_table``, and ``sp2_table``) are frozen
 integer tensors; the test suite projects every table out of the explicit
@@ -20,7 +20,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .phase_space import DEFAULT_TOLERANCE
+from .phase_space import DEFAULT_TOLERANCE, _check_tolerance
 from .families import FIFTEEN_LABELS, TENFOLD_LABELS, GeneratorSet, build_generator_set
 
 __all__ = [
@@ -70,14 +70,14 @@ def _products(mats: np.ndarray) -> np.ndarray:
     return blocks.reshape(n, d, n, d).transpose(0, 2, 1, 3)
 
 
-def _real_form(block: np.ndarray) -> Tuple[np.ndarray, complex]:
-    """(Im G, 1) for a purely imaginary block, else (G, 1j).
+def _real_form(block: np.ndarray) -> np.ndarray:
+    """A = -iG, as its real part when G is purely imaginary.
 
-    For G = iA, [G_a, G_b] = i sum_c f_abc G_c is exactly the real bracket
-    [A_a, A_b] = sum_c f_abc A_c, so each check reads members M and unit u
-    with [M_a, M_b] = u sum_c f_abc M_c.
+    [G_a, G_b] = i sum_c f_abc G_c is exactly [A_a, A_b] = sum_c f_abc A_c,
+    and multiplying by -i only swaps and negates parts, so no digit is lost.
     """
-    return (block.imag, 1.0) if not block.real.any() else (block, 1j)
+    a = -1j * block
+    return a if a.imag.any() else a.real
 
 
 @lru_cache(maxsize=64)
@@ -123,10 +123,10 @@ class StructureTable:
     """Bracket table [G_a, G_b] = i sum_c f[a, b, c] G_c over ``labels``.
 
     It covers every ordered pair of distinct labels (a pair a JSON table
-    omits is a vanishing bracket).  ``f`` is read-only and antisymmetric in
-    (a, b): integer for the shipped tables (every coefficient is +-i or 0),
-    complex for computed ones, which also carry the per-pair closure residual.
-    Labels that are not n distinct names, or f not (n, n, n), raise ValueError.
+    omits is a vanishing bracket).  ``f`` is held as a read-only view.  The
+    shipped tables are integer (every coefficient is +-i or 0), computed ones
+    complex with the per-pair closure residual, and both antisymmetric in
+    (a, b).  Labels that are not n distinct names, or f not (n, n, n), raise ValueError.
     """
 
     labels: Tuple[str, ...]
@@ -134,10 +134,12 @@ class StructureTable:
     closure_residuals: Optional[Mapping[Tuple[str, str], float]] = field(default=None)
 
     def __post_init__(self):
-        n = len(self.labels)
-        if len(set(self.labels)) != n or np.shape(self.f) != (n, n, n):
+        n, f = len(self.labels), np.asarray(self.f).view()
+        if len(set(self.labels)) != n or f.shape != (n, n, n):
             raise ValueError(f"need {n} distinct labels and an ({n}, {n}, {n}) table, "
-                             f"got {tuple(self.labels)} and shape {np.shape(self.f)}")
+                             f"got {tuple(self.labels)} and shape {f.shape}")
+        f.flags.writeable = False
+        object.__setattr__(self, "f", f)
 
     def pairs(self) -> Tuple[Tuple[str, str], ...]:
         """Every ordered pair of distinct labels, row-major."""
@@ -173,13 +175,6 @@ def _worst(keys: Sequence, values: Sequence[float]):
     return keys[int(values.argmax())] if values.size and values.max() else None
 
 
-def _antisymmetric(f: np.ndarray) -> np.ndarray:
-    """f[a, b] - f[b, a]: the full table from one entry per unordered pair, read-only."""
-    f = f - f.transpose(1, 0, 2)
-    f.flags.writeable = False
-    return f
-
-
 @lru_cache(maxsize=None)
 def _o33gen_f() -> np.ndarray:
     eps = np.zeros((3, 3, 3), np.int8)  # cyclic half of the Levi-Civita symbol
@@ -195,7 +190,7 @@ def _o33gen_f() -> np.ndarray:
     f[K, Q, s3] = f[Q, G, s1] = f[G, K, s2] = -eye
     f[K, s3, Q] = f[Q, s1, G] = f[G, s2, K] = -eye
     f[Q, s3, K] = f[G, s1, Q] = f[K, s2, G] = eye
-    return _antisymmetric(f)
+    return f - f.transpose(1, 0, 2)  # the full table from one entry per unordered pair
 
 
 def o33gen_table() -> StructureTable:
@@ -220,9 +215,7 @@ def o33gen_table() -> StructureTable:
 @lru_cache(maxsize=None)
 def _alge11_f() -> np.ndarray:
     ten = [FIFTEEN_LABELS.index(l) for l in TENFOLD_LABELS]
-    f = _o33gen_f()[np.ix_(ten, ten, ten)]
-    f.flags.writeable = False
-    return f
+    return _o33gen_f()[np.ix_(ten, ten, ten)]
 
 
 def alge11_table() -> StructureTable:
@@ -244,7 +237,7 @@ def sp2_table(x: str, y: str, z: str) -> StructureTable:
     """
     f = np.zeros((3, 3, 3), np.int8)
     f[0, 1, 2], f[0, 2, 1], f[1, 2, 0] = 1, -1, -1
-    return StructureTable((x, y, z), _antisymmetric(f))
+    return StructureTable((x, y, z), f - f.transpose(1, 0, 2))
 
 
 @dataclass(frozen=True)
@@ -281,28 +274,28 @@ def verify_algebra(genset: GeneratorSet, expected: StructureTable,
     The residual for a pair (a, b) is
     max|[G_a, G_b] - i sum_c f_abc G_c| / max(1, max_l max|G_l|)**2, the
     scale taken once over all members of the set; the report passes iff
-    every residual is within tolerance.  A purely imaginary set is checked
-    on its real form A = Im G as max|[A_a, A_b] - sum_c f_abc A_c|, the same
-    number.  All pairs come from one product of the members with themselves
-    and one contraction of ``f`` with them.  Every shipped 4x4, 5x5 and 6x6
-    family has entries of at most 1, so its scale is 1 and its residuals
-    are absolute.
+    every residual is within tolerance.  It is read on A = -iG as
+    max|[A_a, A_b] - sum_c f_abc A_c|, the same number.  All pairs come from
+    one product of the members with themselves and one contraction of ``f``
+    with them.  Every shipped 4x4, 5x5 and 6x6 family has entries of at most
+    1, so its scale is 1 and its residuals are absolute.
 
     Raises:
-        ValueError: the expected table references a label absent from the set.
+        ValueError: a tolerance not finite and > 0, or a table label absent from the set.
     """
+    _check_tolerance(tolerance)
     missing = set(expected.labels) - set(genset.labels)
     if missing:
         raise ValueError(f"expected table references labels absent from "
                          f"{genset.family}: {sorted(missing)}")
-    members, unit = _real_form(genset.block)
+    members = _real_form(genset.block)
     scale = max(1.0, float(np.abs(members).max())) ** 2
     index = {l: k for k, l in enumerate(genset.labels)}
     g = members[[index[l] for l in expected.labels]]
     m, d = len(g), genset.dim
     products = _products(g)
     expansion = (expected.f.reshape(m * m, m) @ g.reshape(m, d * d)).reshape(m, m, d, d)
-    r = products - products.transpose(1, 0, 2, 3) - unit * expansion
+    r = products - products.transpose(1, 0, 2, 3) - expansion
     residuals = np.abs(r).reshape(m, m, d * d).max(axis=2) / scale
     pairs, rows, cols = _pair_plan(tuple(expected.labels))
     return VerificationReport(genset.family, tolerance,
@@ -312,16 +305,15 @@ def verify_algebra(genset: GeneratorSet, expected: StructureTable,
 def structure_table(genset: GeneratorSet) -> StructureTable:
     """Expand every ordered commutator pair in the set's own basis.
 
-    A purely imaginary family G = iA is expanded on its real form A = Im G,
-    f_abc = tr([A_a, A_b] A_c^T) / tr(A_c A_c^T); any other block on G itself,
-    f_abc = -i tr([G_a, G_b] G_c^H) / tr(G_c G_c^H).  All n(n-1) off-diagonal
+    The bracket is expanded on A = -iG, f_abc = tr([A_a, A_b] A_c^H) / tr(A_c A_c^H),
+    with A real for a purely imaginary family.  All n(n-1) off-diagonal
     commutators come from one broadcast product and are expanded by one
     trace projection, which raises ``ValueError`` unless the members are
     nonzero and trace-orthogonal.  Each remainder is kept in
     ``closure_residuals``; a residual above tolerance marks a pair whose
     bracket leaves the span (non-closure) and is reported rather than raised.
     """
-    members, unit = _real_form(genset.block)
+    members = _real_form(genset.block)
     n, d = len(genset), genset.dim
     products = _products(members)
     brackets = products - products.transpose(1, 0, 2, 3)
@@ -329,8 +321,7 @@ def structure_table(genset: GeneratorSet) -> StructureTable:
     coeffs, residuals = _project(genset.family, members.reshape(n, d * d),
                                  brackets[rows, cols].reshape(-1, d * d))
     f = np.zeros((n, n, n), complex)
-    f[rows, cols] = coeffs if unit == 1 else -1j * coeffs
-    f.flags.writeable = False
+    f[rows, cols] = coeffs
     return StructureTable(genset.labels, f, dict(zip(pairs, residuals.tolist())))
 
 
@@ -382,8 +373,10 @@ def check_isomorphism(set_a: GeneratorSet, set_b: GeneratorSet,
     tensor is permuted into set a's label order; the worst gap is an argmax.
 
     Raises:
-        ValueError: the families carry different label sets or are not trace-orthogonal.
+        ValueError: a tolerance not finite and > 0, label sets that differ, or
+            members that are not trace-orthogonal.
     """
+    _check_tolerance(tolerance)
     if set(set_a.labels) != set(set_b.labels):
         raise ValueError(f"label mismatch: {set_a.family} has {sorted(set_a.labels)}, "
                          f"{set_b.family} has {sorted(set_b.labels)}")
@@ -458,8 +451,7 @@ def table1_correspondence(tolerance: float = DEFAULT_TOLERANCE) -> Correspondenc
     one stacked product of gamma block members, padded with the identity.  A
     tolerance that is not a finite number > 0 raises ValueError.
     """
-    if not (np.isfinite(tolerance) and tolerance > 0):
-        raise ValueError(f"tolerance must be a finite number > 0, got {tolerance}")
+    _check_tolerance(tolerance)
     dirac, sl4r = build_generator_set("dirac_gamma"), build_generator_set("sl4r_4")
     labels, (coeffs, recipes) = list(TABLE1_RECIPES), zip(*TABLE1_RECIPES.values())
     width, names = max(map(len, recipes)), dirac.labels + ("1",)

@@ -24,7 +24,8 @@ from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
-from .phase_space import DEFAULT_TOLERANCE, MAX_KMAX, MAX_NMAX, MIN_NMAX, occupation_entropy
+from .phase_space import (DEFAULT_TOLERANCE, MAX_KMAX, MAX_NMAX, MIN_NMAX, _check_tolerance,
+                          occupation_entropy)
 from .algebra import VerificationReport, alge11_table
 from .families import GeneratorSet
 
@@ -281,8 +282,9 @@ def verify_fock_commutators(nmax: int,
 
     Raises:
         TypeError: nmax is not an integer.
-        ValueError: nmax outside [MIN_NMAX, MAX_NMAX].
+        ValueError: nmax outside [MIN_NMAX, MAX_NMAX], or a tolerance not finite and > 0.
     """
+    _check_tolerance(tolerance)
     if not MIN_NMAX <= operator.index(nmax) <= MAX_NMAX:
         raise ValueError(
             f"nmax must be in [{MIN_NMAX}, {MAX_NMAX}] for the safe subspace check, "

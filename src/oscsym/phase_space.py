@@ -52,6 +52,13 @@ MIN_NMAX = 6  # smallest truncation with a nonempty safe subspace
 MAX_NMAX = 256  # largest truncation the bracket check accepts (~0.15 s)
 MAX_KMAX = 2 ** 24  # largest series truncation kmax_for_tail returns (eta ~ 7.3, ~0.1 s a pass)
 
+
+def _check_tolerance(tolerance: float) -> None:
+    """Refuse a tolerance that is not a finite number > 0: every checker's first step."""
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be a finite number > 0, got {tolerance}")
+
+
 #: the fifteen sl4r_4 members on (x1, p1, x2, p2), scale 1/2; sp4_4 is the
 #: ten TENFOLD_LABELS.  Each cell "rc+" or "rc-" puts +-i/2 at row r,
 #: column c.  S2 sign: the opposite of the gamma bilinear (i/2) g1 g2.  This
@@ -340,30 +347,31 @@ def reduce_oscillator(state: GaussianState, keep: int) -> _Rows:
 
 
 def _det2(a: float, b: float, c: float, d: float) -> float:
-    """det [[a, b], [c, d]] of finite entries, bit for bit as np.linalg.det gives it.
+    """det [[a, b], [c, d]] of finite entries: LU with row pivoting in Python floats.
 
-    The same steps in Python scalars: LU with row pivoting, whose pivot row
-    (p, r) is the one with the larger |first entry| and whose other row (q, t)
-    leaves u = t - (q * (1/p)) r, then sign * exp(ln|p| + ln|u|) as numpy's
-    slogdet forms it.  A subnormal or zero pivot (LAPACK divides by it instead
-    of scaling) and a det that overflows go to np.linalg.det itself, imported
-    only then, so the caller sees its `overflow encountered in det` warning.
+    The pivot row (p, r) has the larger |first entry|, the other row (q, t)
+    leaves u = t - l r, and det = sign * exp(ln|p| + ln|u|) as numpy's slogdet
+    forms it (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    ch. 9).  A normal pivot scales, l = q * (1/p), as OpenBLAS does, so the
+    det is np.linalg.det's bit for bit; a subnormal one divides, l = q / p,
+    as reference LAPACK's dgetf2 does.  A zero first column gives 0.0, and a
+    det above the largest double raises OverflowError.
     """
     if abs(c) > abs(a):
         sign, p, r, q, t = -1.0, c, d, a, b
     else:
         sign, p, r, q, t = 1.0, a, b, c, d
-    if abs(p) >= sys.float_info.min:
-        u = t - q * (1.0 / p) * r
-        if u == 0.0:
-            return 0.0
-        if (p < 0) != (u < 0):
-            sign = -sign
-        log_det = math.log(abs(p)) + math.log(abs(u))
-        if log_det <= _LOG_MAX:
-            return sign * math.exp(log_det)
-    import numpy as np
-    return float(np.linalg.det(np.array([[a, b], [c, d]])))
+    if p == 0.0:
+        return 0.0
+    u = t - (q * (1.0 / p) if abs(p) >= sys.float_info.min else q / p) * r
+    if u == 0.0:
+        return 0.0
+    if (p < 0) != (u < 0):
+        sign = -sign
+    log_det = math.log(abs(p)) + math.log(abs(u))
+    if log_det > _LOG_MAX:
+        raise OverflowError(f"a 2x2 det exceeds the largest double (ln|det| = {log_det:.6g})")
+    return sign * math.exp(log_det)
 
 
 def _mu(block: _Rows) -> float:
@@ -386,7 +394,8 @@ def gaussian_purity(cov2) -> float:
     """Tr(rho^2) of the Gaussian state with 2x2 covariance cov2.
 
     1/(2 sqrt(det cov2)) under the vacuum = I/2 convention: 1 for the
-    vacuum block, 1/cosh(2 eta) for the reduced coupled ground state.
+    vacuum block, 1/cosh(2 eta) for the reduced coupled ground state.  A det
+    above the largest double raises OverflowError, as in gaussian_entropy and areas.
     """
     return 1.0 / _mu(_rows(cov2, 2, "covariance"))
 

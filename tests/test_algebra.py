@@ -23,7 +23,7 @@ from oscsym.algebra import (
 )
 from oscsym.families import (FAMILIES, FIFTEEN_LABELS, TENFOLD_LABELS, GeneratorSet,
                              build_generator_set, gamma_matrices)
-from oscsym.fock import dirac_tenfold
+from oscsym.fock import dirac_tenfold, verify_fock_commutators
 
 SP4 = build_generator_set("sp4_4")
 SL4R = build_generator_set("sl4r_4")
@@ -385,6 +385,21 @@ def test_correspondence_refuses_a_tolerance_that_is_not_finite_and_positive(tole
         table1_correspondence(tolerance)
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0, 0.0])
+@pytest.mark.parametrize("check", [
+    pytest.param(lambda tolerance: verify_algebra(SP4, alge11_table(), tolerance),
+                 id="verify_algebra"),
+    pytest.param(lambda tolerance: check_isomorphism(SP4, O32, tolerance),
+                 id="check_isomorphism"),
+    pytest.param(lambda tolerance: verify_fock_commutators(8, tolerance),
+                 id="verify_fock_commutators"),
+])
+def test_checkers_refuse_a_tolerance_that_is_not_finite_and_positive(check, tolerance):
+    # each used to report FAIL on exact results: nan and 0 fail a residual of 0
+    with pytest.raises(ValueError, match="^tolerance must be a finite number > 0, got "):
+        check(tolerance)
+
+
 def test_decompose_reconstruct_random_combinations():
     """Round trip on the span: coefficients recovered to 1e-10."""
     rng = np.random.default_rng(42)
@@ -441,6 +456,16 @@ def test_table_with_no_pairs_passes_with_residual_zero(labels):
 def test_structure_table_refuses_repeated_labels_and_misshapen_tensors(labels, shape):
     with pytest.raises(ValueError, match="distinct labels"):
         StructureTable(labels, np.zeros(shape, np.int8))
+
+
+def test_structure_table_holds_f_as_a_read_only_view():
+    f = np.zeros((2, 2, 2))
+    table = StructureTable(("a", "b"), f)
+    assert not table.f.flags.writeable and f.flags.writeable
+    assert table.f.base is f
+    for table in (alge11_table(), o33gen_table(), sp2_table(*SP2_TRIPLES[0]),
+                  structure_table(SP4)):
+        assert not table.f.flags.writeable
 
 
 def test_sp2_table_refuses_a_repeated_label():

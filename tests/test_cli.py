@@ -64,6 +64,29 @@ def test_cold_start_leaves_modules_unloaded(argv, unloaded):
     assert proc.stdout.strip() == "[] 0 []"
 
 
+@pytest.mark.parametrize("argv,reason", [
+    (["--generator", "G3", "--eta", "200"], "overflows a double"),  # the area-1 det
+    (["--couple", "--eta", "-400"], "cannot check"),                 # M C M^T is inf
+    (["--generator", "G3", "--eta", "-200"], "cannot check"),        # the block det underflows
+])
+def test_refused_simulate_leaves_numpy_unloaded(argv, reason):
+    # phase_space refuses these itself: no numpy warning is turned into the exit 2
+    code = ("import contextlib, io, sys, oscsym.cli\n"
+            "err = io.StringIO()\n"
+            "with contextlib.redirect_stderr(err):\n"
+            "    try:\n"
+            f"        oscsym.cli.main({['simulate', *argv]!r})\n"
+            "    except SystemExit as exc:\n"
+            "        status = exc.code\n"
+            f"print(status, [m for m in {SIMULATE_UNLOADED!r} if m in sys.modules])\n"
+            "print(err.getvalue().splitlines()[-1])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_child_env(), check=True)
+    status, error = proc.stdout.splitlines()
+    assert status == "2 []"
+    assert error.startswith("oscsym: error:") and reason in error
+
+
 def test_internal_error_exits_3_with_one_line():
     # an exception escaping a command: exit 3 and one stderr line, not the
     # exit 1 of a FAILed check nor a traceback

@@ -1,6 +1,9 @@
 """Symplectic checks, transforms, reduction, entropy, temperature map."""
 
+import ast
+import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from mpmath import mp
 
 from oscsym.families import FIFTEEN_LABELS, TENFOLD_LABELS, build_generator_set
+from oscsym import phase_space
 from oscsym.phase_space import (
     GaussianState,
     SubVacuumError,
@@ -541,7 +545,16 @@ def test_block_refusals_and_symmetrisation_equal_the_eigvalsh_route(block, match
 
 
 # ---------------------------------------------------------------------------
-# 2x2 determinants in Python scalars, bit for bit as np.linalg.det
+# 2x2 determinants in Python scalars: bit for bit as np.linalg.det on a normal pivot
+
+
+def test_phase_space_imports_only_the_standard_library():
+    tree = ast.parse(open(phase_space.__file__).read())
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {"." * node.level + (node.module or "") for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    assert {m.split(".")[0] for m in modules} <= sys.stdlib_module_names, modules
 
 
 def _det2_draws(count, seed):
@@ -573,21 +586,12 @@ def test_det2_equals_numpy_det_on_seeded_draws():
     assert got.count(0.0) > 10_000 and min(got) < 0 < max(got)
 
 
-def _det_outcome(route, block):
-    """The value of a det route, or the type and message of what it raised."""
-    try:
-        value = route(block)
-    except (ArithmeticError, RuntimeWarning) as exc:
-        return type(exc).__name__, str(exc)
-    return float(value), float(np.copysign(1.0, value))
-
-
 SPECIAL_BLOCKS = [
     [[1e-310, 0.0], [0.0, 1.0]],       # subnormal pivot: a bare 1/a is inf, 0 * inf NaN
     # subnormal pivot with a finite 1/a: numpy reads 3.17e-311, the LU steps 7.74e-312
     [[-7.004646341155436e-309, -0.005677696061279298],
      [-4.220642160783096e-309, -0.004526492921104458]],
-    [[0.0, 1e-310], [1e-309, 1.0]],    # swap onto a subnormal pivot
+    [[0.0, 1e-310], [1e-309, 1.0]],    # swap onto a subnormal pivot: -1e-619 rounds to -0.0
     [[5e-324, 5e-324], [5e-324, 5e-324]],
     [[5e-324, 0.0], [0.0, 5e-324]],    # the det underflows to 0
     [[1e-200, 0.0], [0.0, -1e-200]],   # underflows to -0.0
@@ -600,24 +604,56 @@ SPECIAL_BLOCKS = [
     [[1e154, 0.0], [0.0, 1e154]],      # 1e308: just finite
     [[1.5, 2.5], [-3.5, 4.5]],
 ]
+SUBNORMAL_PIVOTS = SPECIAL_BLOCKS[:5]
+OVERFLOWS = SPECIAL_BLOCKS[8:12]
+#: subnormal pivots where numpy's det is not the exact one: its OpenBLAS scales by 1/p
+NUMPY_INEXACT = SPECIAL_BLOCKS[1:3]
 
 
-@pytest.mark.parametrize("block", SPECIAL_BLOCKS)
+def _special(blocks):
+    """Parameters named by their row in SPECIAL_BLOCKS."""
+    return [pytest.param(block, id=f"block{SPECIAL_BLOCKS.index(block)}") for block in blocks]
+
+
+@pytest.mark.parametrize("block", _special(
+    [block for block in SPECIAL_BLOCKS if block not in OVERFLOWS + NUMPY_INEXACT]))
 def test_det2_equals_numpy_det_on_special_blocks(block):
-    block = np.array(block)
-
-    def scalar_route(x):
-        return _det2(*x.ravel().tolist())
-
-    # under the pyproject error::RuntimeWarning filter, then as simulate runs it
-    assert _det_outcome(scalar_route, block) == _det_outcome(np.linalg.det, block)
-    with np.errstate(over="raise"):
-        assert _det_outcome(scalar_route, block) == _det_outcome(np.linalg.det, block)
+    (a, b), (c, d) = block
+    got, expected = _det2(a, b, c, d), float(np.linalg.det(np.array(block)))
+    assert (got, math.copysign(1.0, got)) == (expected, math.copysign(1.0, expected))
 
 
-def test_det2_overflow_warns_as_numpy_det():
-    with pytest.warns(RuntimeWarning, match="overflow encountered in det"):
-        assert _det2(1e300, 0.0, 0.0, 1e300) == np.inf
+@pytest.mark.parametrize("block", _special(SUBNORMAL_PIVOTS))
+def test_det2_on_a_subnormal_pivot_is_the_exact_det(block):
+    # the LU steps divide by the pivot as reference LAPACK's dgetf2 does
+    (a, b), (c, d) = block
+    with mp.workdps(50):
+        exact = float(mp.mpf(a) * mp.mpf(d) - mp.mpf(b) * mp.mpf(c))
+    got = _det2(a, b, c, d)
+    assert abs(got - exact) <= math.ulp(exact)
+    assert math.copysign(1.0, got) == math.copysign(1.0, exact)
+
+
+@pytest.mark.parametrize("block", _special(OVERFLOWS))
+def test_det2_refuses_an_overflowing_det(block):
+    (a, b), (c, d) = block
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(OverflowError, match="exceeds the largest double"):
+            _det2(a, b, c, d)
+    assert caught == []
+
+
+def test_gaussian_functions_refuse_an_overflowing_det():
+    # the G3 flow at theta = 180 scales plane 1 by e^180: det e^720 / 4 of its block
+    state = evolve(vacuum_state(), generator_to_transform("G3", 180.0))
+    block = reduce_oscillator(state, 1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for route, arg in ((gaussian_purity, block), (gaussian_entropy, block), (areas, state)):
+            with pytest.raises(OverflowError, match="exceeds the largest double"):
+                route(arg)
+    assert caught == []
 
 
 # ---------------------------------------------------------------------------
