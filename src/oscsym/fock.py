@@ -16,6 +16,7 @@ three independent routes (closed form, series, partial-trace quadrature).
 
 from __future__ import annotations
 
+import math
 import operator
 import warnings
 from dataclasses import dataclass
@@ -47,6 +48,8 @@ _FOCK_CHUNK = 64  # grid points per band of rows in verify_fock_commutators
 _DIAGONAL_BAND = 4096  # grid points per band of rows in _diagonal_values
 _SERIES_BLOCK = 2 ** 14  # ladder terms per block in moments
 _QUADRATURE_BYTES = 2 ** 16  # largest (points, nodes) block in rho_partial_trace
+_HERMITE_BLOCK = 16  # eigenfunction rows per block of the recurrence
+_MAX_NODES = 370  # largest Gauss-Hermite rule whose weights stay normal doubles
 _MAX_ETA = 350  # largest |eta| whose e^{2|eta|} times a squared node gap stays finite
 
 
@@ -328,34 +331,58 @@ def verify_fock_commutators(nmax: int,
 # ---------------------------------------------------------------------------
 # oscillator eigenfunctions and quadrature
 
-def _hermite_rows(kmax: int, x: np.ndarray) -> Iterator[np.ndarray]:
-    """Orthonormal oscillator eigenfunctions phi_0..phi_kmax at x, one row at a time.
+def _hermite_blocks(kmax: int, x: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+    """Orthonormal oscillator eigenfunctions phi_0..phi_kmax at the flat points x, by blocks.
 
     Unit mass and frequency: phi_0(x) = pi**-1/4 exp(-x**2/2).  Uses the
     normalized three-term recurrence
     phi_{k+1} = sqrt(2/(k+1)) x phi_k - sqrt(k/(k+1)) phi_{k-1},
-    which is stable upward; k is capped at HERMITE_KMAX.
+    which is stable upward, as (c x) phi_k - c' phi_{k-1} with c and c' Python
+    floats computed once per call; k is capped at HERMITE_KMAX.  Yields
+    (lo, rows) with rows[i] = phi_{lo + i}(x), up to _HERMITE_BLOCK rows a block.
+    rows is a view of one buffer that the next block overwrites, after the
+    two rows the recurrence carries over, so memory is O(_HERMITE_BLOCK x.size).
     """
     kmax = operator.index(kmax)  # a float k would truncate or fail inside range
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     if kmax > HERMITE_KMAX:
         raise ValueError(f"kmax {kmax} exceeds the recurrence cap {HERMITE_KMAX}")
-    prev = np.pi ** -0.25 * np.exp(-0.5 * x * x)
-    yield prev
-    if kmax >= 1:
-        row = np.sqrt(2.0) * x * prev
-        yield row
-        for k in range(1, kmax):
-            prev, row = row, np.sqrt(2.0 / (k + 1)) * x * row - np.sqrt(k / (k + 1.0)) * prev
-            yield row
+    c = [math.sqrt(2.0 / (k + 1)) for k in range(kmax)]
+    c_prev = [math.sqrt(k / (k + 1.0)) for k in range(kmax)]
+    size = min(kmax + 1, _HERMITE_BLOCK)
+    buf = np.zeros((size + 2, x.size))  # phi_{lo-2}, phi_{lo-1}, then the block
+    rows, scaled = list(buf), np.empty(x.size)
+    row = rows[2]
+    np.multiply(x, -0.5, out=row)
+    row *= x
+    np.exp(row, out=row)
+    row *= np.pi ** -0.25
+    lo, j = 0, 3  # row j of the buffer receives phi_{lo + j - 2}
+    for k in range(kmax):  # phi_1 from phi_0 and the zero row phi_{-1}, then upward
+        if j == len(rows):
+            yield lo, buf[2:]
+            buf[:2] = buf[-2:]
+            lo, j = lo + size, 2
+        row = rows[j]
+        np.multiply(x, c[k], out=row)
+        row *= rows[j - 1]
+        np.multiply(rows[j - 2], c_prev[k], out=scaled)
+        row -= scaled
+        j += 1
+    yield lo, buf[2:j]
 
 
 def phi(k: int, x):
-    """k-th oscillator eigenfunction at x: the last row of the recurrence."""
-    for row in _hermite_rows(k, np.asarray(x, dtype=float)):
+    """k-th oscillator eigenfunction at x: a copy of the last row of the recurrence.
+
+    Refuses a k outside 0..HERMITE_KMAX and a NaN or infinite x.
+    """
+    x = np.asarray(x, dtype=float)
+    _check_points(x)
+    for _, rows in _hermite_blocks(k, x.reshape(-1)):
         pass
-    return row
+    return rows[-1].reshape(x.shape).copy()[()]  # a scalar for a scalar x
 
 
 @lru_cache(maxsize=8)
@@ -364,7 +391,17 @@ def gauss_hermite(n: int = 128) -> Tuple[np.ndarray, np.ndarray]:
 
     With the total weights, sum(w_tot * f(x)) approximates the plain
     integral of f; exact for f = (polynomial of degree < 2n) * exp(-x**2).
+    n is capped at _MAX_NODES = 370: from n = 371 the smallest weight
+    w ~ exp(-x_max**2) falls below the smallest normal double inside numpy's
+    hermgauss, which then returns zero or NaN weights with only a warning.
+
+    Raises:
+        TypeError: n is not an integer.
+        ValueError: n outside 1.._MAX_NODES.
     """
+    if not 1 <= operator.index(n) <= _MAX_NODES:
+        raise ValueError(f"n must be in [1, {_MAX_NODES}]: from n = {_MAX_NODES + 1} "
+                         f"the Gauss-Hermite weights underflow, got {n}")
     x, w = np.polynomial.hermite.hermgauss(n)
     total = np.exp(np.log(w) + x * x)
     x.flags.writeable = False
@@ -382,18 +419,42 @@ def _check_eta(eta: float) -> None:
         raise ValueError(f"eta must be finite with |eta| <= {_MAX_ETA}, got {eta}")
 
 
+def _check_points(*coordinates: np.ndarray) -> None:
+    """Refuse NaN or infinite coordinates, where the routes would disagree.
+
+    Unchecked, an infinite x gives 0.0 from the closed forms and from phi_0,
+    and NaN with a warning from the recurrence past phi_0.
+    """
+    for x in coordinates:
+        if not np.isfinite(x).all():
+            raise ValueError("coordinates must be finite, got NaN or inf")
+
+
 def psi_eta(eta: float, x1, x2):
     """Coupled two-oscillator ground state.
 
     (1/sqrt(pi)) exp(-[e^{2 eta} (x1 - x2)^2 + e^{-2 eta} (x1 + x2)^2] / 4);
     eta = 0 is the uncoupled ground state, and on the diagonal x1 = x2 the
-    difference term drops out.
+    difference term drops out.  The exponent is formed in place in two
+    buffers, one per square, with the rounding of the one-expression formula.
+    Refuses a NaN or infinite x1 or x2.
     """
     _check_eta(eta)
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    quad = (np.exp(2 * eta) * (x1 - x2) ** 2 + np.exp(-2 * eta) * (x1 + x2) ** 2)
-    return np.pi ** -0.5 * np.exp(-0.25 * quad)
+    _check_points(x1, x2)
+    shape = np.broadcast_shapes(x1.shape, x2.shape)
+    quad = np.subtract(x1, x2, out=np.empty(shape))
+    quad *= quad
+    quad *= np.exp(2 * eta)
+    plus = np.add(x1, x2, out=np.empty(shape))
+    plus *= plus
+    plus *= np.exp(-2 * eta)
+    quad += plus
+    quad *= -0.25
+    np.exp(quad, out=quad)
+    quad *= np.pi ** -0.5
+    return quad[()]  # a scalar for scalar points
 
 
 def expansion_coefficient(eta: float, k: int) -> float:
@@ -452,10 +513,12 @@ def rho_reduced(eta: float, x, xp):
     rho(x, x') = (pi c)^{-1/2} exp(-(x + x')^2 / (4 c) - c (x - x')^2 / 4)
     with c = cosh 2eta; at eta = 0 this is the pure ground-state projector.
     The two terms stay apart, since c^2 overflows from |eta| ~ 178.
+    Refuses a NaN or infinite x or x'.
     """
     _check_eta(eta)
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
+    _check_points(x, xp)
     c2 = np.cosh(2 * eta)
     quad = (x + xp) ** 2 / (4 * c2) + c2 * (x - xp) ** 2 / 4
     return (np.pi * c2) ** -0.5 * np.exp(-quad)
@@ -466,14 +529,18 @@ def rho_series(eta: float, x, xp, kmax: int = 60):
 
     sum_k w_k phi_k(x) phi_k(x') with w_k = tanh(eta)^{2k} / cosh(eta)^2;
     agrees with rho_reduced up to the series tail.  One recurrence runs over
-    x and x' together and streams row by row into the sum, so memory is
-    O(grid), not O(kmax grid).
+    x and x' stacked together, and each block of its rows adds one weighted
+    contraction sum_k w_k phi_k(x) phi_k(x') to the sum, so memory is
+    O(_HERMITE_BLOCK grid), not O(kmax grid).  Refuses a NaN or infinite x or x'.
     """
+    w = series_weights(eta, kmax)
     points = np.stack(np.broadcast_arrays(np.asarray(x, float), np.asarray(xp, float)))
-    rho = np.zeros(points.shape[1:])
-    for (hx, hxp), w in zip(_hermite_rows(kmax, points), series_weights(eta, kmax)):
-        rho += w * hx * hxp
-    return rho[()]  # a scalar for scalar points
+    _check_points(points)
+    n = points[0].size
+    rho = np.zeros(n)
+    for lo, rows in _hermite_blocks(kmax, points.reshape(-1)):
+        rho += np.einsum("k,k...,k...->...", w[lo:lo + len(rows)], rows[:, :n], rows[:, n:])
+    return rho.reshape(points.shape[1:])[()]  # a scalar for scalar points
 
 
 def rho_partial_trace(eta: float, x, xp):
@@ -489,10 +556,11 @@ def rho_partial_trace(eta: float, x, xp):
     n x n grid has 2n - 1 distinct h in exact arithmetic; rounding of
     (x + x')/2 splits some (91 on a 21 x 21 linspace(-3, 3) grid).  The
     squares stay centred: expanded into t^2 - 2 t h + h^2 they cancel at
-    large eta.
+    large eta.  Refuses a NaN or infinite x or x'.
     """
     _check_eta(eta)
     x, xp = np.broadcast_arrays(np.asarray(x, float), np.asarray(xp, float))
+    _check_points(x, xp)
     t, w = gauss_hermite()
     h, where = np.unique(0.5 * (x + xp), return_inverse=True)
     h = h.reshape(-1, 1)

@@ -12,7 +12,9 @@ from mpmath import mp
 
 from oscsym.algebra import alge11_table
 from oscsym.fock import (
+    _HERMITE_BLOCK,
     _MAX_ETA,
+    _MAX_NODES,
     _QUADRATICS,
     _SERIES_BLOCK,
     _diagonal_layout,
@@ -286,6 +288,51 @@ def test_non_integer_k_is_refused(call):
     with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
         call()
     assert phi(np.int64(3), 0.3) == phi(3, 0.3)
+
+
+@pytest.mark.parametrize("n,error", [(0, ValueError), (-1, ValueError), (2.5, TypeError),
+                                     (_MAX_NODES + 1, ValueError), (10 ** 6, ValueError)])
+def test_gauss_hermite_refuses_rules_past_the_weight_underflow(n, error):
+    # unchecked, n = 371 sums its weights to 0.0, n >= 372 gives NaN weights
+    # (only RuntimeWarnings), and n = 10**6 asks hermgauss for a 7.28 TiB matrix
+    tracemalloc.start()
+    try:
+        with pytest.raises(error, match=None if error is TypeError else f"\\[1, {_MAX_NODES}\\]"):
+            gauss_hermite(n)
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 16
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 128, _MAX_NODES])
+def test_gauss_hermite_integrates_gaussians(n):
+    x, w = gauss_hermite(n)
+    assert abs(w @ np.exp(-x * x) / np.sqrt(np.pi) - 1.0) <= 1e-15
+    if n > 1:  # exp(-x**2/4) = exp(3 x**2/4) exp(-x**2) is no low polynomial times exp(-x**2)
+        assert abs(w @ np.exp(-0.25 * x * x) / (2.0 * np.sqrt(np.pi)) - 1.0) <= 1e-15
+
+
+def _one_expression_psi_eta(eta, x1, x2):
+    """psi_eta as one expression, as it was written before the in-place exponent."""
+    quad = (np.exp(2 * eta) * (x1 - x2) ** 2 + np.exp(-2 * eta) * (x1 + x2) ** 2)
+    return np.pi ** -0.5 * np.exp(-0.25 * quad)
+
+
+@pytest.mark.parametrize("eta", [-1.0, -0.0, 0.0, 0.3, 1.45, 2.0, 5.0, float(_MAX_ETA)])
+def test_psi_eta_equals_the_one_expression_formula(eta):
+    x, _ = gauss_hermite()
+    assert np.array_equal(psi_eta(eta, x[:, None], x[None, :]),
+                          _one_expression_psi_eta(eta, x[:, None], x[None, :]))
+    # a scalar squares by multiplication as an array does; the old scalar path
+    # squared through numpy's scalar pow, which rounds differently for about
+    # one point in 2000, so scalars are held to the formula on one-element arrays
+    rng = np.random.default_rng(25)
+    for a, b in [(x[i], x[j]) for i in range(0, 128, 9) for j in range(0, 128, 13)] + \
+            rng.uniform(-6.0, 6.0, (200, 2)).tolist():
+        got = psi_eta(eta, a, b)
+        assert isinstance(got, np.float64)
+        assert got == _one_expression_psi_eta(eta, np.array([a]), np.array([b]))[0]
 
 
 def test_psi_eta_reduces_to_ground_state():
@@ -700,7 +747,8 @@ def test_moments_entropy_keeps_the_vacuum_term_at_tiny_eta():
     assert abs(moments(eta).entropy - entropy) <= 1e-13 * entropy
 
 
-@pytest.mark.parametrize("kmax", [0, 1, 2, 200])
+@pytest.mark.parametrize("kmax", [0, 1, 2, _HERMITE_BLOCK - 1, _HERMITE_BLOCK,
+                                  _HERMITE_BLOCK + 1, 2 * _HERMITE_BLOCK + 1, 200])
 def test_hermite_functions_bit_identical_to_recurrence_table(kmax):
     x, xp = _bench_grid()
     for points in (0.3, np.linspace(-4.0, 4.0, 33), x):
@@ -715,12 +763,39 @@ def test_hermite_functions_bit_identical_to_recurrence_table(kmax):
 def test_streamed_rho_routes_match_full_array_formulas(eta):
     kmax = min(kmax_for_tail(eta), 200)
     t, w = gauss_hermite(128)
-    for x, xp in (_bench_grid(), (np.float64(0.3), np.float64(-1.1))):
+    pts = np.linspace(-2.0, 2.0, 7)
+    scattered = np.random.default_rng(25).uniform(-4.0, 4.0, (2, 50))
+    for x, xp in (_bench_grid(), (np.float64(0.3), np.float64(-1.1)),
+                  (pts[:, None], pts[None, :]), tuple(scattered)):
         full_series = np.einsum("k,k...,k...->...", series_weights(eta, kmax),
                                 _recurrence_table(kmax, x), _recurrence_table(kmax, xp))
         assert np.abs(rho_series(eta, x, xp, kmax) - full_series).max() <= 1e-15
         full_trace = (psi_eta(eta, x[..., None], t) * psi_eta(eta, xp[..., None], t)) @ w
         assert np.abs(rho_partial_trace(eta, x, xp) - full_trace).max() <= 1e-15
+
+
+_COORDINATE_ROUTES = {
+    "phi": lambda x, xp: phi(3, x),
+    "psi_eta": lambda x, xp: psi_eta(0.5, x, xp),
+    "rho_reduced": lambda x, xp: rho_reduced(0.5, x, xp),
+    "rho_series": lambda x, xp: rho_series(0.5, x, xp, 3),
+    "rho_partial_trace": lambda x, xp: rho_partial_trace(0.5, x, xp),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["x", "xp", "both", "array"])
+@pytest.mark.parametrize("route", _COORDINATE_ROUTES)
+def test_coordinate_routes_refuse_non_finite_points(route, where, value):
+    # unchecked, x = inf gave 0.0 from the closed forms and phi_0 but NaN with
+    # a warning from the recurrence, and x = x' = inf NaN from rho_reduced
+    x, xp = {"x": (value, 0.2), "xp": (0.2, value), "both": (value, value),
+             "array": (np.array([0.1, value, 0.3]), np.array([0.2, 0.2, 0.2]))}[where]
+    if route == "phi" and where == "xp":
+        x, xp = xp, x  # phi reads one coordinate
+    with pytest.raises(ValueError, match="finite"):
+        _COORDINATE_ROUTES[route](x, xp)
 
 
 def _high_precision_rho(eta, x, xp):
