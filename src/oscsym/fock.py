@@ -353,11 +353,7 @@ def _hermite_blocks(kmax: int, x: np.ndarray) -> Iterator[Tuple[int, np.ndarray]
     size = min(kmax + 1, _HERMITE_BLOCK)
     buf = np.zeros((size + 2, x.size))  # phi_{lo-2}, phi_{lo-1}, then the block
     rows, scaled = list(buf), np.empty(x.size)
-    row = rows[2]
-    np.multiply(x, -0.5, out=row)
-    row *= x
-    np.exp(row, out=row)
-    row *= np.pi ** -0.25
+    rows[2][:] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
     lo, j = 0, 3  # row j of the buffer receives phi_{lo + j - 2}
     for k in range(kmax):  # phi_1 from phi_0 and the zero row phi_{-1}, then upward
         if j == len(rows):
