@@ -327,9 +327,8 @@ def test_psi_eta_equals_the_one_expression_formula(eta):
     # a scalar squares by multiplication as an array does; the old scalar path
     # squared through numpy's scalar pow, which rounds differently for about
     # one point in 2000, so scalars are held to the formula on one-element arrays
-    rng = np.random.default_rng(25)
-    for a, b in [(x[i], x[j]) for i in range(0, 128, 9) for j in range(0, 128, 13)] + \
-            rng.uniform(-6.0, 6.0, (200, 2)).tolist():
+    nodes = [(x[i], x[j]) for i in range(0, 128, 9) for j in range(0, 128, 13)]
+    for a, b in nodes + np.random.default_rng(25).uniform(-6.0, 6.0, (200, 2)).tolist():
         got = psi_eta(eta, a, b)
         assert isinstance(got, np.float64)
         assert got == _one_expression_psi_eta(eta, np.array([a]), np.array([b]))[0]
@@ -775,7 +774,7 @@ def test_streamed_rho_routes_match_full_array_formulas(eta):
 
 
 _COORDINATE_ROUTES = {
-    "phi": lambda x, xp: phi(3, x),
+    "phi": lambda x, xp: (phi(3, x), phi(3, xp)),
     "psi_eta": lambda x, xp: psi_eta(0.5, x, xp),
     "rho_reduced": lambda x, xp: rho_reduced(0.5, x, xp),
     "rho_series": lambda x, xp: rho_series(0.5, x, xp, 3),
@@ -792,8 +791,6 @@ def test_coordinate_routes_refuse_non_finite_points(route, where, value):
     # a warning from the recurrence, and x = x' = inf NaN from rho_reduced
     x, xp = {"x": (value, 0.2), "xp": (0.2, value), "both": (value, value),
              "array": (np.array([0.1, value, 0.3]), np.array([0.2, 0.2, 0.2]))}[where]
-    if route == "phi" and where == "xp":
-        x, xp = xp, x  # phi reads one coordinate
     with pytest.raises(ValueError, match="finite"):
         _COORDINATE_ROUTES[route](x, xp)
 
