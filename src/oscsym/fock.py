@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import operator
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterator, Tuple
@@ -42,7 +43,7 @@ __all__ = [
 ]
 
 HERMITE_KMAX = 200
-_DENSE_TENFOLD_BYTES = 2 ** 30  # cap on the ten dense members of dirac_tenfold
+_DENSE_TENFOLD_BYTES = 2 ** 26  # cap on the ten dense members of dirac_tenfold
 _SAFE_MARGIN = 3  # the safe subspace is n1 + n2 <= nmax - _SAFE_MARGIN
 _FOCK_CHUNK = 64  # grid points per band of rows in verify_fock_commutators
 _DIAGONAL_BAND = 4096  # grid points per band of rows in _diagonal_values
@@ -51,6 +52,7 @@ _QUADRATURE_BYTES = 2 ** 16  # largest (points, nodes) block in rho_partial_trac
 _HERMITE_BLOCK = 16  # eigenfunction rows per block of the recurrence
 _MAX_NODES = 370  # largest Gauss-Hermite rule whose weights stay normal doubles
 _MAX_ETA = 350  # largest |eta| whose e^{2|eta|} times a squared node gap stays finite
+_NEAR_X = 64.0  # e^700 (2 x)^2 stays finite up to it; every ladder row is 0.0 from ~38.6
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +183,7 @@ def dirac_tenfold(nmax: int) -> GeneratorSet:
     Raises:
         TypeError: nmax is not an integer.
         ValueError: nmax < 4, or the ten dense members would take more than
-            1 GiB (nmax > 50).
+            64 MiB (nmax > 25).
     """
     if operator.index(nmax) < 4:
         raise ValueError(f"nmax must be >= 4 for the quadratic generators, got {nmax}")
@@ -233,9 +235,7 @@ def _bracket_plan():
     occupation each slot and each diagonal adds, and each slot's pair.
     """
     by_gen, step, pos, phase, _, _ = _diagonal_layout()
-    table = alge11_table()
-    perm = [table.labels.index(l) for l in _QUADRATICS]
-    f = table.f[np.ix_(perm, perm, perm)]
+    table = alge11_table()  # labelled in _QUADRATICS order: both are TENFOLD_LABELS
     gen, pos, nd = by_gen.tolist(), pos.tolist(), len(by_gen)
     imag = dict(zip(gen, (phase == 1j).tolist()))
     products: Dict[Tuple, list] = {}
@@ -245,8 +245,8 @@ def _bracket_plan():
                 products.setdefault((gu, gv, su1 + sv1, su2 + sv2), []).append(
                     (pos[u], u * nd + v))
     terms: Dict[Tuple, list] = {}
-    for a, b, c in zip(*np.nonzero(f)):
-        kappa = f[a, b, c] * (1, 1j, -1, -1j)[(1 + imag[c] - imag[a] - imag[b]) % 4]
+    for a, b, c in zip(*np.nonzero(table.f)):
+        kappa = table.f[a, b, c] * (1, 1j, -1, -1j)[(1 + imag[c] - imag[a] - imag[b]) % 4]
         if kappa.imag:
             raise ValueError("bracket table phases do not match the Fock generators")
         for w in np.flatnonzero(by_gen == c):
@@ -267,8 +267,7 @@ def _bracket_plan():
                   for r in range(max(map(len, expect)))),
             np.array([max(0, s1 + s2) for _, _, s1, s2 in slots]),
             np.maximum(0, step.sum(axis=1)),
-            np.array([pairs[(table.labels[perm[a]], table.labels[perm[b]])]
-                      for a, b, _, _ in slots]))
+            np.array([pairs[(table.labels[a], table.labels[b])] for a, b, _, _ in slots]))
 
 
 def verify_fock_commutators(nmax: int,
@@ -374,16 +373,14 @@ def phi(k: int, x):
 
     Refuses a k outside 0..HERMITE_KMAX and a NaN or infinite x.
     """
-    x = np.asarray(x, dtype=float)
-    _check_points(x)
+    (x,), _ = _points(x, bound=_NEAR_X)
     for _, rows in _hermite_blocks(k, x.reshape(-1)):
         pass
     return rows[-1].reshape(x.shape).copy()[()]  # a scalar for a scalar x
 
 
-@lru_cache(maxsize=8)
 def gauss_hermite(n: int = 128) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes and total weights w * exp(x**2).
+    """Gauss-Hermite nodes and total weights w * exp(x**2), read-only.
 
     With the total weights, sum(w_tot * f(x)) approximates the plain
     integral of f; exact for f = (polynomial of degree < 2n) * exp(-x**2).
@@ -395,7 +392,12 @@ def gauss_hermite(n: int = 128) -> Tuple[np.ndarray, np.ndarray]:
         TypeError: n is not an integer.
         ValueError: n outside 1.._MAX_NODES.
     """
-    if not 1 <= operator.index(n) <= _MAX_NODES:
+    return _gauss_hermite_rule(operator.index(n))
+
+
+@lru_cache(maxsize=8)
+def _gauss_hermite_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    if not 1 <= n <= _MAX_NODES:
         raise ValueError(f"n must be in [1, {_MAX_NODES}]: from n = {_MAX_NODES + 1} "
                          f"the Gauss-Hermite weights underflow, got {n}")
     x, w = np.polynomial.hermite.hermgauss(n)
@@ -415,15 +417,25 @@ def _check_eta(eta: float) -> None:
         raise ValueError(f"eta must be finite with |eta| <= {_MAX_ETA}, got {eta}")
 
 
-def _check_points(*coordinates: np.ndarray) -> None:
-    """Refuse NaN or infinite coordinates, where the routes would disagree.
+def _points(*coordinates, bound: float = np.inf):
+    """The coordinates as float arrays clipped to [-bound, bound] and broadcast, and
+    the context to evaluate them in: past _NEAR_X a square can overflow, and the
+    context lets it run to inf, which exp reads as the underflowed 0.0 it is.
 
-    Unchecked, an infinite x gives 0.0 from the closed forms and from phi_0,
-    and NaN with a warning from the recurrence past phi_0.
+    Refuses NaN or infinite coordinates, each before broadcasting: unchecked, an
+    infinite x gave 0.0 from the closed forms and phi_0 but NaN from the recurrence.
     """
+    points, far = [], False
     for x in coordinates:
-        if not np.isfinite(x).all():
+        x = np.asarray(x, dtype=float)
+        top = np.abs(x).max(initial=0.0)
+        if not top < np.inf:  # NaN compares false
             raise ValueError("coordinates must be finite, got NaN or inf")
+        far |= top > _NEAR_X
+        points.append(x if top <= bound else np.clip(x, -bound, bound))
+    shape = np.broadcast(*points).shape  # np.broadcast_arrays costs more on the common equal shapes
+    return ([x if x.shape == shape else np.broadcast_to(x, shape) for x in points],
+            np.errstate(over="ignore") if far else nullcontext())
 
 
 def psi_eta(eta: float, x1, x2):
@@ -436,17 +448,15 @@ def psi_eta(eta: float, x1, x2):
     Refuses a NaN or infinite x1 or x2.
     """
     _check_eta(eta)
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    _check_points(x1, x2)
-    shape = np.broadcast_shapes(x1.shape, x2.shape)
-    quad = np.subtract(x1, x2, out=np.empty(shape))
-    quad *= quad
-    quad *= np.exp(2 * eta)
-    plus = np.add(x1, x2, out=np.empty(shape))
-    plus *= plus
-    plus *= np.exp(-2 * eta)
-    quad += plus
+    (x1, x2), quiet = _points(x1, x2)
+    with quiet:
+        quad = np.subtract(x1, x2, out=np.empty(x1.shape))
+        quad *= quad
+        quad *= np.exp(2 * eta)
+        plus = np.add(x1, x2, out=np.empty(x1.shape))
+        plus *= plus
+        plus *= np.exp(-2 * eta)
+        quad += plus
     quad *= -0.25
     np.exp(quad, out=quad)
     quad *= np.pi ** -0.5
@@ -512,11 +522,10 @@ def rho_reduced(eta: float, x, xp):
     Refuses a NaN or infinite x or x'.
     """
     _check_eta(eta)
-    x = np.asarray(x, dtype=float)
-    xp = np.asarray(xp, dtype=float)
-    _check_points(x, xp)
+    (x, xp), quiet = _points(x, xp)
     c2 = np.cosh(2 * eta)
-    quad = (x + xp) ** 2 / (4 * c2) + c2 * (x - xp) ** 2 / 4
+    with quiet:
+        quad = (x + xp) ** 2 / (4 * c2) + c2 * (x - xp) ** 2 / 4
     return (np.pi * c2) ** -0.5 * np.exp(-quad)
 
 
@@ -530,8 +539,7 @@ def rho_series(eta: float, x, xp, kmax: int = 60):
     O(_HERMITE_BLOCK grid), not O(kmax grid).  Refuses a NaN or infinite x or x'.
     """
     w = series_weights(eta, kmax)
-    points = np.stack(np.broadcast_arrays(np.asarray(x, float), np.asarray(xp, float)))
-    _check_points(points)
+    points = np.stack(_points(x, xp, bound=_NEAR_X)[0])
     n = points[0].size
     rho = np.zeros(n)
     for lo, rows in _hermite_blocks(kmax, points.reshape(-1)):
@@ -555,26 +563,26 @@ def rho_partial_trace(eta: float, x, xp):
     large eta.  Refuses a NaN or infinite x or x'.
     """
     _check_eta(eta)
-    x, xp = np.broadcast_arrays(np.asarray(x, float), np.asarray(xp, float))
-    _check_points(x, xp)
+    (x, xp), quiet = _points(x, xp)
     t, w = gauss_hermite()
-    h, where = np.unique(0.5 * (x + xp), return_inverse=True)
-    h = h.reshape(-1, 1)
-    c_minus, c_plus = -0.5 * np.exp(2 * eta), -0.5 * np.exp(-2 * eta)
-    sums = np.empty(len(h))
-    block = max(1, _QUADRATURE_BYTES // (8 * len(t)))
-    for lo in range(0, len(h), block):
-        hb = h[lo:lo + block]
-        exponent = t - hb
-        exponent *= exponent
-        exponent *= c_minus
-        plus = t + hb
-        plus *= plus
-        plus *= c_plus
-        exponent += plus
-        sums[lo:lo + block] = np.exp(exponent, out=exponent) @ w
-    d = x - xp
-    return (np.exp(-0.25 * np.cosh(2 * eta) * d * d) / np.pi * sums[where].reshape(x.shape))[()]
+    with quiet:
+        h, where = np.unique(0.5 * (x + xp), return_inverse=True)
+        h = h.reshape(-1, 1)
+        c_minus, c_plus = -0.5 * np.exp(2 * eta), -0.5 * np.exp(-2 * eta)
+        sums = np.empty(len(h))
+        block = max(1, _QUADRATURE_BYTES // (8 * len(t)))
+        for lo in range(0, len(h), block):
+            hb = h[lo:lo + block]
+            exponent = t - hb
+            exponent *= exponent
+            exponent *= c_minus
+            plus = t + hb
+            plus *= plus
+            plus *= c_plus
+            exponent += plus
+            sums[lo:lo + block] = np.exp(exponent, out=exponent) @ w
+        d = x - xp
+        return (np.exp(-0.25 * np.cosh(2 * eta) * d * d) / np.pi * sums[where].reshape(x.shape))[()]
 
 
 # ---------------------------------------------------------------------------

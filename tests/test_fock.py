@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from oscsym import fock
 from oscsym.algebra import alge11_table
 from oscsym.fock import (
     _HERMITE_BLOCK,
@@ -19,6 +20,7 @@ from oscsym.fock import (
     _SERIES_BLOCK,
     _diagonal_layout,
     _diagonal_values,
+    _gauss_hermite_rule,
     _psi_eta_grid,
     _weighted_phi,
     HERMITE_KMAX,
@@ -233,9 +235,25 @@ def test_verify_fock_requires_nmax_six():
 def test_fock_refuses_large_nmax():
     with pytest.raises(ValueError, match="nmax"):
         verify_fock_commutators(MAX_NMAX + 1)
-    # ten dense members at nmax 51 would exceed 1 GiB; refused before allocating
+    # ten dense members at nmax 51 would exceed the cap; refused before allocating
     with pytest.raises(ValueError, match="MiB"):
         dirac_tenfold(51)
+
+
+def test_dirac_tenfold_refuses_past_64_mib():
+    # nmax 25 takes 59.6 MiB, nmax 26 would take 69.7 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="limit 64 MiB"):
+            dirac_tenfold(26)
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 16
+    finally:
+        tracemalloc.stop()
+
+
+def test_quadratics_are_in_the_bracket_table_order():
+    # the bracket plan reads alge11_table().f without relabelling
+    assert tuple(_QUADRATICS) == alge11_table().labels
 
 
 @pytest.mark.parametrize("build", [verify_fock_commutators, dirac_tenfold])
@@ -302,6 +320,16 @@ def test_gauss_hermite_refuses_rules_past_the_weight_underflow(n, error):
         assert tracemalloc.get_traced_memory()[1] < 2 ** 16
     finally:
         tracemalloc.stop()
+
+
+def test_gauss_hermite_builds_each_rule_once():
+    # the default, a keyword and a numpy integer all read the one cached n = 128 rule
+    _gauss_hermite_rule.cache_clear()
+    rules = [gauss_hermite(), gauss_hermite(128), gauss_hermite(n=128),
+             gauss_hermite(np.int64(128))]
+    assert all(x is rules[0][0] and w is rules[0][1] for x, w in rules)
+    assert _gauss_hermite_rule.cache_info().misses == 1
+    assert not rules[0][0].flags.writeable and not rules[0][1].flags.writeable
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -793,6 +821,57 @@ def test_coordinate_routes_refuse_non_finite_points(route, where, value):
              "array": (np.array([0.1, value, 0.3]), np.array([0.2, 0.2, 0.2]))}[where]
     with pytest.raises(ValueError, match="finite"):
         _COORDINATE_ROUTES[route](x, xp)
+
+
+def _mp_phi(k, x):
+    return (mp.pi ** -0.25 / mp.sqrt(2 ** k * mp.factorial(k))
+            * mp.hermite(k, x) * mp.exp(-x * x / 2))
+
+
+def _mp_rho(eta, x, xp):
+    c2 = mp.cosh(2 * eta)
+    return (mp.pi * c2) ** -0.5 * mp.exp(-(x + xp) ** 2 / (4 * c2) - c2 * (x - xp) ** 2 / 4)
+
+
+_MP_ROUTES = {  # 50-digit references; the partial trace integrates to the closed form
+    "phi": _mp_phi,
+    "psi_eta": lambda eta, x1, x2: mp.exp(-(mp.exp(2 * eta) * (x1 - x2) ** 2
+                                           + mp.exp(-2 * eta) * (x1 + x2) ** 2) / 4)
+    / mp.sqrt(mp.pi),
+    "rho_reduced": _mp_rho,
+    "rho_series": lambda eta, x, xp, kmax: mp.fsum(
+        mp.tanh(eta) ** (2 * k) / mp.cosh(eta) ** 2 * _mp_phi(k, x) * _mp_phi(k, xp)
+        for k in range(kmax + 1)),
+    "rho_partial_trace": _mp_rho,
+}
+
+
+@pytest.mark.parametrize("route, args", [
+    ("phi", (1, 1.5e308)), ("phi", (3, 1e160)), ("phi", (200, -1e300)), ("phi", (5, 30.0)),
+    ("psi_eta", (350.0, 100.0, -100.0)), ("psi_eta", (-350.0, 1.7e308, -1.7e308)),
+    ("psi_eta", (-350.0, 1e150, -1e150)),
+    ("rho_reduced", (300.0, 1e3, -1e3)), ("rho_reduced", (350.0, 1e3, -1e3)),
+    ("rho_reduced", (0.5, 1e200, 0.0)), ("rho_reduced", (350.0, 1e150, 1e150)),
+    ("rho_series", (0.5, 1e200, 0.0, 10)), ("rho_series", (0.5, -1.7e308, 1.7e308, 200)),
+    ("rho_series", (0.5, 12.0, 11.0, 10)),
+    ("rho_partial_trace", (0.5, 1e200, 1e200)), ("rho_partial_trace", (350.0, 1e3, -1e3)),
+    ("rho_partial_trace", (0.5, 1.7e308, -1.7e308)),
+    # at the edge of the near range no square overflows even at |eta| = 350
+    ("psi_eta", (350.0, 64.0, -64.0)), ("psi_eta", (-350.0, 64.0, 64.0)),
+    ("rho_reduced", (350.0, 64.0, -64.0)), ("rho_partial_trace", (350.0, 64.0, -64.0)),
+])
+def test_coordinate_routes_run_clean_on_far_finite_points(route, args):
+    # squares of far coordinates overflow to inf and exp(-inf) reads the underflowed 0.0;
+    # phi(1, 1.5e308) was NaN (inf * 0.0), the others returned 0.0 with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = getattr(fock, route)(*args)
+    with mp.workdps(50):
+        want = float(_MP_ROUTES[route](*(a if isinstance(a, int) else mp.mpf(a) for a in args)))
+    if want == 0.0:
+        assert got == 0.0
+    else:
+        assert abs(got - want) <= 1e-14 * abs(want)
 
 
 def _high_precision_rho(eta, x, xp):
