@@ -53,6 +53,7 @@ _HERMITE_BLOCK = 16  # eigenfunction rows per block of the recurrence
 _MAX_NODES = 370  # largest Gauss-Hermite rule whose weights stay normal doubles
 _MAX_ETA = 350  # largest |eta| whose e^{2|eta|} times a squared node gap stays finite
 _NEAR_X = 64.0  # e^700 (2 x)^2 stays finite up to it; every ladder row is 0.0 from ~38.6
+_EXPM1_MAX = np.log(np.finfo(float).max)  # largest x whose np.expm1(x) is finite
 
 
 # ---------------------------------------------------------------------------
@@ -604,14 +605,22 @@ def _ladder_logs(eta: float) -> Tuple[float, float]:
     return (np.log(q) if q else -np.inf), np.log1p(-q)
 
 
+def _check_kmax(kmax: int) -> int:
+    """kmax as an int, refused past MAX_KMAX before any ladder is built."""
+    kmax = operator.index(kmax)
+    if kmax > MAX_KMAX:
+        raise ValueError(f"kmax={kmax} is more than MAX_KMAX = {MAX_KMAX} series terms")
+    return kmax
+
+
 def series_weights(eta: float, kmax: int = 200) -> np.ndarray:
     """Eigenvalue ladder w_k = exp(ln(1 - q) + k ln q), q = tanh^2 eta, k = 0..kmax.
 
     The terms ``moments`` sums.  Symmetric in eta (only |eta| enters);
     nonnegative and non-increasing; exactly (1, 0, 0, ...) at eta = 0; empty
-    for kmax < 0.
+    for kmax < 0.  Refuses kmax > MAX_KMAX before allocating.
     """
-    kmax, (log_q, log_head) = operator.index(kmax), _ladder_logs(eta)
+    kmax, (log_q, log_head) = _check_kmax(kmax), _ladder_logs(eta)
     if log_q == -np.inf:
         return np.eye(1, max(kmax + 1, 0))[0]
     return np.exp(np.arange(kmax + 1) * log_q + log_head)
@@ -627,9 +636,9 @@ def kmax_for_tail(eta: float) -> int:
     """Smallest truncation whose dropped tail is at most DEFAULT_TOLERANCE.
 
     Grows like -ln(1e-12) / (2 ln tanh |eta|); about 50 terms at eta = 1,
-    about 380 at eta = 2, about 1.1 M at eta = 6.  ``moments`` streams the
-    ladder in fixed blocks, so the cap bounds the time of one pass, not
-    its memory.
+    about 380 at eta = 2, about 1.1 M at eta = 6.  ``moments`` evaluates
+    one block of the ladder and rescales it for the rest, so its cost grows
+    with kmax / 2**14, not kmax; the cap bounds ``series_weights``' array.
 
     Raises:
         ValueError: eta is not finite or |eta| > 350, or the count exceeds
@@ -652,13 +661,19 @@ def moments(eta: float, kmax: int = 200) -> SeriesMoments:
     """Purity and entropy of the reduced-state eigenvalue ladder.
 
     purity = sum w_k^2 and entropy = -sum w_k ln w_k over the
-    ``series_weights`` terms, streamed in blocks of _SERIES_BLOCK so memory
-    does not grow with kmax.  Contracts: purity = 1/cosh(2 eta) and
-    entropy = cosh^2(eta) ln cosh^2(eta) - sinh^2(eta) ln sinh^2(eta),
+    ``series_weights`` terms.  Only the first B = _SERIES_BLOCK terms are
+    evaluated: block m is that block times c = q^{mB}, so it adds
+    c^2 sum w^2 to the purity and c (-sum w ln w - mB ln q sum w) to the
+    entropy, and a partial last block sums a prefix of block 0.  A call
+    costs one block plus kmax / B scalars; below B terms it is the einsum
+    of the weights themselves.  Contracts: purity = 1/cosh(2 eta)
+    and entropy = cosh^2(eta) ln cosh^2(eta) - sinh^2(eta) ln sinh^2(eta),
     both up to the geometric tail ``series_tail_bound``, whose excess over
     DEFAULT_TOLERANCE triggers a warning.  Negative eta is folded to |eta|.
+    Refuses kmax > MAX_KMAX.
     """
-    tail = series_tail_bound(eta, kmax)  # refuses a non-integer kmax before warning
+    kmax = _check_kmax(kmax)  # before the tail warning
+    tail = series_tail_bound(eta, kmax)
     if tail > DEFAULT_TOLERANCE:
         warnings.warn(
             f"series tail bound {tail:.3e} exceeds {DEFAULT_TOLERANCE:.0e} "
@@ -671,18 +686,25 @@ def moments(eta: float, kmax: int = 200) -> SeriesMoments:
     if log_q == -np.inf:  # the pure state, w = (1, 0, 0, ...)
         return SeriesMoments(purity=1.0, entropy=0.0)
     size = min(kmax + 1, _SERIES_BLOCK)
-    k_log_q = np.arange(size) * log_q
-    log_w, w = np.empty(size), np.empty(size)
-    purity = entropy = 0.0
-    for lo in range(0, kmax + 1, size):
-        n = min(size, kmax + 1 - lo)
-        lw, bw = log_w[:n], w[:n]
-        np.add(k_log_q[:n], log_head + lo * log_q, out=lw)
-        np.exp(lw, out=bw)
+    log_w = np.arange(size) * log_q + log_head
+    w = np.exp(log_w)
+
+    def sums(n):  # sum w^2 and -sum w ln w over the first n terms
         # einsum's own loop, not a BLAS dot, whose split of the sum (and so
         # its rounding) follows the thread count
-        purity += np.einsum("i,i->", bw, bw)
-        entropy -= np.einsum("i,i->", bw, lw)
+        return np.einsum("i,i->", w[:n], w[:n]), -np.einsum("i,i->", w[:n], log_w[:n])
+
+    purity, entropy = sums(size)
+    if kmax >= size:
+        shift = np.arange(size, kmax + 1, size) * log_q  # mB ln q of each later block
+        scale = np.exp(shift)
+        full = scale[:-1]  # the last block may be partial
+        n = kmax + 1 - size * shift.size
+        (p, s), total, t = sums(n), np.einsum("i->", w), np.einsum("i->", w[:n])
+        purity, entropy = (
+            purity + purity * np.einsum("i,i->", full, full) + scale[-1] ** 2 * p,
+            entropy + np.einsum("i,i->", full, entropy - shift[:-1] * total)
+            + scale[-1] * (s - shift[-1] * t))
     return SeriesMoments(purity=float(purity), entropy=float(entropy))
 
 
@@ -704,13 +726,11 @@ class ThermalState:
     def entropy(self) -> float:
         """Closed form S(T) at the mean occupation v = 1/(e^{1/T} - 1).
 
-        Below T = 1/709.78 e^{1/T} overflows to inf, so v and S are 0.0; the
-        true S there is below 1e-297.
+        Below T = 1/709.78 e^{1/T} overflows, so v and S are 0.0 there,
+        without calling expm1; the true S there is below 1e-297.
         """
-        if self.temperature == 0:
-            return 0.0
-        with np.errstate(over="ignore"):
-            return occupation_entropy(1.0 / np.expm1(1.0 / self.temperature))
+        x = 1.0 / self.temperature if self.temperature else np.inf
+        return occupation_entropy(1.0 / np.expm1(x)) if x <= _EXPM1_MAX else 0.0
 
 
 def thermal_state(T: float) -> ThermalState:

@@ -50,7 +50,7 @@ _Rows = Sequence[Sequence[float]]
 DEFAULT_TOLERANCE = 1e-12
 MIN_NMAX = 6  # smallest nmax the check and CLI accept; the safe subspace is nonempty from 4
 MAX_NMAX = 256  # largest truncation the bracket check accepts (~0.15 s)
-MAX_KMAX = 2 ** 24  # largest series truncation kmax_for_tail returns (eta ~ 7.3, ~0.1 s a pass)
+MAX_KMAX = 2 ** 24  # largest series truncation (eta ~ 7.3; a moments call ~0.1 ms)
 
 
 def _check_tolerance(tolerance: float) -> None:

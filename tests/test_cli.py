@@ -423,7 +423,7 @@ def test_table_empty_grid_exits_2(capsys):
 
 
 @pytest.mark.parametrize("grid,match", [
-    ("8:8:1", "MAX_KMAX"),      # 6.1e7 series terms, about 0.3 s a pass
+    ("8:8:1", "MAX_KMAX"),      # 6.1e7 series terms
     ("19:19:1", "MAX_KMAX"),    # tanh^2 == 1.0; 2.2e17 series terms
     ("0:8:1", "MAX_KMAX"),      # refused before the valid rows are computed
 ])

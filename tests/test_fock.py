@@ -13,6 +13,7 @@ from mpmath import mp
 from oscsym import fock
 from oscsym.algebra import alge11_table
 from oscsym.fock import (
+    _EXPM1_MAX,
     _HERMITE_BLOCK,
     _MAX_ETA,
     _MAX_NODES,
@@ -21,6 +22,7 @@ from oscsym.fock import (
     _diagonal_layout,
     _diagonal_values,
     _gauss_hermite_rule,
+    _ladder_logs,
     _psi_eta_grid,
     _weighted_phi,
     HERMITE_KMAX,
@@ -47,7 +49,7 @@ from oscsym.fock import (
     verify_fock_commutators,
     wigner_radius,
 )
-from oscsym.phase_space import eta_from_temperature, temperature_from_eta
+from oscsym.phase_space import eta_from_temperature, occupation_entropy, temperature_from_eta
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +600,7 @@ def test_kmax_for_tail_clears_the_tail_up_to_eta_six():
 
 
 @pytest.mark.parametrize("eta,match", [
-    (8.0, "MAX_KMAX"),          # 6.1e7 terms, about 0.3 s a pass
+    (8.0, "MAX_KMAX"),          # 6.1e7 terms
     (19.0, "MAX_KMAX"),         # tanh^2 == 1.0, but ln q from e^{-2 eta}: 2.2e17 terms
     (float("nan"), "finite"),
     (float("inf"), "finite"),
@@ -772,6 +774,67 @@ def test_moments_entropy_keeps_the_vacuum_term_at_tiny_eta():
         c2, s2 = mp.cosh(eta) ** 2, mp.sinh(eta) ** 2
         entropy = float(c2 * mp.log(c2) - s2 * mp.log(s2))
     assert abs(moments(eta).entropy - entropy) <= 1e-13 * entropy
+
+
+def _exact_truncated_sums(eta, kmax):
+    """60-digit purity and entropy of w_k = e^{ln(1 - q) + k ln q}, k = 0..kmax.
+
+    Geometric closed forms at the two doubles ``_ladder_logs`` returns, so
+    they measure the summation, not the rounding of ln q.
+    """
+    log_q, log_head = _ladder_logs(eta)
+    with mp.workdps(60):
+        log_q, log_head, n = mp.mpf(float(log_q)), mp.mpf(float(log_head)), kmax + 1
+        q, head = mp.exp(log_q), mp.exp(log_head)
+        total = head * mp.expm1(n * log_q) / mp.expm1(log_q)
+        purity = head ** 2 * mp.expm1(2 * n * log_q) / mp.expm1(2 * log_q)
+        k_q_k = q * (1 - n * q ** (n - 1) + (n - 1) * q ** n) / (1 - q) ** 2  # sum k q^k
+        return float(purity), float(-log_head * total - log_q * head * k_q_k)
+
+
+@pytest.mark.filterwarnings("ignore:series tail bound")
+@pytest.mark.parametrize("kmax", [_SERIES_BLOCK - 1, _SERIES_BLOCK, _SERIES_BLOCK + 1,
+                                  3 * _SERIES_BLOCK + 7, "tail", MAX_KMAX])
+@pytest.mark.parametrize("eta", [4.0, 5.25, 6.0, 7.0, 7.3])
+def test_moments_match_exact_truncated_sums(eta, kmax):
+    # later blocks are the first block rescaled; the rescaled sums stay as
+    # close to the exact truncated ladder as a term-by-term pass
+    kmax = kmax_for_tail(eta) if kmax == "tail" else kmax
+    m = moments(eta, kmax)
+    _assert_rel_close((m.purity, m.entropy), _exact_truncated_sums(eta, kmax), 1e-14)
+
+
+@pytest.mark.filterwarnings("ignore:series tail bound")
+@pytest.mark.parametrize("eta", [6.0, -7.3])
+@pytest.mark.parametrize("kmax", [_SERIES_BLOCK, "tail", MAX_KMAX])
+def test_moments_exponentiate_one_block_plus_a_scale_per_block(eta, kmax, monkeypatch):
+    kmax = kmax_for_tail(eta) if kmax == "tail" else kmax
+    sizes, exp = [], np.exp
+
+    def counted(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    moments(eta, kmax)
+    monkeypatch.undo()
+    assert max(sizes) == _SERIES_BLOCK
+    # plus the tail bound's q^{kmax+1} and, past |eta| = 7, e^{-2|eta|} twice
+    assert sum(sizes) <= _SERIES_BLOCK + kmax / _SERIES_BLOCK + 3, sizes
+
+
+@pytest.mark.parametrize("call", [series_weights, moments])
+def test_series_refuse_kmax_past_the_cap_before_allocating(call):
+    # 8.0 would warn about its tail first; the refusal comes before that
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="MAX_KMAX"):
+                call(8.0, MAX_KMAX + 1)
+            assert tracemalloc.get_traced_memory()[1] < 2 ** 16
+        finally:
+            tracemalloc.stop()
 
 
 @pytest.mark.parametrize("kmax", [0, 1, 2, _HERMITE_BLOCK - 1, _HERMITE_BLOCK,
@@ -1013,11 +1076,34 @@ def test_thermal_weights_equal_series_weights():
         assert abs(np.exp(-1.0 / T) - ratio) <= 1e-15, T
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("T", [1e-3, 1.4e-3, 1e-300, 5e-324])
 def test_thermal_entropy_below_the_overflow_temperature(T):
     # below T = 1/709.78 e^{1/T} overflows a double; the true entropy is below 1e-297
     assert ThermalState(T).entropy() == 0.0
+
+
+def _errstate_thermal_entropy(T):
+    # the reference: the closed form evaluated through the overflow, warning silenced
+    with np.errstate(over="ignore"):
+        return occupation_entropy(1.0 / np.expm1(1.0 / T))
+
+
+def test_thermal_entropy_equals_the_overflow_guarded_formula():
+    log_t = np.random.default_rng(27).uniform(np.log(1e-4), np.log(1e4), 2000)
+    at_edge = 1.0 / _EXPM1_MAX
+    edge = [at_edge]
+    for direction in (0.0, np.inf):
+        t = at_edge
+        for _ in range(64):
+            t = np.nextafter(t, direction)
+            edge.append(t)
+    for T in [float(t) for t in np.exp(log_t)] + [float(t) for t in edge]:
+        got = ThermalState(T).entropy()
+        assert type(got) is float and got == _errstate_thermal_entropy(T), T
+    with np.errstate(over="ignore"):  # the edge is expm1's own last finite value
+        assert np.isfinite(np.expm1(_EXPM1_MAX))
+        assert np.isinf(np.expm1(np.nextafter(_EXPM1_MAX, np.inf)))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
