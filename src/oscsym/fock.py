@@ -4,9 +4,10 @@ The ladder-operator generators live on the product basis |n1, n2> with
 n1, n2 < nmax, index n1 * nmax + n2.  Quadratic generators couple states at
 most two quanta apart, so commutator identities are exact on the low
 occupation block (the "safe subspace") and only break where truncation
-clips a raising path; the edge behaviour is exposed, not hidden.  The same
-locality makes each generator a few diagonals of the flat index, and the
-bracket check multiplies those diagonals in O(nmax**2).
+clips a raising path; the edge behaviour is exposed, not hidden.  Each
+generator is a sum of Kronecker products of one-mode ladder words, each word
+one shifted diagonal, so every generator and every bracket residual is a few
+diagonals of the flat index, evaluated in O(nmax**2).
 
 The wavefunction side provides orthonormal oscillator eigenfunctions by
 stable upward recurrence, Gauss-Hermite quadrature, the coupled ground
@@ -22,13 +23,14 @@ import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations, product
 from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
 from .phase_space import (DEFAULT_TOLERANCE, MAX_KMAX, MAX_NMAX, MIN_NMAX, _check_tolerance,
                           occupation_entropy)
-from .algebra import VerificationReport, alge11_table
+from .algebra import VerificationReport, _pair_plan, alge11_table
 from .families import GeneratorSet
 
 __all__ = [
@@ -45,8 +47,7 @@ __all__ = [
 HERMITE_KMAX = 200
 _DENSE_TENFOLD_BYTES = 2 ** 26  # cap on the ten dense members of dirac_tenfold
 _SAFE_MARGIN = 3  # the safe subspace is n1 + n2 <= nmax - _SAFE_MARGIN
-_FOCK_CHUNK = 64  # grid points per band of rows in verify_fock_commutators
-_DIAGONAL_BAND = 4096  # grid points per band of rows in _diagonal_values
+_FOCK_BYTES = 2 ** 18  # largest block of diagonal values in verify_fock_commutators
 _SERIES_BLOCK = 2 ** 14  # ladder terms per block in moments
 _QUADRATURE_BYTES = 2 ** 16  # largest (points, nodes) block in rho_partial_trace
 _HERMITE_BLOCK = 16  # eigenfunction rows per block of the recurrence
@@ -76,72 +77,77 @@ _QUADRATICS = {
 
 
 @lru_cache(maxsize=None)
-def _diagonal_layout():
-    """The 26 nonzero diagonals of the ten generators, read off ``_QUADRATICS``.
+def _word_plan():
+    """The ten generators and their brackets as sums of Kronecker products of words.
 
-    Returns (gen, step, pos, phase, coeff, terms), diagonals grouped by step:
-    diagonal u holds <n|G|n + step[u]> of generator gen[u], is its pos[u]-th in formula order,
-    and equals phase[u] (1 or 1j) times coeff[u] times its ladder products.
-    ``terms`` = (sign, x_rows, y_rows, y_of, again) holds each diagonal's first
-    term in diagonal order, then the second term of diagonal again[i]; term i is
-    sign[i] times its mode-1 tables x_rows[i] times its mode-2 tables y_rows[y_of[i]].
+    A word is a product of ``a`` and ``A`` on one mode, e.g. ``"Aa"``, so a
+    generator is its phase (1 or 1j) times a sum of real coefficients times
+    a mode-1 word (x) a mode-2 word.  Each unordered bracket
+    [G_a, G_b] - i sum_c f_abc G_c, over the phase of G_a G_b, expands into
+    such products, G_a G_b and G_b G_a word by word; terms with the same
+    word pair are merged (their dyadic coefficients add exactly) and those
+    that cancel are dropped.  Returns (words, imag, owner, step, terms):
+    imag[g] is 1 for a generator of phase 1j; diagonal u holds
+    <n1, n2|.|n1 + step[u, 0], n2 + step[u, 1]> of generator g for owner[u]
+    = (g, g), of the bracket of a < b for (a, b); terms = (alpha, w1, w2),
+    each (diagonals, k) and padded with zero coefficients, give diagonal u
+    as sum_k alpha[u, k] words[w1[u, k]] (x) words[w2[u, k]].
+
+    Raises:
+        ValueError: a table coefficient whose phase no Fock generator can match.
     """
-    places: Dict[Tuple[int, int, int], int] = {}  # (gen, dn1, dn2) -> place in gen
-    terms = []
-    for g, (_, formula) in enumerate(_QUADRATICS.values()):
-        for t in formula.split():
-            (m1, s1), (m2, s2) = ((int(op[1]) - 1, 1 if op[0] == "a" else -1)
-                                  for op in (t[1:3], t[3:5]))
-            step = tuple(s1 * (m1 == m) + s2 * (m2 == m) for m in (0, 1))
-            # a factor is sqrt of the larger occupation of its step, read off
-            # the row: n + 1 lowering, n raising, after the first factor's step;
-            # a one-mode product also needs the other mode inside the truncation
-            factors = [(m1, (s1 > 0) + 1), (m2, (s1 if m2 == m1 else 0) + (s2 > 0) + 1)]
-            factors += [(1 - m1, 4)] if m1 == m2 else []
-            x, y = ([r for m, r in factors if m == mode] + [5, 5] for mode in (0, 1))
-            places.setdefault((g, *step), sum(k[0] == g for k in places))
-            terms.append((1.0 if t[0] == "+" else -1.0, x[:2], tuple(y[:2]), (g, *step)))
-    keys = sorted(places, key=lambda k: k[1:])  # grouped by step
-    u_of = [keys.index(k) for *_, k in terms]
-    order = sorted(range(len(terms)), key=lambda i: (u_of[i] in u_of[:i], u_of[i]))
-    sign, x_rows, y_pairs = zip(*[terms[i][:3] for i in order])
-    y_rows = list(dict.fromkeys(y_pairs))  # each distinct mode-2 product once
-    gen = np.array([k[0] for k in keys])
-    coeffs = np.array([c for c, _ in _QUADRATICS.values()])[gen]
-    return (gen, np.array([k[1:] for k in keys]), np.array([places[k] for k in keys]),
-            np.where(coeffs.imag != 0, 1j, 1), coeffs.real + coeffs.imag,
-            (np.array(sign), np.array(x_rows), np.array(y_rows),
-             np.array([y_rows.index(y) for y in y_pairs]), np.array(u_of)[order[len(keys):]]))
+    f = alge11_table().f  # labelled in _QUADRATICS order: both are TENFOLD_LABELS
+    imag = [int(coeff.imag != 0) for coeff, _ in _QUADRATICS.values()]
+    # term "+A1a2" of a generator: its coefficient, mode-1 word "A", mode-2 word "a"
+    gens = [[((1.0 if t[0] == "+" else -1.0) * (coeff.real + coeff.imag),
+              *("".join(op[0] for op in (t[1:3], t[3:5]) if op[1] == m) for m in "12"))
+             for t in formula.split()] for coeff, formula in _QUADRATICS.values()]
+    expansion = [((g, g, x, y), alpha) for g, terms in enumerate(gens) for alpha, x, y in terms]
+    for a, b in combinations(range(len(gens)), 2):
+        for (alpha, x, y), (beta, u, v) in product(gens[a], gens[b]):
+            expansion += [((a, b, x + u, y + v), alpha * beta),
+                          ((a, b, u + x, v + y), -alpha * beta)]
+        for c in np.flatnonzero(f[a, b]).tolist():
+            kappa = f[a, b, c] * (1, 1j, -1, -1j)[(1 + imag[c] - imag[a] - imag[b]) % 4]
+            if kappa.imag:
+                raise ValueError("bracket table phases do not match the Fock generators")
+            expansion += [((a, b, x, y), -kappa.real * gamma) for gamma, x, y in gens[c]]
+    sums: Dict[Tuple, float] = {}
+    for key, alpha in expansion:
+        sums[key] = sums.get(key, 0.0) + alpha
+    words: Dict[str, int] = {}
+    diagonals: Dict[Tuple, list] = {}
+    for (a, b, x, y), alpha in sums.items():
+        if alpha:
+            step = (x.count("a") - x.count("A"), y.count("a") - y.count("A"))
+            diagonals.setdefault((a, b, *step), []).append(
+                (alpha, words.setdefault(x, len(words)), words.setdefault(y, len(words))))
+    terms = np.zeros((3, len(diagonals), max(map(len, diagonals.values()))))
+    for u, row in enumerate(diagonals.values()):
+        terms[:, u, :len(row)] = np.transpose(row)
+    keys = np.array(list(diagonals))
+    return (tuple(words), np.array(imag), keys[:, :2], keys[:, 2:],
+            (terms[0], terms[1].astype(int), terms[2].astype(int)))
 
 
-def _diagonal_values(n1: np.ndarray, n2: np.ndarray, nmax: int) -> np.ndarray:
-    """Real values of the 26 diagonals at broadcastable occupation grids.
+def _word_values(words, n: int, nmax: int) -> np.ndarray:
+    """<k|w|k + shift> of each one-mode word w at k = 0..n-1, with n <= nmax.
 
-    Zero wherever the row, the intermediate or the column state leaves the
-    truncation [0, nmax)**2.  The tables of one mode's occupation k are
-    sqrt(k + c) for c in -1..2 (zero off [0, nmax)), [0 <= k < nmax] and 1;
-    the 28 terms, mode-1 tables at n1 times mode-2 tables at n2, are formed
-    together in bands of ``_DIAGONAL_BAND`` grid points, then summed and scaled
-    as the formulas read, so values equal the dense ladder products bit for bit.
+    A word is read as a matrix product, left to right: from occupation k,
+    ``a`` moves to k + 1 with factor sqrt(k + 1) and ``A`` to k - 1 with
+    factor sqrt(k).  The value is the product of those factors in that
+    order, 0 wherever an occupation on the way leaves [0, nmax).  Words have
+    at most four letters.
     """
-    *_, coeff, (sign, x_rows, y_rows, y_of, again) = _diagonal_layout()
-    k = np.arange(-3, nmax + 2)  # every table is 0 for k < -2 and k > nmax: indices clip
-    root = np.r_[0.0, np.sqrt(np.arange(nmax)), 0.0]  # root[k + 1] = sqrt(k)
-    tables = np.concatenate((root[np.clip(k + np.arange(-1, 3)[:, None], -1, nmax) + 1],
-                             [(0 <= k) & (k < nmax), np.ones(len(k))]))
-    x = sign[:, None] * tables[x_rows[:, 0]] * tables[x_rows[:, 1]]
-    y = tables[y_rows[:, 0]] * tables[y_rows[:, 1]]
-    shape = np.broadcast_shapes(n1.shape, n2.shape)
-    x = np.broadcast_to(np.take(x, n1 + 3, axis=1, mode="clip"), x.shape[:1] + shape)
-    n2, nd = np.broadcast_to(n2 + 3, shape), len(coeff)
-    values, scale = np.empty((nd,) + shape), coeff.reshape((-1,) + (1,) * len(shape))
-    band = max(1, _DIAGONAL_BAND // max(1, int(np.prod(shape[1:]))))
-    for lo in range(0, shape[0], band):
-        terms = np.take(np.take(y, n2[lo:lo + band], axis=1, mode="clip"), y_of, axis=0)
-        terms *= x[:, lo:lo + band]
-        v = np.add(terms[:nd], 0.0, out=values[:, lo:lo + band])  # a sum starts from +0.0
-        v[again] += terms[nd:]
-        v *= scale
+    root = np.zeros(nmax + 8)
+    root[4:nmax + 4] = np.sqrt(np.arange(nmax))  # root[k + 4] = sqrt(k) inside the truncation
+    values = np.ones((len(words), n))
+    for v, word in zip(values, words):
+        k = 4
+        for op in word:
+            k += op == "a"
+            v *= root[k:k + n]
+            k -= op == "A"
     return values
 
 
@@ -178,8 +184,10 @@ def dirac_tenfold(nmax: int) -> GeneratorSet:
 
     The set's read-only ``block`` is one zeroed complex (10, nmax**2, nmax**2)
     array, handed over without a copy, whose C-contiguous views are the
-    members.  One scatter into its interleaved (real, imag) doubles writes
-    the nonzeros of the 26 diagonals, with no dense product and no loop over them.
+    members.  The 26 diagonals of the ten are sums of products of one-mode
+    word values, one ``np.einsum`` over the (n1, n2) grid; one scatter into
+    the block's interleaved (real, imag) doubles writes their nonzeros, with
+    no dense product and no loop over them.
 
     Raises:
         TypeError: nmax is not an integer.
@@ -194,12 +202,16 @@ def dirac_tenfold(nmax: int) -> GeneratorSet:
             f"dirac_tenfold({nmax}) would hold {size / 2 ** 20:.0f} MiB of dense "
             f"members (limit {_DENSE_TENFOLD_BYTES / 2 ** 20:.0f} MiB); "
             f"verify_fock_commutators checks up to nmax {MAX_NMAX} without them")
-    gen, step, _, phase, _, _ = _diagonal_layout()
-    n, dim = np.arange(nmax), nmax * nmax
-    values = _diagonal_values(n[:, None], n[None, :], nmax).reshape(len(gen), dim)
+    words, imag, owner, step, (alpha, w1, w2) = _word_plan()
+    own = owner[:, 0] == owner[:, 1]  # the generators' own diagonals
+    gen, step, dim = owner[own, 0], step[own], nmax * nmax
+    word = _word_values(words, nmax, nmax)
+    # numpy's own einsum loop, not a BLAS routine, so no sum follows the thread count
+    values = np.einsum("dki,dkj->dij", alpha[own, :, None] * word[w1[own]],
+                       word[w2[own]]).reshape(len(gen), dim)
     # diagonal u puts row i's value at column i + s1 nmax + s2 of member gen[u]:
-    # double 2 * (complex index in the block), + 1 for an imaginary diagonal
-    at = ((2 * (gen * dim * dim + step @ (nmax, 1)) + (phase == 1j))[:, None]
+    # double 2 * (complex index in the block), + 1 for an imaginary generator
+    at = ((2 * (gen * dim * dim + step @ (nmax, 1)) + imag[gen])[:, None]
           + 2 * (dim + 1) * np.arange(dim))
     inside = values != 0  # zero wherever the column leaves the truncation
     block = np.zeros((len(_QUADRATICS), dim, dim), complex)
@@ -223,65 +235,21 @@ def safe_subspace_mask(nmax: int) -> np.ndarray:
     return (n1 + n2) <= (nmax - _SAFE_MARGIN)
 
 
-@lru_cache(maxsize=None)
-def _bracket_plan():
-    """Index plan contracting the ten-generator tensor f with the diagonals.
-
-    A slot is one diagonal (a, b, dn1, dn2) of a bracket [G_a, G_b]; slots
-    with the most products come first, so fold round r (the flat (u, v)
-    index of each slot's r-th product, in formula order) is a prefix.
-    Returns the (lo, hi, ds, dn1) run of diagonals of each step,
-    the fold rounds, each slot's (b, a) partner, rounds of (slot, diagonal,
-    coefficient) of -i f G relative to the bracket's phase, the total
-    occupation each slot and each diagonal adds, and each slot's pair.
-    """
-    by_gen, step, pos, phase, _, _ = _diagonal_layout()
-    table = alge11_table()  # labelled in _QUADRATICS order: both are TENFOLD_LABELS
-    gen, pos, nd = by_gen.tolist(), pos.tolist(), len(by_gen)
-    imag = dict(zip(gen, (phase == 1j).tolist()))
-    products: Dict[Tuple, list] = {}
-    for u, (gu, (su1, su2)) in enumerate(zip(gen, step.tolist())):
-        for v, (gv, (sv1, sv2)) in enumerate(zip(gen, step.tolist())):
-            if gu != gv:
-                products.setdefault((gu, gv, su1 + sv1, su2 + sv2), []).append(
-                    (pos[u], u * nd + v))
-    terms: Dict[Tuple, list] = {}
-    for a, b, c in zip(*np.nonzero(table.f)):
-        kappa = table.f[a, b, c] * (1, 1j, -1, -1j)[(1 + imag[c] - imag[a] - imag[b]) % 4]
-        if kappa.imag:
-            raise ValueError("bracket table phases do not match the Fock generators")
-        for w in np.flatnonzero(by_gen == c):
-            terms.setdefault((a, b, *step[w]), []).append((w, kappa.real))
-    slots = sorted(products.keys() | terms.keys(), key=lambda k: (-len(products.get(k, ())), k))
-    index = {k: i for i, k in enumerate(slots)}
-    chains = [[q for _, q in sorted(products.get(k, []))] for k in slots]
-    expect = [terms.get(k, []) for k in slots]
-    pairs = {p: i for i, p in enumerate(table.pairs())}
-    starts = [x for x in range(nd) if x == 0 or (step[x] != step[x - 1]).any()]
-    return (tuple((lo, hi, int(step[lo].sum()), int(step[lo, 0]))
-                  for lo, hi in zip(starts, starts[1:] + [nd])),
-            tuple(np.array([ch[r] for ch in chains if len(ch) > r])
-                  for r in range(len(chains[0]))),
-            np.array([index[(b, a, *st)] for a, b, *st in slots]),
-            tuple(tuple(map(np.array, zip(*[(i, *e[r]) for i, e in enumerate(expect)
-                                            if len(e) > r])))
-                  for r in range(max(map(len, expect)))),
-            np.array([max(0, s1 + s2) for _, _, s1, s2 in slots]),
-            np.maximum(0, step.sum(axis=1)),
-            np.array([pairs[(table.labels[a], table.labels[b])] for a, b, _, _ in slots]))
-
-
 def verify_fock_commutators(nmax: int,
                             tolerance: float = DEFAULT_TOLERANCE) -> VerificationReport:
     """Evaluate every ten-generator bracket on the safe subspace.
 
-    Contracts the ten-generator tensor f with the 26 generator diagonals on
-    rows and columns with n1 + n2 <= nmax - 3 (unrestricted residuals are
-    nonzero at the truncation edge).  The residual of a pair is
+    Reads rows and columns with n1 + n2 <= nmax - 3 (unrestricted residuals
+    are nonzero at the truncation edge).  The residual of a pair is
     max|[A, B] - i sum_c f_abc G_c| / max(1, max_l max|G_l|)**2, both maxima
-    over that block; the scale grows like nmax**2.  Diagonals are stored by
-    total occupation s = n1 + n2 and n1, so each step is a slice, and a band
-    of s rows takes one multiply per step.  Cost and memory are O(nmax**2).
+    over that block; the scale grows like nmax**2.  Each bracket minus its
+    f terms is, word by word, a few diagonals sum_k alpha_k x_k (x) y_k
+    (``_word_plan``), which one ``np.einsum`` per band of n1 rows evaluates
+    with the generators' own diagonals on the square n1, n2 <= nmax - 3,
+    masked to the safe rows and columns.  numpy's own einsum loop, not a
+    BLAS routine, forms every sum, so no residual follows the thread count.
+    The same number serves (a, b) and (b, a).  Cost is O(nmax**2), memory
+    O(nmax) beyond ``_FOCK_BYTES``.
 
     Raises:
         TypeError: nmax is not an integer.
@@ -292,40 +260,26 @@ def verify_fock_commutators(nmax: int,
         raise ValueError(
             f"nmax must be in [{MIN_NMAX}, {MAX_NMAX}] for the safe subspace check, "
             f"got {nmax}")
-    groups, fold, partner, terms, rise, rise_diag, pair = _bracket_plan()
+    words, _, owner, step, (alpha, w1, w2) = _word_plan()
     top = nmax - _SAFE_MARGIN  # largest total occupation of the safe subspace
-    grid = np.arange(-2, nmax)  # grid index = occupation + 2
-    d = _diagonal_values(grid[None, :], grid[:, None] - grid[None, :], nmax)
-    nd, ns = len(d), len(partner)
-    peak = np.maximum(d[:, 2:top + 3, 2:].max(axis=2), -d[:, 2:top + 3, 2:].min(axis=2))
-    scale = max(1.0, float((peak * (np.arange(top + 1) <= top - rise_diag[:, None])).max())) ** 2
-    worst, lo = np.zeros(ns), 0
-    while lo <= top:
-        hi = min(top + 1, lo + max(1, int((np.sqrt(lo * lo + 4 * _FOCK_CHUNK) - lo) / 2)))
-        rows = d[:, lo + 2:hi + 2, 2:hi + 2]  # s in [lo, hi), n1 in [0, hi)
-        prod = np.empty((nd, nd) + rows.shape[1:])
-        for a, b, ds, dn1 in groups:
-            np.multiply(rows[a:b, None], d[None, :, lo + 2 + ds:hi + 2 + ds,
-                                            2 + dn1:hi + 2 + dn1], out=prod[a:b])
-        prod = prod.reshape((nd * nd,) + rows.shape[1:])
-        acc = np.zeros((ns,) + rows.shape[1:])
-        np.take(prod, fold[0], axis=0, out=acc[:len(fold[0])], mode="clip")  # unbuffered
-        for flat in fold[1:]:
-            acc[:len(flat)] += prod[flat]
-        r = np.take(acc, partner, axis=0, out=prod[:ns], mode="clip")  # prod is spent
-        np.subtract(acc, r, out=r)
-        for slot, diag, coeff in terms:
-            r[slot] -= coeff[:, None, None] * rows[diag]
-        r = np.abs(r, out=r)
-        edge = max(0, top - 3 - lo)  # rows below the edge reach no column past top
-        r[:, edge:] *= (np.arange(lo + edge, hi) <= top - rise[:, None])[:, :, None]
-        worst = np.maximum(worst, r.reshape(ns, -1).max(axis=1))
+    values = _word_values(words, top + 1, nmax)
+    x, y = alpha[:, :, None] * values[w1], values[w2]  # diagonal u is sum_k x[u, k] (x) y[u, k]
+    # the largest row total n1 + n2 whose row and column are both safe
+    reach = (top - np.maximum(0, step.sum(axis=1)))[:, None, None]
+    worst, lo = np.zeros(len(owner)), 0
+    while lo <= top:  # a row n1 >= lo reaches no safe column n2 > top - lo
+        width = top + 1 - lo
+        hi = min(top + 1, lo + max(1, _FOCK_BYTES // (8 * len(owner) * width)))
+        d = np.einsum("dki,dkj->dij", x[:, :, lo:hi], y[:, :, :width])
+        safe = np.arange(lo, hi)[:, None] + np.arange(width) <= reach
+        worst = np.maximum(worst, np.max(np.abs(d, out=d), axis=(1, 2), where=safe, initial=0.0))
         lo = hi
-    pairs = alge11_table().pairs()
-    residuals = np.zeros(len(pairs))
-    np.maximum.at(residuals, pair, worst)
-    return VerificationReport(f"fock(nmax={nmax})", tolerance,
-                              dict(zip(pairs, (residuals / scale).tolist())))
+    peak = np.zeros((len(_QUADRATICS),) * 2)  # generators on the diagonal, pairs above it
+    np.maximum.at(peak, tuple(owner.T), worst)
+    scale = max(1.0, float(peak.diagonal().max())) ** 2
+    pairs, rows, cols = _pair_plan(alge11_table().labels)
+    residuals = np.maximum(peak, peak.T)[rows, cols] / scale
+    return VerificationReport(f"fock(nmax={nmax})", tolerance, dict(zip(pairs, residuals.tolist())))
 
 
 # ---------------------------------------------------------------------------

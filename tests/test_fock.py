@@ -4,6 +4,7 @@ import json
 import tracemalloc
 import warnings
 from dataclasses import astuple
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -19,12 +20,12 @@ from oscsym.fock import (
     _MAX_NODES,
     _QUADRATICS,
     _SERIES_BLOCK,
-    _diagonal_layout,
-    _diagonal_values,
     _gauss_hermite_rule,
     _ladder_logs,
     _psi_eta_grid,
     _weighted_phi,
+    _word_plan,
+    _word_values,
     HERMITE_KMAX,
     MAX_KMAX,
     MAX_NMAX,
@@ -168,40 +169,23 @@ def test_tenfold_holds_no_transient_dense_copy(nmax):
     assert _peak_bytes(dirac_tenfold, nmax) <= 1.05 * 10 * nmax ** 4 * 16
 
 
-def _looped_diagonal_values(n1, n2, nmax):
-    """The diagonals term by term: the 28 ladder products of the formulas,
-    each three tables multiplied and added to its diagonal in formula order."""
-    gen, step, *_, coeff, _ = _diagonal_layout()
-    diagonal = {(g, *s): u for u, (g, s) in enumerate(zip(gen.tolist(), step.tolist()))}
-    root = np.r_[0.0, np.sqrt(np.arange(nmax)), 0.0]  # root[k + 1] = sqrt(k)
-    tables = [root[np.clip(n + c, -1, nmax) + 1] for n in (n1, n2) for c in (-1, 0, 1, 2)]
-    tables += [((0 <= n) & (n < nmax)) * 1.0 for n in (n1, n2)] + [1.0]
-    values = np.zeros((len(coeff),) + np.broadcast_shapes(n1.shape, n2.shape))
-    for g, (_, formula) in enumerate(_QUADRATICS.values()):
-        for t in formula.split():
-            (m1, s1), (m2, s2) = ((int(op[1]) - 1, 1 if op[0] == "a" else -1)
-                                  for op in (t[1:3], t[3:5]))
-            u = diagonal[(g, *(s1 * (m1 == m) + s2 * (m2 == m) for m in (0, 1)))]
-            a = 4 * m1 + (s1 > 0) + 1
-            b = 4 * m2 + (s1 if m2 == m1 else 0) + (s2 > 0) + 1
-            c = 9 - m1 if m1 == m2 else 10
-            values[u] += (1.0 if t[0] == "+" else -1.0) * tables[a] * tables[b] * tables[c]
-    values *= coeff.reshape((-1,) + (1,) * (values.ndim - 1))
-    return values
-
-
 @pytest.mark.parametrize("nmax", [*range(4, 41), 128, 256])
 def test_diagonal_values_equal_the_term_loop_bit_for_bit(nmax):
-    """Both callers' grids: dirac_tenfold's (n1, n2) and the check's (s, n1)
-    with n2 = s - n1, which reaches past the truncation on every side."""
-    n, grid = np.arange(nmax), np.arange(-2, nmax)
-    for n1, n2 in ((n[:, None], n[None, :]), (grid[None, :], grid[:, None] - grid[None, :])):
-        got = _diagonal_values(n1, n2, nmax)
-        assert got.shape == (26,) + np.broadcast_shapes(n1.shape, n2.shape)
-        assert got.tobytes() == _looped_diagonal_values(n1, n2, nmax).tobytes()
+    """Each one-mode word of the plan is one diagonal of the loop over its
+    letters: the product of the truncated dense a and a.T, left to right."""
+    a, n = np.diag(np.sqrt(np.arange(1, nmax)), 1), np.arange(nmax)
+    words = _word_plan()[0]
+    assert len(words) == 25 and max(map(len, words)) == 4
+    for word, got in zip(words, _word_values(words, nmax, nmax)):
+        dense = reduce(np.matmul, [a if op == "a" else a.T for op in word], np.eye(nmax))
+        column = n + word.count("a") - word.count("A")
+        inside = (0 <= column) & (column < nmax)
+        want = np.zeros(nmax)
+        want[inside] = dense[n[inside], column[inside]]
+        assert got.tobytes() == want.tobytes(), word
 
 
-@pytest.mark.parametrize("nmax", [6, 8, 10])
+@pytest.mark.parametrize("nmax", [6, 8, 10, 12, 16])
 def test_fock_residuals_match_dense_reference(nmax):
     gens = _dense_tenfold(nmax)
     idx = np.flatnonzero(safe_subspace_mask(nmax))
@@ -213,6 +197,43 @@ def test_fock_residuals_match_dense_reference(nmax):
             r = r - c * gens[l]
         want = np.abs(r[np.ix_(idx, idx)]).max() / scale
         assert abs(rep.residuals[(a, b)] - want) <= 4e-15, (a, b)
+
+
+@pytest.fixture
+def edit_quadratic(monkeypatch):
+    """Edit one of ``_QUADRATICS`` for one test; the word plan is rebuilt from
+    the edit, and from the shipped formulas again afterwards."""
+    def edit(label, quadratic):
+        monkeypatch.setitem(_QUADRATICS, label, quadratic)
+        _word_plan.cache_clear()
+    yield edit
+    monkeypatch.undo()
+    _word_plan.cache_clear()
+
+
+@pytest.mark.parametrize("label, quadratic, pair, residual", [
+    ("Q1", (-0.25j, "+A1A1 -a1a1 -A2A2 +a2a2"), ("K1", "Q1"), 0.6666666666666665),
+    ("S3", (0.5, "+A1a1 +A2a2"), ("K3", "Q3"), 0.08000000000000014),
+    ("K3", (0.5, "+A1A2 -a1a2"), ("K3", "Q3"), 0.33333333333333326),
+])
+def test_fock_check_fails_on_an_edited_generator(edit_quadratic, label, quadratic, pair, residual):
+    # the residuals the (s, n1)-grid diagonal check read for the same edits;
+    # the plan cancels terms symbolically, so a wrong generator must still show
+    edit_quadratic(label, quadratic)
+    rep = verify_fock_commutators(8)
+    assert not rep.passed
+    assert rep.worst_pair == pair and abs(rep.max_residual - residual) <= 1e-15
+
+
+def test_fock_check_refuses_a_generator_of_the_wrong_phase(edit_quadratic):
+    edit_quadratic("L1", (0.5j, "+A1a2 +A2a1"))
+    with pytest.raises(ValueError, match="bracket table phases do not match"):
+        verify_fock_commutators(8)
+
+
+def test_fock_check_memory_does_not_grow_with_the_square():
+    verify_fock_commutators(6)  # the word plan is cached on first use
+    assert _peak_bytes(verify_fock_commutators, 256) < 8 * 2 ** 20
 
 
 def test_fock_k1q1_bracket_example():
@@ -1140,9 +1161,9 @@ def test_temperature_at_unit_eta_two_routes():
 
 
 def test_fock_pair_residuals_match_recorded_bits():
-    """Every pair's residual equals, bit for bit, the one the per-pair banded
-    loop recorded (float.hex); the fold order of each bracket diagonal is
-    part of the result."""
+    """Every pair's residual equals, bit for bit, the one recorded (float.hex)
+    when the brackets became sums of one-mode word products; the order of
+    each bracket diagonal's terms is part of the result."""
     path = Path(__file__).parent / "data" / "fock_pair_residuals.json"
     recorded = json.loads(path.read_text())
     for nmax, residuals in recorded.items():

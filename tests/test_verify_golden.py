@@ -8,8 +8,12 @@ trace projection, which reads them as exactly 0 where the least-squares solve
 read rounding noise (7.2e-16 and 8.9e-16).  The ``.text`` files were
 re-recorded once more when the residual column got a fixed width of 24
 characters, the widest residual a double prints; before, it followed the
-widest residual of the suite, so one moved row re-spaced all of them.  A
-residual that moves by one ulp shows up here.
+widest residual of the suite, so one moved row re-spaced all of them.
+``fock-nmax32.csv`` and ``fock-nmax128.csv`` were re-recorded when the Fock
+check became sums of one-mode ladder word products, whose summation order
+moved their worst residual (2.2105774001425329e-16 -> 2.5263741715914658e-16
+and 2.8643698090606195e-16 -> 3.4461949265260574e-16).  A residual that moves
+by one ulp shows up here.
 """
 
 import contextlib
