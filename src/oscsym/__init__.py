@@ -8,10 +8,11 @@ phase-space consequences of tracing out one oscillator of a coupled pair:
 purity 1/cosh(2 eta), the two-term entropy formula, and the squeeze <->
 temperature map cosh(2 eta) = 1/tanh(1/2T).
 
-The generator algebras and the Fock realization are dense or banded numpy
-at double precision; generator entries are exact multiples of 1/2 and i/2,
-so all verification residuals are rounding-level.  The Gaussian pipeline
-(``phase_space``) is Python floats on tuples of rows and imports no numpy.
+The generator algebras and the Fock realization are numpy at double precision
+(the Fock check reads ladder-word diagonals, not dense members); generator
+entries are exact multiples of 1/2 and i/2, so all verification residuals are
+rounding-level.  The Gaussian pipeline (``phase_space``) is Python floats on
+tuples of rows and imports no numpy.
 
 The names below are loaded on first access (PEP 562), so ``import oscsym``
 imports no submodule and no numpy; ``oscsym.evolve`` imports ``phase_space``

@@ -63,11 +63,13 @@ def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b + b @ a
 
 
-def _products(mats: np.ndarray) -> np.ndarray:
-    """products[a, b] = M_a M_b: stacked (n, d, d) members as block rows times block columns."""
+def _brackets(mats: np.ndarray) -> np.ndarray:
+    """brackets[a, b] = M_a M_b - M_b M_a of stacked (n, d, d) members;
+    every M_a M_b is one block of the members as block rows times block columns."""
     n, d, _ = mats.shape
     blocks = mats.reshape(n * d, d) @ mats.transpose(1, 0, 2).reshape(d, n * d)
-    return blocks.reshape(n, d, n, d).transpose(0, 2, 1, 3)
+    products = blocks.reshape(n, d, n, d).transpose(0, 2, 1, 3)
+    return products - products.transpose(1, 0, 2, 3)
 
 
 def _real_form(block: np.ndarray) -> np.ndarray:
@@ -140,10 +142,6 @@ class StructureTable:
                              f"got {tuple(self.labels)} and shape {f.shape}")
         f.flags.writeable = False
         object.__setattr__(self, "f", f)
-
-    def pairs(self) -> Tuple[Tuple[str, str], ...]:
-        """Every ordered pair of distinct labels, row-major."""
-        return _pair_plan(tuple(self.labels))[0]
 
     @property
     def entries(self) -> Dict[Tuple[str, str], Tuple[Term, ...]]:
@@ -293,9 +291,8 @@ def verify_algebra(genset: GeneratorSet, expected: StructureTable,
     index = {l: k for k, l in enumerate(genset.labels)}
     g = members[[index[l] for l in expected.labels]]
     m, d = len(g), genset.dim
-    products = _products(g)
     expansion = (expected.f.reshape(m * m, m) @ g.reshape(m, d * d)).reshape(m, m, d, d)
-    r = products - products.transpose(1, 0, 2, 3) - expansion
+    r = _brackets(g) - expansion
     residuals = np.abs(r).reshape(m, m, d * d).max(axis=2) / scale
     pairs, rows, cols = _pair_plan(tuple(expected.labels))
     return VerificationReport(genset.family, tolerance,
@@ -315,11 +312,9 @@ def structure_table(genset: GeneratorSet) -> StructureTable:
     """
     members = _real_form(genset.block)
     n, d = len(genset), genset.dim
-    products = _products(members)
-    brackets = products - products.transpose(1, 0, 2, 3)
     pairs, rows, cols = _pair_plan(genset.labels)
     coeffs, residuals = _project(genset.family, members.reshape(n, d * d),
-                                 brackets[rows, cols].reshape(-1, d * d))
+                                 _brackets(members)[rows, cols].reshape(-1, d * d))
     f = np.zeros((n, n, n), complex)
     f[rows, cols] = coeffs
     return StructureTable(genset.labels, f, dict(zip(pairs, residuals.tolist())))
@@ -416,7 +411,6 @@ TABLE1_RECIPES: Dict[str, Tuple[complex, Tuple[str, ...]]] = {
 
 @dataclass(frozen=True)
 class CorrespondenceEntry:
-    label: str
     status: str  # EXACT | SIGN_FLIP | FACTOR_MISMATCH | UNRELATED
     ratio: Optional[complex]
     deviation: float
@@ -467,5 +461,5 @@ def table1_correspondence(tolerance: float = DEFAULT_TOLERANCE) -> Correspondenc
         close = ratio is not None and np.abs(candidate - ratio * member).max() <= tolerance
         status = ("EXACT" if ratio is None else "UNRELATED" if not close
                   else "SIGN_FLIP" if abs(ratio + 1) <= tolerance else "FACTOR_MISMATCH")
-        entries[label] = CorrespondenceEntry(label, status, ratio if close else None, deviation)
+        entries[label] = CorrespondenceEntry(status, ratio if close else None, deviation)
     return CorrespondenceReport(entries)

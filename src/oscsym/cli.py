@@ -90,12 +90,10 @@ def _emit(text: str, out: Optional[str]) -> None:
         print(text, flush=True)  # a closed pipe raises here, inside main's handlers
 
 
-def _rows_text(rows: List[Dict], columns: Sequence[str],
-               min_widths: Optional[Dict[str, int]] = None) -> str:
+def _rows_text(rows: List[Dict], columns: Sequence[str]) -> str:
     cells = [[_fmt(r.get(c)) for c in columns] for r in rows]
-    min_widths = min_widths or {}
-    widths = [max(len(c), min_widths.get(c, 0), *(len(row[i]) for row in cells))
-              for i, c in enumerate(columns)]
+    widths = [max(len(c), _RESIDUAL_WIDTH if c == "residual" else 0,
+                  *(len(row[i]) for row in cells)) for i, c in enumerate(columns)]
     lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip()]
     for row in cells:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
@@ -246,8 +244,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         n_pass = sum(r["status"] == "PASS" for r in rows)
         n_warn = sum(r["status"] == "WARN" for r in rows)
         n_fail = sum(r["status"] == "FAIL" for r in rows)
-        body = _rows_text(rows, ("status", "residual", "name"),
-                          {"residual": _RESIDUAL_WIDTH})
+        body = _rows_text(rows, ("status", "residual", "name"))
         summary = f"{len(rows)} checks: {n_pass} PASS, {n_warn} WARN, {n_fail} FAIL"
         _emit(body + "\n" + summary, args.out)
     return 1 if any(r["status"] == "FAIL" for r in rows) else 0
@@ -404,9 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--nmax", type=int, default=8,
                           help=f"Fock truncation for the fock suite, "
                                f"{ps.MIN_NMAX}..{ps.MAX_NMAX}")
-    p_verify.add_argument("--format", choices=("text", "json", "csv"),
-                          default="text")
-    p_verify.add_argument("--out", default=None)
 
     p_sim = sub.add_parser(
         "simulate", help="apply one transform to the vacuum and report "
@@ -418,9 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="the oscillator-coupling rotation+squeeze")
     p_sim.add_argument("--eta", type=_finite_float, default=None)
     p_sim.add_argument("--temperature", type=_finite_float, default=None)
-    p_sim.add_argument("--format", choices=("text", "json", "csv"),
-                       default="text")
-    p_sim.add_argument("--out", default=None)
 
     p_table = sub.add_parser(
         "table", help="sweep eta: purity, entropies, temperature, radius "
@@ -430,9 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="series truncation floor (raised per row when "
                               "the geometric tail needs more terms), at most "
                               f"{ps.MAX_KMAX}")
-    p_table.add_argument("--format", choices=("text", "json", "csv"),
-                         default="csv")
-    p_table.add_argument("--out", default=None)
+    for p, default in ((p_verify, "text"), (p_sim, "text"), (p_table, "csv")):
+        p.add_argument("--format", choices=("text", "json", "csv"), default=default)
+        p.add_argument("--out", default=None)
     return parser
 
 

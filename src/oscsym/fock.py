@@ -28,8 +28,8 @@ from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
-from .phase_space import (DEFAULT_TOLERANCE, MAX_KMAX, MAX_NMAX, MIN_NMAX, _check_tolerance,
-                          occupation_entropy)
+from .phase_space import (DEFAULT_TOLERANCE, MAX_KMAX, MAX_NMAX, MIN_NMAX, _LOG_MAX,
+                          _check_tolerance, occupation_entropy)
 from .algebra import VerificationReport, _pair_plan, alge11_table
 from .families import GeneratorSet
 
@@ -54,7 +54,6 @@ _HERMITE_BLOCK = 16  # eigenfunction rows per block of the recurrence
 _MAX_NODES = 370  # largest Gauss-Hermite rule whose weights stay normal doubles
 _MAX_ETA = 350  # largest |eta| whose e^{2|eta|} times a squared node gap stays finite
 _NEAR_X = 64.0  # e^700 (2 x)^2 stays finite up to it; every ladder row is 0.0 from ~38.6
-_EXPM1_MAX = np.log(np.finfo(float).max)  # largest x whose np.expm1(x) is finite
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +163,18 @@ def fock_index(nmax: int, n1: int, n2: int) -> int:
     return n1 * nmax + n2
 
 
+def _check_nmax(nmax: int, least: int = 4) -> int:
+    """nmax as an int; TypeError for a non-integer, ValueError outside [least, MAX_NMAX]."""
+    nmax = operator.index(nmax)
+    if not least <= nmax <= MAX_NMAX:
+        raise ValueError(f"nmax must be in [{least}, {MAX_NMAX}], got {nmax}")
+    return nmax
+
+
 def basis_state(nmax: int, n1: int, n2: int) -> np.ndarray:
-    """Unit vector for |n1, n2>; refuses arguments as ``fock_index`` does."""
+    """Unit vector for |n1, n2>; refuses arguments as ``fock_index`` does and nmax > MAX_NMAX."""
     i = fock_index(nmax, n1, n2)
-    v = np.zeros(nmax * nmax)
+    v = np.zeros(_check_nmax(nmax, 1) ** 2)
     v[i] = 1.0
     return v
 
@@ -194,9 +201,7 @@ def dirac_tenfold(nmax: int) -> GeneratorSet:
         ValueError: nmax < 4, or the ten dense members would take more than
             64 MiB (nmax > 25).
     """
-    if operator.index(nmax) < 4:
-        raise ValueError(f"nmax must be >= 4 for the quadratic generators, got {nmax}")
-    size = 10 * nmax ** 4 * np.dtype(complex).itemsize
+    size = 10 * _check_nmax(nmax) ** 4 * np.dtype(complex).itemsize
     if size > _DENSE_TENFOLD_BYTES:
         raise ValueError(
             f"dirac_tenfold({nmax}) would hold {size / 2 ** 20:.0f} MiB of dense "
@@ -227,11 +232,10 @@ def safe_subspace_mask(nmax: int) -> np.ndarray:
 
     Raises:
         TypeError: nmax is not an integer.
-        ValueError: nmax < 4, below the smallest ``dirac_tenfold`` it indexes.
+        ValueError: nmax < 4, below the smallest ``dirac_tenfold`` it indexes, or
+            nmax > MAX_NMAX.
     """
-    if operator.index(nmax) < 4:
-        raise ValueError(f"nmax must be >= 4 for the quadratic generators, got {nmax}")
-    n1, n2 = np.divmod(np.arange(nmax * nmax), nmax)
+    n1, n2 = np.divmod(np.arange(_check_nmax(nmax) ** 2), nmax)
     return (n1 + n2) <= (nmax - _SAFE_MARGIN)
 
 
@@ -256,10 +260,7 @@ def verify_fock_commutators(nmax: int,
         ValueError: nmax outside [MIN_NMAX, MAX_NMAX], or a tolerance not finite and > 0.
     """
     _check_tolerance(tolerance)
-    if not MIN_NMAX <= operator.index(nmax) <= MAX_NMAX:
-        raise ValueError(
-            f"nmax must be in [{MIN_NMAX}, {MAX_NMAX}] for the safe subspace check, "
-            f"got {nmax}")
+    _check_nmax(nmax, MIN_NMAX)
     words, _, owner, step, (alpha, w1, w2) = _word_plan()
     top = nmax - _SAFE_MARGIN  # largest total occupation of the safe subspace
     values = _word_values(words, top + 1, nmax)
@@ -684,7 +685,7 @@ class ThermalState:
         without calling expm1; the true S there is below 1e-297.
         """
         x = 1.0 / self.temperature if self.temperature else np.inf
-        return occupation_entropy(1.0 / np.expm1(x)) if x <= _EXPM1_MAX else 0.0
+        return occupation_entropy(1.0 / np.expm1(x)) if x <= _LOG_MAX else 0.0
 
 
 def thermal_state(T: float) -> ThermalState:

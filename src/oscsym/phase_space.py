@@ -81,8 +81,6 @@ _ASYMMETRIC = f"covariance must be finite and symmetric (within {DEFAULT_TOLERAN
 _NOT_PD = "covariance must be positive definite"
 # the largest exponent whose exp is a finite double
 _LOG_MAX = math.log(sys.float_info.max)
-# the entries of coupling's 45-degree normal-mode rotation, +-1/sqrt2
-_R45 = 1.0 / math.sqrt(2.0)
 
 
 def _shape(m) -> tuple:
@@ -136,6 +134,12 @@ def _flow_terms(cells: str) -> Tuple[bool, Tuple[Tuple[float, float], ...]]:
 
 #: label -> (rotation?, the 16 (B1, B2) entry pairs) for every sl4r_4 member
 _FLOWS = {label: _flow_terms(cells) for label, cells in _SL4R.items()}
+#: the coupling as a squeeze entry: the 45-degree normal-mode rotation's 0 and
+#: +-1/sqrt2 entries, columns 0 and 3 in B1 (at e^eta), 1 and 2 in B2 (at e^-eta)
+_COUPLING = (False, tuple(
+    (x, 0.0) if c in (0, 3) else (0.0, x)
+    for row in ((1, 0, 1, 0), (0, 1, 0, 1), (1, 0, -1, 0), (0, 1, 0, -1))
+    for c, x in enumerate(sign * (1.0 / math.sqrt(2.0)) for sign in row)))
 
 
 def _deviation(m: _Rows) -> float:
@@ -176,6 +180,18 @@ def is_canonical(m) -> bool:
     return _deviation(m) <= DEFAULT_TOLERANCE * scale
 
 
+def _evaluate(flow, theta: float) -> _Rows:
+    """M = u B1 + v B2 of a flow entry, (u, v) = (cos theta, sin theta) or (e^theta, e^-theta)."""
+    rotation, pairs = flow
+    theta = float(theta)
+    if rotation:
+        u, v = math.cos(theta), math.sin(theta)
+    else:
+        u, v = math.exp(theta), math.exp(-theta)
+    flat = tuple([u * x + v * y for x, y in pairs])
+    return flat[0:4], flat[4:8], flat[8:12], flat[12:16]
+
+
 def generator_to_transform(label: str, theta: float) -> _Rows:
     """Finite transformation M(theta) = exp(-2i theta G) for one generator.
 
@@ -191,14 +207,7 @@ def generator_to_transform(label: str, theta: float) -> _Rows:
     """
     if label not in _FLOWS:
         raise ValueError(f"unknown generator {label!r}; expected one of {list(_FLOWS)}")
-    rotation, pairs = _FLOWS[label]
-    theta = float(theta)
-    if rotation:
-        u, v = math.cos(theta), math.sin(theta)
-    else:
-        u, v = math.exp(theta), math.exp(-theta)
-    flat = tuple([u * x + v * y for x, y in pairs])
-    return flat[0:4], flat[4:8], flat[8:12], flat[12:16]
+    return _evaluate(_FLOWS[label], theta)
 
 
 def coupling_transform(eta: float) -> _Rows:
@@ -221,12 +230,7 @@ def coupling_transform(eta: float) -> _Rows:
     Raises:
         OverflowError: e^|eta| above the largest double.
     """
-    grow, shrink = math.exp(eta), math.exp(-eta)
-    plus_g, plus_s, minus_g, minus_s = _R45 * grow, _R45 * shrink, -_R45 * grow, -_R45 * shrink
-    return ((plus_g, 0.0, plus_s, 0.0),
-            (0.0, plus_s, 0.0, plus_g),
-            (plus_g, 0.0, minus_s, 0.0),
-            (0.0, plus_s, 0.0, minus_g))
+    return _evaluate(_COUPLING, eta)
 
 
 def _congruence(m: _Rows, c: _Rows) -> _Rows:

@@ -21,7 +21,7 @@ from oscsym.algebra import (
     table1_correspondence,
     verify_algebra,
 )
-from oscsym.families import (FAMILIES, FIFTEEN_LABELS, TENFOLD_LABELS, GeneratorSet,
+from oscsym.families import (FAMILIES, FIFTEEN_LABELS, GeneratorSet,
                              build_generator_set, gamma_matrices)
 from oscsym.fock import dirac_tenfold, verify_fock_commutators
 
@@ -84,13 +84,13 @@ def test_decompose_dimension_mismatch():
 
 def test_alge11_covers_all_pairs():
     labels = ("L1", "L2", "L3", "S3", "K1", "K2", "K3", "Q1", "Q2", "Q3")
-    pairs = set(alge11_table().pairs())
+    pairs = set(alge11_table().entries)
     expected = {(a, b) for a in labels for b in labels if a != b}
     assert pairs == expected
 
 
 def test_o33gen_covers_all_pairs():
-    pairs = set(o33gen_table().pairs())
+    pairs = set(o33gen_table().entries)
     assert len(pairs) == 15 * 14
 
 
@@ -351,14 +351,14 @@ def _looped_correspondence(tolerance):
         member = sl4r[label]
         deviation = float(np.abs(candidate - member).max())
         if deviation <= tolerance:
-            entries[label] = CorrespondenceEntry(label, "EXACT", None, deviation)
+            entries[label] = CorrespondenceEntry("EXACT", None, deviation)
             continue
         ratio = complex(np.vdot(member, candidate) / np.vdot(member, member))
         if np.abs(candidate - ratio * member).max() <= tolerance:
             status = "SIGN_FLIP" if abs(ratio + 1) <= tolerance else "FACTOR_MISMATCH"
-            entries[label] = CorrespondenceEntry(label, status, ratio, deviation)
+            entries[label] = CorrespondenceEntry(status, ratio, deviation)
         else:
-            entries[label] = CorrespondenceEntry(label, "UNRELATED", None, deviation)
+            entries[label] = CorrespondenceEntry("UNRELATED", None, deviation)
     return entries
 
 
@@ -650,8 +650,3 @@ def test_pair_plan_is_row_major(n):
     pairs, rows, cols = _pair_plan(labels)
     assert pairs == tuple((a, b) for a in labels for b in labels if a != b)
     assert [(labels[r], labels[c]) for r, c in zip(rows, cols)] == list(pairs)
-
-
-def test_pairs_of_a_shipped_table_is_one_tuple():
-    assert o33gen_table().pairs() is o33gen_table().pairs()
-    assert alge11_table().pairs() == _pair_plan(TENFOLD_LABELS)[0]

@@ -14,7 +14,6 @@ from mpmath import mp
 from oscsym import fock
 from oscsym.algebra import alge11_table
 from oscsym.fock import (
-    _EXPM1_MAX,
     _HERMITE_BLOCK,
     _MAX_ETA,
     _MAX_NODES,
@@ -50,7 +49,8 @@ from oscsym.fock import (
     verify_fock_commutators,
     wigner_radius,
 )
-from oscsym.phase_space import eta_from_temperature, occupation_entropy, temperature_from_eta
+from oscsym.phase_space import (_LOG_MAX, eta_from_temperature, occupation_entropy,
+                                temperature_from_eta)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +165,7 @@ def test_tenfold_members_are_read_only_c_contiguous_complex():
 
 @pytest.mark.parametrize("nmax", [12, 24])
 def test_tenfold_holds_no_transient_dense_copy(nmax):
-    dirac_tenfold(4)  # the diagonal layout is cached on first use
+    dirac_tenfold(4)  # the word plan is cached on first use
     assert _peak_bytes(dirac_tenfold, nmax) <= 1.05 * 10 * nmax ** 4 * 16
 
 
@@ -272,6 +272,24 @@ def test_dirac_tenfold_refuses_past_64_mib():
         assert tracemalloc.get_traced_memory()[1] < 2 ** 16
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("nmax", [MAX_NMAX + 1, 10 ** 6])
+@pytest.mark.parametrize("build", [safe_subspace_mask, lambda nmax: basis_state(nmax, 0, 0)])
+def test_basis_arrays_refuse_nmax_past_the_cap_before_allocating(build, nmax):
+    # at nmax 10**6 the mask alone would take about 23 TiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"nmax must be in .*{MAX_NMAX}"):
+            build(nmax)
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 16
+    finally:
+        tracemalloc.stop()
+
+
+def test_basis_arrays_accept_nmax_at_the_cap():
+    assert safe_subspace_mask(MAX_NMAX).sum() == (MAX_NMAX - 2) * (MAX_NMAX - 1) // 2
+    assert basis_state(MAX_NMAX, 0, 1)[1] == 1.0
 
 
 def test_quadratics_are_in_the_bracket_table_order():
@@ -1112,7 +1130,7 @@ def _errstate_thermal_entropy(T):
 
 def test_thermal_entropy_equals_the_overflow_guarded_formula():
     log_t = np.random.default_rng(27).uniform(np.log(1e-4), np.log(1e4), 2000)
-    at_edge = 1.0 / _EXPM1_MAX
+    at_edge = 1.0 / _LOG_MAX
     edge = [at_edge]
     for direction in (0.0, np.inf):
         t = at_edge
@@ -1123,8 +1141,8 @@ def test_thermal_entropy_equals_the_overflow_guarded_formula():
         got = ThermalState(T).entropy()
         assert type(got) is float and got == _errstate_thermal_entropy(T), T
     with np.errstate(over="ignore"):  # the edge is expm1's own last finite value
-        assert np.isfinite(np.expm1(_EXPM1_MAX))
-        assert np.isinf(np.expm1(np.nextafter(_EXPM1_MAX, np.inf)))
+        assert np.isfinite(np.expm1(_LOG_MAX))
+        assert np.isinf(np.expm1(np.nextafter(_LOG_MAX, np.inf)))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

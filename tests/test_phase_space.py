@@ -3,6 +3,7 @@
 import ast
 import math
 import re
+import struct
 import sys
 import warnings
 
@@ -103,6 +104,47 @@ def test_s3_rotation_period_two_pi():
     assert np.abs(m - np.eye(4)).max() <= 1e-12
     # and half a period is not the identity
     assert np.abs(generator_to_transform("S3", np.pi) - np.eye(4)).max() > 1.0
+
+
+def _bits(m):
+    return [struct.pack("<d", x) for row in m for x in row]
+
+
+# signed zeros, the smallest subnormal and the overflow edge, then seeded draws
+_ETAS = [0.0, -0.0, 5e-324, -5e-324, 709.78, -709.78, phase_space._LOG_MAX,
+         *np.random.default_rng(30).uniform(-709.78, 709.78, 400).tolist(),
+         *np.random.default_rng(31).uniform(-3.0, 3.0, 400).tolist()]
+
+
+def test_coupling_transform_equals_its_closed_form_rows_bit_for_bit():
+    """The 45-degree rotation's +-1/sqrt2 columns at e^eta, e^-eta, e^-eta, e^eta,
+    with every zero entry +0.0; past e^709.78 the transform overflows."""
+    r = 1.0 / math.sqrt(2.0)
+    for eta in _ETAS:
+        g, s = math.exp(eta), math.exp(-eta)
+        want = ((r * g, 0.0, r * s, 0.0), (0.0, r * s, 0.0, r * g),
+                (r * g, 0.0, -r * s, 0.0), (0.0, r * s, 0.0, -r * g))
+        assert _bits(coupling_transform(eta)) == _bits(want), eta
+    for eta in (math.nextafter(phase_space._LOG_MAX, math.inf), 710.0, -710.0, 1e4):
+        with pytest.raises(OverflowError):
+            coupling_transform(eta)
+
+
+@pytest.mark.parametrize("label", FIFTEEN_LABELS)
+def test_transform_equals_the_two_term_closed_form_bit_for_bit(label):
+    """cos(theta) I + sin(theta) A for a rotation, e^theta P + e^-theta (I - P)
+    with P = (I + A)/2 for a squeeze, A = 2 Im G read from the family."""
+    a = (2.0 * build_generator_set("sl4r_4")[label].imag + 0.0).tolist()  # + 0.0: no -0.0
+    eye = np.eye(4).tolist()
+    for theta in _ETAS:
+        if label[0] in "LS":
+            u, v = math.cos(theta), math.sin(theta)
+            want = [[u * i + v * x for i, x in zip(*rows)] for rows in zip(eye, a)]
+        else:
+            u, v = math.exp(theta), math.exp(-theta)
+            p = [[0.5 * (i + x) for i, x in zip(*rows)] for rows in zip(eye, a)]
+            want = [[u * q + v * (i - q) for i, q in zip(*rows)] for rows in zip(eye, p)]
+        assert _bits(generator_to_transform(label, theta)) == _bits(want), theta
 
 
 @pytest.mark.parametrize("label", FIFTEEN_LABELS)
