@@ -22,6 +22,7 @@ from oscsym import (
     safe_subspace_mask,
     verify_fock_commutators,
 )
+from oscsym.fock import psi_eta
 
 print("=" * 70)
 print("Quadratic generators on the truncated two-mode Fock space")
@@ -61,6 +62,13 @@ for eta in (0.3, 0.8):
         print(f"{eta:>5} {k:>3} {quad:>14.10f} {closed:>14.10f} "
               f"{abs(quad - closed):>10.1e}")
 
+x, w = gauss_hermite(128)
+print("\nnorm sum_ij w_i w_j psi_eta(x_i, x_j)^2 on the same nodes:")
+print(f"{'eta':>5} {'norm':>18} {'gap':>10}")
+for eta in (0.3, 0.8):
+    norm = w @ psi_eta(eta, x[:, None], x[None, :]) ** 2 @ w
+    print(f"{eta:>5} {norm:>18.16f} {abs(norm - 1.0):>10.1e}")
+
 print()
 print("=" * 70)
 print("Reduced density matrix: three routes to the same kernel")
@@ -74,8 +82,6 @@ print(f"\nat eta = {eta}, sample points {pts.tolist()}:")
 print("closed form:\n", np.array2string(closed, precision=6))
 print(f"max |closed - series(60)|      = {np.abs(closed - series).max():.2e}")
 print(f"max |closed - partial trace|   = {np.abs(closed - traced).max():.2e}")
-
-x, w = gauss_hermite(128)
 print(f"Tr rho = {w @ rho_reduced(eta, x, x):.12f}")
 
 print()

@@ -324,11 +324,20 @@ def _hermite_blocks(kmax: int, x: np.ndarray) -> Iterator[Tuple[int, np.ndarray]
     yield lo, buf[2:j]
 
 
+def _check_k(k) -> int:
+    """k as an int in 0..HERMITE_KMAX, the rows the recurrence reaches."""
+    k = operator.index(k)
+    if not 0 <= k <= HERMITE_KMAX:
+        raise ValueError(f"k must be in [0, {HERMITE_KMAX}], got {k}")
+    return k
+
+
 def phi(k: int, x):
     """k-th oscillator eigenfunction at x: a copy of the last row of the recurrence.
 
     Refuses a k outside 0..HERMITE_KMAX and a NaN or infinite x.
     """
+    k = _check_k(k)
     (x,), _ = _points(x, bound=_NEAR_X)
     for _, rows in _hermite_blocks(k, x.reshape(-1)):
         pass
@@ -394,29 +403,36 @@ def _points(*coordinates, bound: float = np.inf):
             np.errstate(over="ignore") if far else nullcontext())
 
 
+def _psi_eta_of_squares(eta: float, minus, plus, out, scratch) -> None:
+    """psi_eta from the squares minus = (x1 - x2)^2 and plus = (x1 + x2)^2, into out;
+    scratch receives the plus term, and out and scratch may be minus and plus."""
+    np.multiply(minus, np.exp(2 * eta), out=out)
+    np.multiply(plus, np.exp(-2 * eta), out=scratch)
+    out += scratch
+    out *= -0.25
+    np.exp(out, out=out)
+    out *= np.pi ** -0.5
+
+
 def psi_eta(eta: float, x1, x2):
     """Coupled two-oscillator ground state.
 
     (1/sqrt(pi)) exp(-[e^{2 eta} (x1 - x2)^2 + e^{-2 eta} (x1 + x2)^2] / 4);
     eta = 0 is the uncoupled ground state, and on the diagonal x1 = x2 the
     difference term drops out.  The exponent is formed in place in two
-    buffers, one per square, with the rounding of the one-expression formula.
+    buffers, one per square, with the rounding of the one-expression formula;
+    _psi_eta_grid applies the same operations to cached node squares.
     Refuses a NaN or infinite x1 or x2.
     """
     _check_eta(eta)
     (x1, x2), quiet = _points(x1, x2)
     with quiet:
-        quad = np.subtract(x1, x2, out=np.empty(x1.shape))
-        quad *= quad
-        quad *= np.exp(2 * eta)
+        minus = np.subtract(x1, x2, out=np.empty(x1.shape))
+        minus *= minus
         plus = np.add(x1, x2, out=np.empty(x1.shape))
         plus *= plus
-        plus *= np.exp(-2 * eta)
-        quad += plus
-    quad *= -0.25
-    np.exp(quad, out=quad)
-    quad *= np.pi ** -0.5
-    return quad[()]  # a scalar for scalar points
+        _psi_eta_of_squares(eta, minus, plus, minus, plus)
+    return minus[()]  # a scalar for scalar points
 
 
 def expansion_coefficient(eta: float, k: int) -> float:
@@ -428,14 +444,34 @@ def expansion_coefficient(eta: float, k: int) -> float:
 
 
 @lru_cache(maxsize=1)
+def _node_squares() -> Tuple[np.ndarray, np.ndarray]:
+    """(x_i - x_j)^2 and (x_i + x_j)^2 over the first half of the gauss_hermite()
+    nodes x_i and all nodes x_j: two read-only (64, 128) tables, built once."""
+    x, _ = gauss_hermite()
+    half = x[:len(x) // 2, None]
+    squares = half - x, half + x
+    for square in squares:
+        square *= square
+        square.flags.writeable = False
+    return squares
+
+
+@lru_cache(maxsize=1)
 def _psi_eta_grid(eta: float) -> np.ndarray:
     """psi_eta on the gauss_hermite() node grid, read-only.
 
-    One entry: every caller walks k at a fixed eta, and each further grid
-    would only stay resident (128 x 128 doubles, 128 KiB).
+    Bit for bit psi_eta(eta, x[:, None], x[None, :]): the top half from the
+    eta-free _node_squares (the bottom half as scratch), the bottom half the
+    top one reversed on both axes, exact since x[::-1] == -x and psi_eta
+    reads (x1 -+ x2)^2 only.  One entry: every caller walks k at a fixed eta,
+    and each further grid would only stay resident (128 KiB, all a fresh eta allocates).
     """
-    x, _ = gauss_hermite()
-    grid = psi_eta(eta, x[:, None], x[None, :])
+    _check_eta(eta)
+    minus, plus = _node_squares()
+    grid = np.empty((2 * len(minus), minus.shape[1]))
+    top, bottom = grid[:len(minus)], grid[len(minus):]
+    _psi_eta_of_squares(eta, minus, plus, top, bottom)
+    bottom[...] = top[::-1, ::-1]
     grid.flags.writeable = False
     return grid
 
@@ -456,13 +492,10 @@ def expansion_overlap(eta: float, k: int) -> float:
     gauss_hermite() nodes.  The psi_eta grid depends on eta only, so it is
     built once per eta and reused across k, and the weighted row depends on
     k only, so it is built once per k; the result is bit for bit the one a
-    freshly built grid and row give.
+    freshly built grid and row give.  Refuses a k outside 0..HERMITE_KMAX.
     Contract: equals expansion_coefficient(eta, k).
     """
-    k = operator.index(k)
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    weighted = _weighted_phi(k)
+    weighted = _weighted_phi(_check_k(k))
     return float(weighted @ _psi_eta_grid(float(eta)) @ weighted)
 
 

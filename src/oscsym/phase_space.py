@@ -181,9 +181,14 @@ def is_canonical(m) -> bool:
 
 
 def _evaluate(flow, theta: float) -> _Rows:
-    """M = u B1 + v B2 of a flow entry, (u, v) = (cos theta, sin theta) or (e^theta, e^-theta)."""
+    """M = u B1 + v B2 of a flow entry, (u, v) = (cos theta, sin theta) or (e^theta, e^-theta).
+
+    Refuses a NaN or infinite theta, which would give NaN rows or a bare math domain error.
+    """
     rotation, pairs = flow
     theta = float(theta)
+    if not math.isfinite(theta):
+        raise ValueError(f"theta (eta for the coupling) must be finite, got {theta}")
     if rotation:
         u, v = math.cos(theta), math.sin(theta)
     else:
@@ -202,7 +207,7 @@ def generator_to_transform(label: str, theta: float) -> _Rows:
     M(theta1 + theta2) = M(theta1) M(theta2) along each one-parameter flow.
 
     Raises:
-        ValueError: unknown generator label.
+        ValueError: unknown generator label, or a NaN or infinite theta.
         OverflowError: a squeeze with e^|theta| above the largest double.
     """
     if label not in _FLOWS:
@@ -228,6 +233,7 @@ def coupling_transform(eta: float) -> _Rows:
     reciprocally for the momenta).
 
     Raises:
+        ValueError: a NaN or infinite eta.
         OverflowError: e^|eta| above the largest double.
     """
     return _evaluate(_COUPLING, eta)

@@ -21,6 +21,7 @@ from oscsym.fock import (
     _SERIES_BLOCK,
     _gauss_hermite_rule,
     _ladder_logs,
+    _node_squares,
     _psi_eta_grid,
     _weighted_phi,
     _word_plan,
@@ -333,6 +334,21 @@ def test_phi_is_row_k_of_the_hermite_table(k):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("k", [-1, HERMITE_KMAX + 1, 500])
+def test_k_refusals_name_k(k):
+    # both used to say "kmax ... exceeds the recurrence cap" or "k must be >= 0"
+    message = rf"^k must be in \[0, {HERMITE_KMAX}\], got {k}$"
+    with pytest.raises(ValueError, match=message):
+        phi(k, 0.0)
+    with pytest.raises(ValueError, match=message):
+        expansion_overlap(1.0, k)
+
+
+def test_rho_series_refusal_names_kmax():
+    with pytest.raises(ValueError, match=f"^kmax 201 exceeds the recurrence cap {HERMITE_KMAX}$"):
+        rho_series(0.5, 0.1, 0.2, HERMITE_KMAX + 1)
+
+
 def test_phi_caps_recurrence_depth():
     with pytest.raises(ValueError):
         phi(201, 0.0)
@@ -371,6 +387,13 @@ def test_gauss_hermite_builds_each_rule_once():
     assert all(x is rules[0][0] and w is rules[0][1] for x, w in rules)
     assert _gauss_hermite_rule.cache_info().misses == 1
     assert not rules[0][0].flags.writeable and not rules[0][1].flags.writeable
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 128, _MAX_NODES])
+def test_gauss_hermite_nodes_come_in_exactly_negated_pairs(n):
+    # the mirrored half of the psi_eta node grid relies on this exactly
+    x, w = gauss_hermite(n)
+    assert np.array_equal(x[::-1], -x) and np.array_equal(w[::-1], w)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -475,6 +498,34 @@ def test_cached_psi_eta_grid_is_read_only():
     assert not grid.flags.writeable
     with pytest.raises(ValueError):
         grid[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("eta", [0.0, -0.0, 0.3, -1.3, 2.0, float(_MAX_ETA), -float(_MAX_ETA)])
+def test_mirrored_grid_equals_psi_eta_on_the_node_grid(eta):
+    x, _ = gauss_hermite()
+    grid = _psi_eta_grid.__wrapped__(eta)  # built afresh, not read from the cache
+    assert np.array_equal(grid, psi_eta(eta, x[:, None], x[None, :]))
+    assert not grid.flags.writeable
+
+
+def test_node_squares_are_read_only_and_built_once():
+    _node_squares.cache_clear()
+    _psi_eta_grid.cache_clear()
+    for eta in (0.2, 0.35, 0.2):
+        expansion_overlap(eta, 1)
+    assert _node_squares.cache_info().misses == 1
+    x, _ = gauss_hermite()
+    for table, want in zip(_node_squares(), (x[:64, None] - x, x[:64, None] + x)):
+        assert table.shape == (64, 128) and not table.flags.writeable
+        assert np.array_equal(table, want * want)
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+
+
+def test_a_fresh_eta_allocates_only_its_grid():
+    expansion_overlap(0.9, 8)  # warms the node squares and the k = 8 row
+    # 128 KiB for the grid; building it from psi_eta peaked near 395 KB
+    assert _peak_bytes(expansion_overlap, 0.91, 8) < 256 * 2 ** 10
 
 
 def test_expansion_overlap_reuses_the_grid_at_a_cached_eta():

@@ -147,6 +147,15 @@ def test_transform_equals_the_two_term_closed_form_bit_for_bit(label):
         assert _bits(generator_to_transform(label, theta)) == _bits(want), theta
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("flow", ["coupling", *FIFTEEN_LABELS])
+def test_flows_refuse_a_non_finite_parameter(flow, theta):
+    # unchecked, these gave rows of NaN (coupling, K1) or a math domain error (L1 at inf)
+    with pytest.raises(ValueError, match=r"theta \(eta for the coupling\) must be finite"):
+        coupling_transform(theta) if flow == "coupling" else generator_to_transform(flow, theta)
+
+
 @pytest.mark.parametrize("label", FIFTEEN_LABELS)
 @pytest.mark.parametrize("theta", [-6.0, -3.0, -0.7, 0.7, 3.0, 6.0])
 def test_transform_matches_high_precision_expm(label, theta):
