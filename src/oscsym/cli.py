@@ -7,13 +7,13 @@ Subcommands::
     oscsym simulate (--generator LABEL | --couple)
                     (--eta R | --temperature R)
                     [--format {text,json,csv}] [--out PATH]
-    oscsym table    --eta-grid LO:HI:STEP [--kmax N] [--format F] [--out PATH]
+    oscsym table    --eta-grid LO:HI:STEP [--format F] [--out PATH]
 
 Exit status: 0 when every executed check passes (WARN rows document known
 print discrepancies and do not fail the run), 1 on any FAIL, 2 on bad
-arguments (a ``table`` row needing more than ``fock.MAX_KMAX`` series
-terms and a ``simulate`` eta whose temperature or transform overflows a
-double, or whose covariance double precision cannot check, included), 3 on
+arguments (a ``simulate`` eta or ``table`` grid point whose temperature or
+transform overflows a double, or whose covariance double precision cannot
+check, from eta = 9.36 for the coupling, included), 3 on
 an internal error: an exception escaping a command is printed as one
 ``oscsym: internal error: <message>`` line on stderr, without a traceback.
 141 (128 + SIGPIPE, as a shell reports a tool the signal ended) when the
@@ -271,6 +271,26 @@ def _resolve_eta_temperature(args, parser) -> Tuple[float, float]:
     return ps.eta_from_temperature(args.temperature), args.temperature
 
 
+def _gaussian_route(m, eta: float, parser: argparse.ArgumentParser):
+    """(purity, entropy, areas) of the vacuum moved by m, oscillator 1 kept.
+
+    entropy is None for a sub-vacuum block.  A ValueError on the way is a bad
+    eta, exit 2: double precision cannot check the transformed covariance.
+    """
+    try:
+        state = ps.evolve(ps.vacuum_state(), m)
+        block = ps.reduce_oscillator(state, 1)
+        purity = ps.gaussian_purity(block)
+        try:
+            entropy = ps.gaussian_entropy(block)
+        except ps.SubVacuumError:
+            entropy = None
+        return purity, entropy, ps.areas(state)
+    except ValueError as exc:
+        parser.error(f"at eta = {eta:g} double precision cannot check the transformed "
+                     f"covariance ({exc})")
+
+
 def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     eta, temperature = _resolve_eta_temperature(args, parser)
     if args.couple:
@@ -282,18 +302,7 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         except ValueError as exc:
             parser.error(str(exc))
         name = args.generator
-    try:
-        state = ps.evolve(ps.vacuum_state(), m)
-        block = ps.reduce_oscillator(state, 1)
-        purity = ps.gaussian_purity(block)
-        try:
-            entropy, subvacuum = ps.gaussian_entropy(block), False
-        except ps.SubVacuumError:
-            entropy, subvacuum = None, True
-        a1, a2 = ps.areas(state)
-    except ValueError as exc:
-        parser.error(f"at eta = {eta:g} double precision cannot check the transformed "
-                     f"covariance ({exc})")
+    purity, entropy, (a1, a2) = _gaussian_route(m, eta, parser)
     row = {
         "transform": name,
         "eta": float(eta),
@@ -304,7 +313,7 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         "area2": a2,
         "area_product": a1 * a2,
         "canonical": ps.is_canonical(m),
-        "subvacuum": subvacuum,
+        "subvacuum": entropy is None,
     }
     _emit_rows("simulate", [row], SIMULATE_COLUMNS, args)
     return 0
@@ -335,26 +344,14 @@ def _cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
     from . import fock
 
-    grid = _parse_grid(args.eta_grid, parser)
-    if args.kmax > ps.MAX_KMAX:
-        parser.error(f"--kmax must be at most {ps.MAX_KMAX}")
-    # --kmax is a floor; deep squeezes get enough terms for the series tail
-    # to clear the dual-route tolerance.  Every row's count is checked
-    # before any series is summed.
-    try:
-        kmaxes = [max(args.kmax, fock.kmax_for_tail(eta)) for eta in grid]
-    except ValueError as exc:
-        parser.error(str(exc))
     rows = []
-    for eta, kmax in zip(grid, kmaxes):
-        m = fock.moments(eta, kmax)
+    for eta in _parse_grid(args.eta_grid, parser):
+        # first, so a row past the Gaussian route's range is refused before the series
+        purity_g, entropy_g, _ = _gaussian_route(ps.coupling_transform(eta), eta, parser)
+        m = fock.moments(eta)
         temperature = _temperature(eta)
         radius = fock.wigner_radius(temperature)
         entropy_t = fock.ThermalState(temperature).entropy()
-        state = ps.evolve(ps.vacuum_state(), ps.coupling_transform(eta))
-        cov1 = ps.reduce_oscillator(state, 1)
-        purity_g = ps.gaussian_purity(cov1)
-        entropy_g = ps.gaussian_entropy(cov1)
         closed = ps.occupation_entropy(np.sinh(eta) ** 2)
         discrepancy = max(
             abs(m.entropy - entropy_g),
@@ -417,10 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
         "table", help="sweep eta: purity, entropies, temperature, radius "
                       "and the dual-route discrepancy per row")
     p_table.add_argument("--eta-grid", required=True, metavar="LO:HI:STEP")
-    p_table.add_argument("--kmax", type=int, default=200,
-                         help="series truncation floor (raised per row when "
-                              "the geometric tail needs more terms), at most "
-                              f"{ps.MAX_KMAX}")
     for p, default in ((p_verify, "text"), (p_sim, "text"), (p_table, "csv")):
         p.add_argument("--format", choices=("text", "json", "csv"), default=default)
         p.add_argument("--out", default=None)
@@ -439,14 +432,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 parser.error(f"--nmax must be in [{ps.MIN_NMAX}, {ps.MAX_NMAX}] "
                              f"for the fock suite")
             return _cmd_verify(args)
-        if args.command == "simulate":
-            # an overflow anywhere in the pipeline (math.exp, a det past the
-            # largest double) is a bad --eta, not an internal error
-            try:
-                return _cmd_simulate(args, parser)
-            except OverflowError as exc:
-                parser.error(f"the simulate transform overflows a double ({exc})")
-        return _cmd_table(args, parser)
+        # an overflow anywhere in the pipeline (math.exp, a det past the
+        # largest double) is a bad --eta or grid point, not an internal error
+        try:
+            return (_cmd_simulate if args.command == "simulate" else _cmd_table)(args, parser)
+        except OverflowError as exc:
+            parser.error(f"the {args.command} transform overflows a double ({exc})")
     except _UnwritableOut as exc:  # a bad argument, but without the usage lines
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     except BrokenPipeError:

@@ -24,12 +24,12 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .phase_space import (DEFAULT_TOLERANCE, MAX_KMAX, MAX_NMAX, MIN_NMAX, _LOG_MAX,
-                          _check_tolerance, occupation_entropy)
+from .phase_space import (DEFAULT_TOLERANCE, MAX_NMAX, MIN_NMAX, _LOG_MAX,
+                          _check_tolerance, _log_tanh, occupation_entropy)
 from .algebra import VerificationReport, _pair_plan, alge11_table
 from .families import GeneratorSet
 
@@ -45,10 +45,11 @@ __all__ = [
 ]
 
 HERMITE_KMAX = 200
+MAX_KMAX = 2 ** 24  # largest series truncation, the cap on series_weights' array (128 MiB)
 _DENSE_TENFOLD_BYTES = 2 ** 26  # cap on the ten dense members of dirac_tenfold
 _SAFE_MARGIN = 3  # the safe subspace is n1 + n2 <= nmax - _SAFE_MARGIN
 _FOCK_BYTES = 2 ** 18  # largest block of diagonal values in verify_fock_commutators
-_SERIES_BLOCK = 2 ** 14  # ladder terms per block in moments
+_SERIES_BLOCK = 2 ** 14  # most ladder terms in moments' one block
 _QUADRATURE_BYTES = 2 ** 16  # largest (points, nodes) block in rho_partial_trace
 _HERMITE_BLOCK = 16  # eigenfunction rows per block of the recurrence
 _MAX_NODES = 370  # largest Gauss-Hermite rule whose weights stay normal doubles
@@ -354,9 +355,11 @@ def gauss_hermite(n: int = 128) -> Tuple[np.ndarray, np.ndarray]:
     hermgauss, which then returns zero or NaN weights with only a warning.
 
     Raises:
-        TypeError: n is not an integer.
+        TypeError: n is not an integer, or is a bool.
         ValueError: n outside 1.._MAX_NODES.
     """
+    if isinstance(n, bool):  # operator.index(True) is 1
+        raise TypeError("n must be an integer, not a bool")
     return _gauss_hermite_rule(operator.index(n))
 
 
@@ -580,17 +583,21 @@ def rho_partial_trace(eta: float, x, xp):
 def _ladder_logs(eta: float) -> Tuple[float, float]:
     """(ln q, ln(1 - q)) of the ladder ratio q = tanh^2 |eta| = e^{-1/T}.
 
-    Up to |eta| = 7 from q itself: log1p keeps the -w_0 ln w_0 ~ q term that
-    ln(1 - q) drops once 1 - q rounds to 1.  Past it q rounds toward 1 (to
-    1.0 from |eta| ~ 19), so both logs are read from e = e^{-2|eta|}.
-    ln q is -inf at eta = 0, the pure state.
+    ln q is twice ``phase_space``'s ln tanh, as temperature_from_eta reads it.
+    Below |eta| = 1/4, ln(1 - q) is log1p(-q), which keeps the -w_0 ln w_0 ~ q
+    term that ln(1 - q) drops once 1 - q rounds to 1; from there it is
+    ln 4e - 2 log1p(e), e = e^{-2|eta|}, as 1 - q = 4e/(1 + e)^2 loses digits
+    where q nears 1 (1.0 from |eta| ~ 19).  ln q is -inf at eta = 0, the pure state.
     """
     _check_eta(eta)
-    if abs(eta) > 7.0:  # q = ((1 - e)/(1 + e))^2, 1 - q = 4e/(1 + e)^2
-        e = np.exp(-2.0 * abs(eta))
-        return 2.0 * (np.log1p(-e) - np.log1p(e)), np.log(4.0 * e) - 2.0 * np.log1p(e)
-    q = np.tanh(abs(eta)) ** 2  # 1 - q keeps all but a relative 2e-11 here
-    return (np.log(q) if q else -np.inf), np.log1p(-q)
+    eta = abs(float(eta))
+    if eta == 0:
+        return -math.inf, 0.0
+    log_q = 2.0 * _log_tanh(eta)
+    if eta < 0.25:
+        return log_q, math.log1p(-math.tanh(eta) ** 2)
+    e = math.exp(-2.0 * eta)
+    return log_q, math.log(4.0 * e) - 2.0 * math.log1p(e)
 
 
 def _check_kmax(kmax: int) -> int:
@@ -623,10 +630,10 @@ def series_tail_bound(eta: float, kmax: int = 200) -> float:
 def kmax_for_tail(eta: float) -> int:
     """Smallest truncation whose dropped tail is at most DEFAULT_TOLERANCE.
 
-    Grows like -ln(1e-12) / (2 ln tanh |eta|); about 50 terms at eta = 1,
-    about 380 at eta = 2, about 1.1 M at eta = 6.  ``moments`` evaluates
-    one block of the ladder and rescales it for the rest, so its cost grows
-    with kmax / 2**14, not kmax; the cap bounds ``series_weights``' array.
+    For callers that sum a truncated ladder (``series_weights``,
+    ``rho_series``, ``moments`` with a kmax); ``moments(eta)`` itself sums the
+    whole ladder.  Grows like -ln(1e-12) / (2 ln tanh |eta|); about 50 terms
+    at eta = 1, about 380 at eta = 2, about 1.1 M at eta = 6.
 
     Raises:
         ValueError: eta is not finite or |eta| > 350, or the count exceeds
@@ -645,54 +652,59 @@ class SeriesMoments:
     entropy: float
 
 
-def moments(eta: float, kmax: int = 200) -> SeriesMoments:
+def moments(eta: float, kmax: Optional[int] = None) -> SeriesMoments:
     """Purity and entropy of the reduced-state eigenvalue ladder.
 
-    purity = sum w_k^2 and entropy = -sum w_k ln w_k over the
-    ``series_weights`` terms.  Only the first B = _SERIES_BLOCK terms are
-    evaluated: block m is that block times c = q^{mB}, so it adds
-    c^2 sum w^2 to the purity and c (-sum w ln w - mB ln q sum w) to the
-    entropy, and a partial last block sums a prefix of block 0.  A call
-    costs one block plus kmax / B scalars; below B terms it is the einsum
-    of the weights themselves.  Contracts: purity = 1/cosh(2 eta)
-    and entropy = cosh^2(eta) ln cosh^2(eta) - sinh^2(eta) ln sinh^2(eta),
-    both up to the geometric tail ``series_tail_bound``, whose excess over
-    DEFAULT_TOLERANCE triggers a warning.  Negative eta is folded to |eta|.
-    Refuses kmax > MAX_KMAX.
+    purity = sum w_k^2 and entropy = -sum w_k ln w_k over the whole ladder
+    w_k = (1 - q) q^k, or over its ``series_weights`` terms k <= kmax, whose
+    einsum they are below B = _SERIES_BLOCK terms.  Otherwise one block
+    v_j = q^j, j < n, is evaluated, n = B or, if sooner, where q^j underflows:
+    block m is that block times c^m, c = q^n, so the geometric sums of c^m
+    and m c^m give the whole ladder divided by its own sum,
+    purity = sum v^2 / (sum v)^2 (1 - c)/(1 + c) and entropy =
+    -ln(1 - q) - ln q sum j v / sum v - n ln q c/(1 - c), 1 - c = -expm1(n ln q).
+    So the rounding of ln(1 - q) (5.7e-14 from |eta| = 128) scales no weight
+    and no w^2 underflows; the sums are pairwise, as the block is flat near
+    q = 1.  A kmax past B keeps the whole ladder less its tail, q^{kmax+1}
+    times the whole ladder.  Contracts: purity = 1/cosh(2 eta) and entropy =
+    cosh^2(eta) ln cosh^2(eta) - sinh^2(eta) ln sinh^2(eta), for a kmax up to
+    the tail ``series_tail_bound``, whose excess over DEFAULT_TOLERANCE
+    triggers a warning.  Negative eta is folded to |eta|.  Refuses kmax > MAX_KMAX.
     """
-    kmax = _check_kmax(kmax)  # before the tail warning
-    tail = series_tail_bound(eta, kmax)
-    if tail > DEFAULT_TOLERANCE:
-        warnings.warn(
-            f"series tail bound {tail:.3e} exceeds {DEFAULT_TOLERANCE:.0e} "
-            f"at eta={eta}, kmax={kmax}; increase kmax",
-            stacklevel=2,
-        )
+    if kmax is not None:
+        kmax = _check_kmax(kmax)  # before the tail warning
+        tail = series_tail_bound(eta, kmax)
+        if tail > DEFAULT_TOLERANCE:
+            warnings.warn(
+                f"series tail bound {tail:.3e} exceeds {DEFAULT_TOLERANCE:.0e} "
+                f"at eta={eta}, kmax={kmax}; increase kmax",
+                stacklevel=2,
+            )
     log_q, log_head = _ladder_logs(eta)
-    if kmax < 0:  # a ladder with no terms
+    if kmax is not None and kmax < 0:  # a ladder with no terms
         return SeriesMoments(purity=0.0, entropy=0.0)
     if log_q == -np.inf:  # the pure state, w = (1, 0, 0, ...)
         return SeriesMoments(purity=1.0, entropy=0.0)
-    size = min(kmax + 1, _SERIES_BLOCK)
-    log_w = np.arange(size) * log_q + log_head
-    w = np.exp(log_w)
-
-    def sums(n):  # sum w^2 and -sum w ln w over the first n terms
+    if kmax is not None and kmax < _SERIES_BLOCK:
+        log_w = np.arange(kmax + 1) * log_q + log_head
+        w = np.exp(log_w)
         # einsum's own loop, not a BLAS dot, whose split of the sum (and so
         # its rounding) follows the thread count
-        return np.einsum("i,i->", w[:n], w[:n]), -np.einsum("i,i->", w[:n], log_w[:n])
-
-    purity, entropy = sums(size)
-    if kmax >= size:
-        shift = np.arange(size, kmax + 1, size) * log_q  # mB ln q of each later block
-        scale = np.exp(shift)
-        full = scale[:-1]  # the last block may be partial
-        n = kmax + 1 - size * shift.size
-        (p, s), total, t = sums(n), np.einsum("i->", w), np.einsum("i->", w[:n])
-        purity, entropy = (
-            purity + purity * np.einsum("i,i->", full, full) + scale[-1] ** 2 * p,
-            entropy + np.einsum("i,i->", full, entropy - shift[:-1] * total)
-            + scale[-1] * (s - shift[-1] * t))
+        return SeriesMoments(purity=float(np.einsum("i,i->", w, w)),
+                             entropy=float(-np.einsum("i,i->", w, log_w)))
+    n = min(_SERIES_BLOCK, math.ceil(_LOG_MAX / -log_q))  # q^j underflows from j = n
+    j = np.arange(n, dtype=float)
+    v = np.multiply(j, log_q)
+    np.exp(v, out=v)
+    total, log_c = np.sum(v), n * log_q
+    c, one_c = math.exp(log_c), -math.expm1(log_c)
+    mean = np.sum(np.multiply(j, v, out=j)) / total
+    purity = np.sum(np.square(v, out=v)) / total ** 2 * (one_c / (1.0 + c))
+    entropy = -log_head - log_q * mean - log_c * c / one_c
+    if kmax is not None:
+        log_tail = (kmax + 1) * log_q
+        purity *= -math.expm1(2.0 * log_tail)
+        entropy = entropy * -math.expm1(log_tail) + log_tail * tail
     return SeriesMoments(purity=float(purity), entropy=float(entropy))
 
 

@@ -27,7 +27,8 @@ The arithmetic is Python floats and ``math``, without numpy: sums are formed
 left to right in plain double precision (no fused multiply-add).  So
 ``oscsym simulate`` runs this pipeline without importing numpy.  The module
 also holds the constants the CLI's parser needs (``DEFAULT_TOLERANCE`` and
-the Fock and series limits), which ``algebra`` and ``fock`` re-export.
+the Fock limits), which ``algebra`` and ``fock`` re-export, and the one
+ln tanh eta rule that ``temperature_from_eta`` and the ``fock`` series ladder read.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ _Rows = Sequence[Sequence[float]]
 DEFAULT_TOLERANCE = 1e-12
 MIN_NMAX = 6  # smallest nmax the check and CLI accept; the safe subspace is nonempty from 4
 MAX_NMAX = 256  # largest truncation the bracket check accepts (~0.15 s)
-MAX_KMAX = 2 ** 24  # largest series truncation (eta ~ 7.3; a moments call ~0.1 ms)
 
 
 def _check_tolerance(tolerance: float) -> None:
@@ -423,11 +423,14 @@ def occupation_entropy(v: float) -> float:
     """Entropy (v + 1) ln(v + 1) - v ln v of a mode with mean occupation v >= 0.
 
     As log1p(v) + v log1p(1/v): no cancellation at large v, exactly 0 at
-    v = 0; below v = 1, log1p(1/v) = log1p(v) - ln v keeps 1/v from overflowing.
+    v = 0 and inf at v = inf; below v = 1, log1p(1/v) = log1p(v) - ln v keeps
+    1/v from overflowing.  Refuses a NaN or negative v with ValueError.
     """
     v = float(v)
-    if v == 0:
-        return 0.0
+    if not v >= 0:  # NaN compares false
+        raise ValueError(f"mean occupation must be >= 0, got v = {v}")
+    if v == 0 or v == math.inf:
+        return v + 0.0  # 0.0 for -0.0
     tail = math.log1p(1.0 / v) if v >= 1.0 else math.log1p(v) - math.log(v)
     return math.log1p(v) + v * tail
 
@@ -481,14 +484,21 @@ def eta_from_temperature(T: float) -> float:
     return 0.5 * (math.log1p(math.exp(-x)) - math.log(-math.expm1(-x)))
 
 
+def _log_tanh(eta: float) -> float:
+    """ln tanh eta of a finite eta > 0: log1p(-e) - log1p(e), e = e^{-2 eta}, from
+    eta = 1/4, so deep squeezes do not round tanh to one; below that the direct
+    form, well conditioned there (at eta = 0.95 it would be 7.6 ulp off)."""
+    if eta < 0.25:
+        return math.log(math.tanh(eta))
+    e = math.exp(-2.0 * eta)
+    return math.log1p(-e) - math.log1p(e)
+
+
 def temperature_from_eta(eta: float) -> float:
     """Inverse map T = -1/(2 ln tanh eta), from e^{-1/T} = tanh^2 eta.
 
-    For eta >= 1/4, ln tanh eta is evaluated as
-    log1p(-e^{-2 eta}) - log1p(e^{-2 eta}) so deep squeezes do not round
-    tanh to one; below that, ln tanh eta is well conditioned and the direct
-    form is used (at eta = 0.95 it is 7.6 ulp off).  The result is within
-    3 ulp of the exact T.
+    ln tanh eta is ``_log_tanh``'s, the one the ``fock`` series ladder
+    reads.  The result is within 3 ulp of the exact T.
     Rejects eta <= 0 and non-finite eta; the eta -> 0+ limit is T -> 0+.
     Also rejects eta above about 355.6, where T ~ e^{2 eta}/4 passes the
     largest double.
@@ -496,11 +506,7 @@ def temperature_from_eta(eta: float) -> float:
     if not 0 < eta < math.inf:
         raise ValueError(f"eta must be finite and > 0, got {eta}")
     eta = float(eta)
-    if eta < 0.25:
-        log_tanh = math.log(math.tanh(eta))
-    else:
-        q = math.exp(-2.0 * eta)
-        log_tanh = math.log1p(-q) - math.log1p(q)
+    log_tanh = _log_tanh(eta)
     # Python float division: an overflow is inf without a warning
     temperature = -0.5 / log_tanh if log_tanh else math.inf
     if temperature == math.inf:

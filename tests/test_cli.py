@@ -422,22 +422,35 @@ def test_table_empty_grid_exits_2(capsys):
         assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("grid,match", [
-    ("8:8:1", "MAX_KMAX"),      # 6.1e7 series terms
-    ("19:19:1", "MAX_KMAX"),    # tanh^2 == 1.0; 2.2e17 series terms
-    ("0:8:1", "MAX_KMAX"),      # refused before the valid rows are computed
+@pytest.mark.parametrize("grid,rows", [
+    ("8:8:1", 1),   # the whole ladder; a tail cut at 1e-12 needed 6.1e7 terms
+    ("0:8:1", 9),
+    ("9.35:9.35:1", 1),  # the last eta whose coupled covariance double precision can check
 ])
-def test_table_unbounded_series_exits_2(grid, match, capsys, monkeypatch):
-    def no_series(*args, **kwargs):
-        raise AssertionError("series allocated before the refusal")
+def test_table_sums_the_whole_ladder_of_deep_squeezes(grid, rows, capsys):
+    code, out = run(capsys, "table", "--eta-grid", grid, "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["rows"]) == rows
 
-    for name in ("series_weights", "moments", "thermal_state"):
-        monkeypatch.setattr(fock, name, no_series)
+
+@pytest.mark.parametrize("grid,message", [
+    # the coupled covariance's 4x4 pivots round below 0 from eta = 9.36
+    ("9.36:9.36:1", "at eta = 9.36 double precision cannot check"),
+    ("9.5:9.5:1", "at eta = 9.5 double precision cannot check"),
+    ("19:19:1", "at eta = 19 double precision cannot check"),  # tanh^2 == 1.0
+    ("0:9.5:0.5", "at eta = 9.5 double precision cannot check"),  # no row printed
+    ("1000:1000:1", "the table transform overflows a double"),   # e^eta overflows
+])
+def test_table_past_the_gaussian_route_exits_2(grid, message, capsys, monkeypatch):
+    summed, moments = [], fock.moments
+    monkeypatch.setattr(fock, "moments", lambda eta: summed.append(eta) or moments(eta))
     with pytest.raises(SystemExit) as exc:
         main(["table", "--eta-grid", grid])
     assert exc.value.code == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err[-1].startswith("oscsym: error:") and match in err[-1]
+    assert float(grid.split(":")[1]) not in summed  # refused before its series
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines()[-1].startswith(f"oscsym: error: {message}")
 
 
 @pytest.mark.parametrize("grid", [
@@ -460,13 +473,6 @@ def test_table_at_tiny_eta_leaves_stderr_empty(capsys):
     assert code == 0
     assert captured.err == ""
     assert captured.out.splitlines()[1].startswith("1e-300,")
-
-
-def test_table_kmax_above_cap_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["table", "--eta-grid", "0:0:1", "--kmax", str(fock.MAX_KMAX + 1)])
-    assert exc.value.code == 2
-    assert "--kmax must be at most" in capsys.readouterr().err
 
 
 def test_table_csv_deterministic(capsys):

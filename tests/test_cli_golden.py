@@ -2,10 +2,10 @@
 byte-identical to the recorded outputs.
 
 The files under ``tests/data/cli_golden`` hold the eta = 0 and eta < 0 rows,
-a deep-squeeze table whose series needs millions of terms, both --eta and
---temperature inputs, a non-canonical flow, and every output format.  A
-value that moves by one ulp shows up here.  The help files hold the limits
-and defaults the parser prints (Fock nmax range, MAX_KMAX).
+a deep-squeeze table up to eta = 9, both --eta and --temperature inputs, a
+non-canonical flow, and every output format.  A value that moves by one ulp
+shows up here.  The help files hold the limits and defaults the parser
+prints (Fock nmax range).
 """
 
 import contextlib
@@ -20,7 +20,7 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden"
 CASES = (
     [(f"table-eta0to3.{fmt}", ["table", "--eta-grid", "0:3:0.25", "--format", fmt])
      for fmt in ("csv", "json", "text")]
-    + [("table-eta0.5to7-kmax1000.csv", ["table", "--eta-grid", "0.5:7:0.5", "--kmax", "1000"])]
+    + [("table-eta0.5to9.csv", ["table", "--eta-grid", "0.5:9:0.5"])]
     + [(f"simulate-couple-eta{eta}.text", ["simulate", "--couple", "--eta", eta])
        for eta in ("0", "-1", "1")]
     + [("simulate-couple-T2.json",

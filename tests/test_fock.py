@@ -366,10 +366,12 @@ def test_non_integer_k_is_refused(call):
 
 
 @pytest.mark.parametrize("n,error", [(0, ValueError), (-1, ValueError), (2.5, TypeError),
+                                     (True, TypeError),
                                      (_MAX_NODES + 1, ValueError), (10 ** 6, ValueError)])
 def test_gauss_hermite_refuses_rules_past_the_weight_underflow(n, error):
     # unchecked, n = 371 sums its weights to 0.0, n >= 372 gives NaN weights
-    # (only RuntimeWarnings), and n = 10**6 asks hermgauss for a 7.28 TiB matrix
+    # (only RuntimeWarnings), n = 10**6 asks hermgauss for a 7.28 TiB matrix,
+    # and True, which operator.index reads as 1, gave the one-node rule
     tracemalloc.start()
     try:
         with pytest.raises(error, match=None if error is TypeError else f"\\[1, {_MAX_NODES}\\]"):
@@ -530,7 +532,7 @@ def test_a_fresh_eta_allocates_only_its_grid():
 
 def test_expansion_overlap_reuses_the_grid_at_a_cached_eta():
     expansion_overlap(0.9, 0)
-    # a fresh 128 x 128 grid and its temporaries peak near 400 KB
+    # a fresh 128 x 128 grid, built from the cached node squares, peaks near 132 KB
     assert _peak_bytes(expansion_overlap, 0.9, 8) < 16 * 2 ** 10
 
 
@@ -771,6 +773,24 @@ def _assert_rel_close(got, want, rtol):
         assert abs(g - w) <= rtol * abs(w), (g, w)
 
 
+def _geometric_sums(log_q, log_head, kmax):
+    """Total, purity and entropy of w_k = e^{log_head + k log_q}, k = 0..kmax, in
+    the closed forms of geometric sums; mpf logs, evaluated at the caller's precision."""
+    n = kmax + 1
+    q, head = mp.exp(log_q), mp.exp(log_head)
+    total = head * mp.expm1(n * log_q) / mp.expm1(log_q)
+    purity = head ** 2 * mp.expm1(2 * n * log_q) / mp.expm1(2 * log_q)
+    k_q_k = q * (1 - n * q ** (n - 1) + (n - 1) * q ** n) / (1 - q) ** 2  # sum k q^k
+    return float(total), float(purity), float(-log_head * total - log_q * head * k_q_k)
+
+
+def _truncated_sums_at(eta, kmax):
+    """60-digit total, purity and entropy of the ladder terms k = 0..kmax at eta itself."""
+    with mp.workdps(60):
+        eta = mp.mpf(eta)
+        return _geometric_sums(2 * mp.log(mp.tanh(eta)), -2 * mp.log(mp.cosh(eta)), kmax)
+
+
 @pytest.mark.filterwarnings("ignore:series tail bound")
 @pytest.mark.parametrize("kmax", [_SERIES_BLOCK - 1, _SERIES_BLOCK, _SERIES_BLOCK + 1,
                                   3 * _SERIES_BLOCK + 7])
@@ -778,7 +798,7 @@ def _assert_rel_close(got, want, rtol):
 def test_moments_blocks_match_full_array_formula(eta, kmax):
     m = moments(eta, kmax)
     _assert_rel_close((series_weights(eta, kmax).sum(), m.purity, m.entropy),
-                      _full_ladder_sums(np.tanh(eta) ** 2, kmax), 1e-14)
+                      _truncated_sums_at(eta, kmax), 1e-14)
 
 
 @pytest.mark.parametrize("eta", [0.05, 0.7, 1.5, 3.0, 4.5, 6.0])
@@ -786,7 +806,7 @@ def test_moments_match_full_array_formula_at_the_tail_rule(eta):
     kmax = kmax_for_tail(eta)
     m = moments(eta, kmax)
     _assert_rel_close((series_weights(eta, kmax).sum(), m.purity, m.entropy),
-                      _full_ladder_sums(np.tanh(eta) ** 2, kmax), 1e-14)
+                      _truncated_sums_at(eta, kmax), 1e-14)
 
 
 @pytest.mark.parametrize("T", [0.5, 2.0, 10.0])
@@ -824,7 +844,7 @@ def test_moments_past_eta_seven_match_high_precision(eta):
     # read from q = tanh^2 eta, 1 - q loses digits to rounding (1e-8 relative
     # at eta = 10, 45 % near 19) and from eta ~ 19, where q is 1.0, the sums
     # were 0, 0 and NaN; the reference w_k = sech^2 eta tanh^{2k} eta keeps 1 - q
-    m = moments(eta)
+    m = moments(eta, kmax=200)
     with mp.workdps(50):
         head, q = mp.sech(eta) ** 2, mp.tanh(eta) ** 2
         w = [head * q ** k for k in range(201)]
@@ -866,6 +886,30 @@ def test_moments_entropy_keeps_the_vacuum_term_at_tiny_eta():
     assert abs(moments(eta).entropy - entropy) <= 1e-13 * entropy
 
 
+@pytest.mark.filterwarnings("error")
+def test_whole_ladder_moments_match_high_precision():
+    # the whole ladder against 60-digit closed forms on 409 log-uniform eta:
+    # purity 1/cosh 2 eta and entropy log1p(v) + v log1p(1/v), v = sinh^2 eta.
+    # With ln q and ln(1 - q) read from the rounded tanh^2 eta up to |eta| = 7,
+    # the entropy was 9.7e-13 and the purity 1.2e-11 off at eta = 6.4
+    worst = [0.0, 0.0]
+    for eta in np.geomspace(1e-6, _MAX_ETA, 409):
+        m = moments(eta)
+        with mp.workdps(60):
+            x = mp.mpf(float(eta))
+            v = mp.sinh(x) ** 2
+            want = (float(1 / mp.cosh(2 * x)), float(mp.log1p(v) + v * mp.log1p(1 / v)))
+        for i, (got, ref) in enumerate(zip((m.purity, m.entropy), want)):
+            worst[i] = max(worst[i], abs(got - ref) / ref)
+    assert worst[0] <= 1e-13 and worst[1] <= 1e-14, worst
+
+
+@pytest.mark.parametrize("eta", [0.5, 6.0, 350.0])
+def test_whole_ladder_allocates_one_block(eta):
+    moments(eta)  # warms the imports
+    assert _peak_bytes(moments, eta) < 2 ** 20
+
+
 def _exact_truncated_sums(eta, kmax):
     """60-digit purity and entropy of w_k = e^{ln(1 - q) + k ln q}, k = 0..kmax.
 
@@ -874,12 +918,7 @@ def _exact_truncated_sums(eta, kmax):
     """
     log_q, log_head = _ladder_logs(eta)
     with mp.workdps(60):
-        log_q, log_head, n = mp.mpf(float(log_q)), mp.mpf(float(log_head)), kmax + 1
-        q, head = mp.exp(log_q), mp.exp(log_head)
-        total = head * mp.expm1(n * log_q) / mp.expm1(log_q)
-        purity = head ** 2 * mp.expm1(2 * n * log_q) / mp.expm1(2 * log_q)
-        k_q_k = q * (1 - n * q ** (n - 1) + (n - 1) * q ** n) / (1 - q) ** 2  # sum k q^k
-        return float(purity), float(-log_head * total - log_q * head * k_q_k)
+        return _geometric_sums(mp.mpf(log_q), mp.mpf(log_head), kmax)[1:]
 
 
 @pytest.mark.filterwarnings("ignore:series tail bound")

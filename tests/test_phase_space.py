@@ -425,6 +425,21 @@ def test_entropy_matches_series_oracle(eta):
     assert abs(s - moments(eta, 200).entropy) <= 1e-9
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("v", [math.nan, -1.0, -1e-300])
+def test_occupation_entropy_refuses_nan_and_negative_occupation(v):
+    # unchecked, NaN returned NaN and a negative v raised a bare math domain error
+    with pytest.raises(ValueError, match=f"v = {v}"):
+        occupation_entropy(v)
+
+
+@pytest.mark.filterwarnings("error")
+def test_occupation_entropy_limits():
+    # inf gave NaN from inf * log1p(0); -0.0 reads as the vacuum
+    assert occupation_entropy(math.inf) == math.inf
+    assert math.copysign(1.0, occupation_entropy(-0.0)) == 1.0
+
+
 def test_entropy_subvacuum_rejected():
     eta = 0.5
     st = evolve(vacuum_state(), generator_to_transform("G3", eta))
