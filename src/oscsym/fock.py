@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -622,9 +623,17 @@ def series_weights(eta: float, kmax: int = 200) -> np.ndarray:
 
 
 def series_tail_bound(eta: float, kmax: int = 200) -> float:
-    """Exact dropped tail sum_{k > kmax} w_k = q^{kmax+1}; the whole ladder for kmax < 0."""
+    """Exact dropped tail sum_{k > kmax} w_k = q^{kmax+1}; the whole ladder for kmax < 0.
+
+    0.0 for a kmax past the largest double, where (kmax + 1) ln q has no
+    float and q^{kmax+1} rounds to 0.0 at every |eta| <= 350.
+    """
     kmax, (log_q, _) = operator.index(kmax), _ladder_logs(eta)
-    return float(np.exp((kmax + 1) * log_q)) if kmax >= 0 else 1.0
+    if kmax < 0:
+        return 1.0
+    if kmax >= sys.float_info.max:
+        return 0.0
+    return float(np.exp((kmax + 1) * log_q))
 
 
 def kmax_for_tail(eta: float) -> int:

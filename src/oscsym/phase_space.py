@@ -21,7 +21,8 @@ Conventions, fixed once and used everywhere:
 * Matrices are tuples of rows: 4x4 transforms and covariances
   (``GaussianState.cov``), 2x2 blocks.  Every function that takes a matrix
   also reads an ndarray (through ``.tolist()``) or nested sequences, and
-  refuses any other shape.
+  refuses any other shape.  The rows the module itself returns are read as
+  they are, without a second float pass.
 
 The arithmetic is Python floats and ``math``, without numpy: sums are formed
 left to right in plain double precision (no fused multiply-add).  So
@@ -34,6 +35,7 @@ ln tanh eta rule that ``temperature_from_eta`` and the ``fock`` series ladder re
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from typing import Sequence, Tuple
 
@@ -74,9 +76,20 @@ _SL4R = {
     "G1": "02+ 13+ 20+ 31+", "G2": "03+ 12- 21- 30+", "G3": "00+ 11+ 22- 33-",
 }
 
+
+class _FloatRows(tuple):
+    """A square matrix this module built: a tuple of row tuples of floats.
+
+    ``_rows`` returns one as it is when it has the rows asked for, so a
+    transform, covariance or block the module returns is not read again.
+    """
+
+    __slots__ = ()
+
+
 _IDENTITY: _Rows = tuple(tuple(float(i == k) for k in range(4)) for i in range(4))
 #: the vacuum covariance I/2
-_VACUUM: _Rows = tuple(tuple(0.5 * x for x in row) for row in _IDENTITY)
+_VACUUM: _Rows = _FloatRows(tuple(0.5 * x for x in row) for row in _IDENTITY)
 _ASYMMETRIC = f"covariance must be finite and symmetric (within {DEFAULT_TOLERANCE:.0e})"
 _NOT_PD = "covariance must be positive definite"
 # the largest exponent whose exp is a finite double
@@ -93,7 +106,12 @@ def _shape(m) -> tuple:
 
 
 def _rows(m, n: int, what: str) -> _Rows:
-    """The float rows of an n x n ndarray or nested sequence; refuses any other shape."""
+    """The float rows of an n x n ndarray or nested sequence; refuses any other shape.
+
+    n rows the module built are returned as they are.
+    """
+    if isinstance(m, _FloatRows) and len(m) == n:
+        return m
     try:
         rows = [[*map(float, row)] for row in (m.tolist() if hasattr(m, "tolist") else m)]
     except TypeError:  # a scalar, or a row that is one
@@ -194,7 +212,7 @@ def _evaluate(flow, theta: float) -> _Rows:
     else:
         u, v = math.exp(theta), math.exp(-theta)
     flat = tuple([u * x + v * y for x, y in pairs])
-    return flat[0:4], flat[4:8], flat[8:12], flat[12:16]
+    return _FloatRows((flat[0:4], flat[4:8], flat[8:12], flat[12:16]))
 
 
 def generator_to_transform(label: str, theta: float) -> _Rows:
@@ -255,8 +273,8 @@ def _congruence(m: _Rows, c: _Rows) -> _Rows:
     r11, r12 = q0 * b0 + q1 * b1 + q2 * b2 + q3 * b3, q0 * d0 + q1 * d1 + q2 * d2 + q3 * d3
     r13, r22 = q0 * e0 + q1 * e1 + q2 * e2 + q3 * e3, s0 * d0 + s1 * d1 + s2 * d2 + s3 * d3
     r23, r33 = s0 * e0 + s1 * e1 + s2 * e2 + s3 * e3, t0 * e0 + t1 * e1 + t2 * e2 + t3 * e3
-    return ((r00, r01, r02, r03), (r01, r11, r12, r13),
-            (r02, r12, r22, r23), (r03, r13, r23, r33))
+    return _FloatRows(((r00, r01, r02, r03), (r01, r11, r12, r13),
+                       (r02, r12, r22, r23), (r03, r13, r23, r33)))
 
 
 def _pivots_positive(s00, s01, s02, s03, s11, s12, s13, s22, s23, s33) -> bool:
@@ -302,8 +320,8 @@ def _checked_cov(c: _Rows) -> _Rows:
     s12, s13, s23 = 0.5 * (c12 + c21), 0.5 * (c13 + c31), 0.5 * (c23 + c32)
     if not _pivots_positive(c00, s01, s02, s03, c11, s12, s13, c22, s23, c33):
         raise ValueError(_NOT_PD)
-    return ((c00, s01, s02, s03), (s01, c11, s12, s13),
-            (s02, s12, c22, s23), (s03, s13, s23, c33))
+    return _FloatRows(((c00, s01, s02, s03), (s01, c11, s12, s13),
+                       (s02, s12, c22, s23), (s03, s13, s23, c33)))
 
 
 class GaussianState:
@@ -348,12 +366,25 @@ def reduce_oscillator(state: GaussianState, keep: int) -> _Rows:
 
     For a Gaussian Wigner function, integrating out the other oscillator's
     pair of variables leaves exactly the corresponding diagonal sub-block.
+
+    Raises:
+        TypeError: keep is not an integer, or is a bool.
+        ValueError: keep is an integer other than 1 and 2.
     """
+    if isinstance(keep, bool):  # operator.index(True) is 1
+        raise TypeError("keep must be an integer, not a bool")
+    try:
+        keep = operator.index(keep)
+    except TypeError:
+        raise TypeError(f"keep must be an integer, got {keep!r}") from None
     if keep not in (1, 2):
         raise ValueError(f"keep must be 1 or 2, got {keep!r}")
-    i = 0 if keep == 1 else 2
-    first, second = state.cov[i:i + 2]
-    return first[i:i + 2], second[i:i + 2]
+    return _block(state.cov, 0 if keep == 1 else 2)
+
+
+def _block(cov: _Rows, i: int) -> _Rows:
+    """The 2x2 diagonal block of a checked covariance that starts at row and column i."""
+    return _FloatRows((cov[i][i:i + 2], cov[i + 1][i:i + 2]))
 
 
 def _det2(a: float, b: float, c: float, d: float) -> float:
@@ -461,8 +492,7 @@ def areas(state: GaussianState) -> Tuple[float, float]:
     vacuum occupies area pi per oscillator (the unit-circle contour).  A block
     is checked as gaussian_purity checks it: one whose det rounds to <= 0 is refused.
     """
-    return (math.pi * _mu(reduce_oscillator(state, 1)),
-            math.pi * _mu(reduce_oscillator(state, 2)))
+    return math.pi * _mu(_block(state.cov, 0)), math.pi * _mu(_block(state.cov, 2))
 
 
 def eta_from_temperature(T: float) -> float:

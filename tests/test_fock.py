@@ -1,6 +1,7 @@
 """Fock realization, eigenfunction oracles, series and thermal states."""
 
 import json
+import sys
 import tracemalloc
 import warnings
 from dataclasses import astuple
@@ -964,6 +965,15 @@ def test_series_refuse_kmax_past_the_cap_before_allocating(call):
             assert tracemalloc.get_traced_memory()[1] < 2 ** 16
         finally:
             tracemalloc.stop()
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.5, -350.0])
+@pytest.mark.parametrize("kmax", [pytest.param(2 ** 1023, id="2**1023"),
+                                  pytest.param(int(sys.float_info.max), id="DBL_MAX"),
+                                  pytest.param(10 ** 400, id="10**400")])
+def test_series_tail_bound_past_the_float_range_is_zero(eta, kmax):
+    # (kmax + 1) ln q had no float past the largest double: a bare OverflowError
+    assert series_tail_bound(eta, kmax) == 0.0
 
 
 @pytest.mark.parametrize("kmax", [0, 1, 2, _HERMITE_BLOCK - 1, _HERMITE_BLOCK,

@@ -30,7 +30,7 @@ from oscsym.phase_space import (
     temperature_from_eta,
     vacuum_state,
 )
-from oscsym.phase_space import _VACUUM, _congruence, _det2
+from oscsym.phase_space import _VACUUM, _congruence, _det2, _rows
 from oscsym.fock import gauss_hermite, moments
 
 EXTENSION_LABELS = ("S1", "S2", "G1", "G2", "G3")
@@ -273,6 +273,78 @@ def test_ndarray_list_and_tuple_inputs_read_alike(name):
         assert refusals[0] == refusals[1] == refusals[2]
 
 
+#: every matrix the module builds: (name, the matrix, its size)
+LIBRARY_MATRICES = {
+    "generator_to_transform": (generator_to_transform("K1", 0.4), 4),
+    "coupling_transform": (coupling_transform(0.3), 4),
+    "_congruence": (_congruence(coupling_transform(0.3), _VACUUM), 4),
+    "GaussianState.cov": (_COUPLED.cov, 4),
+    "vacuum_state": (vacuum_state().cov, 4),
+    "reduce_oscillator": (reduce_oscillator(_COUPLED, 2), 2),
+}
+
+
+@pytest.mark.parametrize("name", LIBRARY_MATRICES)
+def test_library_rows_are_read_as_they_are(name):
+    matrix, n = LIBRARY_MATRICES[name]
+    assert _rows(matrix, n, "matrix") is matrix
+    # the same rows spelled by a caller get the float pass, to the same values
+    for spelling in _spellings(matrix):
+        rows = _rows(spelling, n, "matrix")
+        assert rows is not spelling and rows == [list(row) for row in matrix]
+
+
+def test_library_rows_of_the_wrong_size_are_refused_as_before():
+    block, cov = reduce_oscillator(_COUPLED, 1), _COUPLED.cov
+    cases = [(route, block, r"^transform must be 4x4, got \(2, 2\)$")
+             for route in (symplectic_deviation, is_canonical, lambda m: evolve(_COUPLED, m))]
+    cases.append((GaussianState, block, r"^covariance must be 4x4, got \(2, 2\)$"))
+    cases += [(route, cov, r"^covariance must be 2x2, got \(4, 4\)$")
+              for route in (gaussian_purity, gaussian_entropy)]
+    for route, matrix, message in cases:
+        for m in (matrix, _tuples(np.array(matrix).tolist())):
+            with pytest.raises(ValueError, match=message):
+                route(m)
+
+
+def _pipeline_outputs(m, spell):
+    """Every output of the pipeline from M, with M and each block spelled by spell."""
+    try:
+        state = evolve(vacuum_state(), spell(m))
+    except ValueError as exc:  # GaussianState's 4x4 pivot check: the pd-check defect
+        return [str(exc)]
+    outputs = [state.cov, is_canonical(spell(m)), symplectic_deviation(spell(m)),
+               _outcome(areas, state)]
+    for keep in (1, 2):
+        block = spell(reduce_oscillator(state, keep))
+        outputs += [_outcome(gaussian_purity, block), _outcome(gaussian_entropy, block)]
+    return outputs
+
+
+@pytest.mark.parametrize("source", FIFTEEN_LABELS + ("couple",))
+def test_pipeline_outputs_equal_for_library_list_and_ndarray_rows(source):
+    thetas = [0.0, 0.05, -0.4, 0.9, 1.7, -2.6, 4.0, -7.5, 9.5, 20.0]
+    if source == "couple":
+        transforms = [coupling_transform(abs(theta)) for theta in thetas]
+    else:
+        transforms = [generator_to_transform(source, theta) for theta in thetas]
+    for m in transforms:
+        outputs = [_pipeline_outputs(m, spell) for spell in
+                   (lambda x: x, lambda x: np.array(x).tolist(), np.array)]
+        assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_state_cov_stays_a_tuple_of_tuples_with_the_same_repr():
+    for state in (vacuum_state(), _COUPLED):
+        plain = tuple(map(tuple, state.cov))
+        assert isinstance(state.cov, tuple) and all(type(row) is tuple for row in state.cov)
+        assert state.cov == plain and hash(state.cov) == hash(plain)
+        assert repr(state) == f"GaussianState(cov={plain!r})"
+    assert repr(vacuum_state()) == (
+        "GaussianState(cov=((0.5, 0.0, 0.0, 0.0), (0.0, 0.5, 0.0, 0.0), "
+        "(0.0, 0.0, 0.5, 0.0), (0.0, 0.0, 0.0, 0.5)))")
+
+
 # no filterwarnings override: the pyproject error::RuntimeWarning filter applies
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
 def test_covariance_refuses_non_finite_entries(entry):
@@ -361,6 +433,18 @@ def test_reduce_vacuum():
 def test_reduce_invalid_index():
     with pytest.raises(ValueError, match="keep"):
         reduce_oscillator(vacuum_state(), 3)
+
+
+@pytest.mark.parametrize("keep", [True, False, 1.0, 2.0, "1", None])
+def test_reduce_refuses_a_bool_or_non_integer_keep(keep):
+    # True and 2.0 were read as oscillators 1 and 2
+    with pytest.raises(TypeError, match="keep must be an integer"):
+        reduce_oscillator(_COUPLED, keep)
+
+
+def test_reduce_reads_any_integer_keep():
+    for keep in (1, 2):
+        assert reduce_oscillator(_COUPLED, np.int64(keep)) == reduce_oscillator(_COUPLED, keep)
 
 
 def test_reduce_coupled_state():
