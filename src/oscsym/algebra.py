@@ -20,7 +20,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .phase_space import DEFAULT_TOLERANCE, _check_tolerance
+from .phase_space import DEFAULT_TOLERANCE, _real
 from .families import FIFTEEN_LABELS, TENFOLD_LABELS, GeneratorSet, build_generator_set
 
 __all__ = [
@@ -279,9 +279,10 @@ def verify_algebra(genset: GeneratorSet, expected: StructureTable,
     1, so its scale is 1 and its residuals are absolute.
 
     Raises:
-        ValueError: a tolerance not finite and > 0, or a table label absent from the set.
+        TypeError: tolerance is a bool or not a real number.
+        ValueError: tolerance is not a finite number > 0, or a table label absent from the set.
     """
-    _check_tolerance(tolerance)
+    _real(tolerance, "tolerance", 0, above=True)
     missing = set(expected.labels) - set(genset.labels)
     if missing:
         raise ValueError(f"expected table references labels absent from "
@@ -368,10 +369,11 @@ def check_isomorphism(set_a: GeneratorSet, set_b: GeneratorSet,
     tensor is permuted into set a's label order; the worst gap is an argmax.
 
     Raises:
-        ValueError: a tolerance not finite and > 0, label sets that differ, or
+        TypeError: tolerance is a bool or not a real number.
+        ValueError: tolerance is not a finite number > 0, label sets that differ, or
             members that are not trace-orthogonal.
     """
-    _check_tolerance(tolerance)
+    _real(tolerance, "tolerance", 0, above=True)
     if set(set_a.labels) != set(set_b.labels):
         raise ValueError(f"label mismatch: {set_a.family} has {sorted(set_a.labels)}, "
                          f"{set_b.family} has {sorted(set_b.labels)}")
@@ -442,10 +444,13 @@ def table1_correspondence(tolerance: float = DEFAULT_TOLERANCE) -> Correspondenc
     two are otherwise proportional, UNRELATED when not proportional at all.
     The recipes are checked as claimed, never used as constructors, so sign
     and factor slips show up here instead of propagating.  The candidates are
-    one stacked product of gamma block members, padded with the identity.  A
-    tolerance that is not a finite number > 0 raises ValueError.
+    one stacked product of gamma block members, padded with the identity.
+
+    Raises:
+        TypeError: tolerance is a bool or not a real number.
+        ValueError: tolerance is not a finite number > 0.
     """
-    _check_tolerance(tolerance)
+    _real(tolerance, "tolerance", 0, above=True)
     dirac, sl4r = build_generator_set("dirac_gamma"), build_generator_set("sl4r_4")
     labels, (coeffs, recipes) = list(TABLE1_RECIPES), zip(*TABLE1_RECIPES.values())
     width, names = max(map(len, recipes)), dirac.labels + ("1",)

@@ -18,7 +18,6 @@ three independent routes (closed form, series, partial-trace quadrature).
 from __future__ import annotations
 
 import math
-import operator
 import sys
 import warnings
 from contextlib import nullcontext
@@ -30,7 +29,7 @@ from typing import Dict, Iterator, Optional, Tuple
 import numpy as np
 
 from .phase_space import (DEFAULT_TOLERANCE, MAX_NMAX, MIN_NMAX, _LOG_MAX,
-                          _check_tolerance, _log_tanh, occupation_entropy)
+                          _count, _log_tanh, _real, occupation_entropy)
 from .algebra import VerificationReport, _pair_plan, alge11_table
 from .families import GeneratorSet
 
@@ -156,28 +155,17 @@ def fock_index(nmax: int, n1: int, n2: int) -> int:
     """Flat index of |n1, n2> in the product basis.
 
     Raises:
-        TypeError: nmax, n1 or n2 is not an integer.
-        ValueError: (n1, n2) lies outside [0, nmax)**2.
+        TypeError: nmax, n1 or n2 is a bool or not an integer.
+        ValueError: nmax outside [1, MAX_NMAX], or n1 or n2 outside [0, nmax - 1].
     """
-    nmax, n1, n2 = map(operator.index, (nmax, n1, n2))
-    if not (0 <= n1 < nmax and 0 <= n2 < nmax):
-        raise ValueError(f"occupation ({n1}, {n2}) outside truncation {nmax}")
-    return n1 * nmax + n2
-
-
-def _check_nmax(nmax: int, least: int = 4) -> int:
-    """nmax as an int; TypeError for a non-integer, ValueError outside [least, MAX_NMAX]."""
-    nmax = operator.index(nmax)
-    if not least <= nmax <= MAX_NMAX:
-        raise ValueError(f"nmax must be in [{least}, {MAX_NMAX}], got {nmax}")
-    return nmax
+    nmax = _count(nmax, "nmax", 1, MAX_NMAX)
+    return _count(n1, "n1", 0, nmax - 1) * nmax + _count(n2, "n2", 0, nmax - 1)
 
 
 def basis_state(nmax: int, n1: int, n2: int) -> np.ndarray:
-    """Unit vector for |n1, n2>; refuses arguments as ``fock_index`` does and nmax > MAX_NMAX."""
-    i = fock_index(nmax, n1, n2)
-    v = np.zeros(_check_nmax(nmax, 1) ** 2)
-    v[i] = 1.0
+    """Unit vector for |n1, n2>; refuses arguments as ``fock_index`` does."""
+    v = np.zeros(_count(nmax, "nmax", 1, MAX_NMAX) ** 2)
+    v[fock_index(nmax, n1, n2)] = 1.0
     return v
 
 
@@ -199,11 +187,11 @@ def dirac_tenfold(nmax: int) -> GeneratorSet:
     no dense product and no loop over them.
 
     Raises:
-        TypeError: nmax is not an integer.
-        ValueError: nmax < 4, or the ten dense members would take more than
-            64 MiB (nmax > 25).
+        TypeError: nmax is a bool or not an integer.
+        ValueError: nmax outside [4, MAX_NMAX], or the ten dense members would
+            take more than 64 MiB (nmax > 25).
     """
-    size = 10 * _check_nmax(nmax) ** 4 * np.dtype(complex).itemsize
+    size = 10 * _count(nmax, "nmax", 4, MAX_NMAX) ** 4 * np.dtype(complex).itemsize
     if size > _DENSE_TENFOLD_BYTES:
         raise ValueError(
             f"dirac_tenfold({nmax}) would hold {size / 2 ** 20:.0f} MiB of dense "
@@ -233,11 +221,11 @@ def safe_subspace_mask(nmax: int) -> np.ndarray:
     stays below the truncation, so restricted commutators are exact.
 
     Raises:
-        TypeError: nmax is not an integer.
-        ValueError: nmax < 4, below the smallest ``dirac_tenfold`` it indexes, or
-            nmax > MAX_NMAX.
+        TypeError: nmax is a bool or not an integer.
+        ValueError: nmax outside [4, MAX_NMAX]: 4 is the smallest ``dirac_tenfold``
+            it indexes.
     """
-    n1, n2 = np.divmod(np.arange(_check_nmax(nmax) ** 2), nmax)
+    n1, n2 = np.divmod(np.arange(_count(nmax, "nmax", 4, MAX_NMAX) ** 2), nmax)
     return (n1 + n2) <= (nmax - _SAFE_MARGIN)
 
 
@@ -258,11 +246,12 @@ def verify_fock_commutators(nmax: int,
     O(nmax) beyond ``_FOCK_BYTES``.
 
     Raises:
-        TypeError: nmax is not an integer.
-        ValueError: nmax outside [MIN_NMAX, MAX_NMAX], or a tolerance not finite and > 0.
+        TypeError: nmax is a bool or not an integer, or tolerance a bool or not
+            a real number.
+        ValueError: nmax outside [MIN_NMAX, MAX_NMAX], or tolerance is not a finite number > 0.
     """
-    _check_tolerance(tolerance)
-    _check_nmax(nmax, MIN_NMAX)
+    _real(tolerance, "tolerance", 0, above=True)
+    _count(nmax, "nmax", MIN_NMAX, MAX_NMAX)
     words, _, owner, step, (alpha, w1, w2) = _word_plan()
     top = nmax - _SAFE_MARGIN  # largest total occupation of the safe subspace
     values = _word_values(words, top + 1, nmax)
@@ -295,16 +284,12 @@ def _hermite_blocks(kmax: int, x: np.ndarray) -> Iterator[Tuple[int, np.ndarray]
     normalized three-term recurrence
     phi_{k+1} = sqrt(2/(k+1)) x phi_k - sqrt(k/(k+1)) phi_{k-1},
     which is stable upward, as (c x) phi_k - c' phi_{k-1} with c and c' Python
-    floats computed once per call; k is capped at HERMITE_KMAX.  Yields
-    (lo, rows) with rows[i] = phi_{lo + i}(x), up to _HERMITE_BLOCK rows a block.
-    rows is a view of one buffer that the next block overwrites, after the
-    two rows the recurrence carries over, so memory is O(_HERMITE_BLOCK x.size).
+    floats computed once per call; its callers check the int kmax against
+    HERMITE_KMAX.  Yields (lo, rows) with rows[i] = phi_{lo + i}(x), up to
+    _HERMITE_BLOCK rows a block.  rows is a view of one buffer that the next
+    block overwrites, after the two rows the recurrence carries over, so
+    memory is O(_HERMITE_BLOCK x.size).
     """
-    kmax = operator.index(kmax)  # a float k would truncate or fail inside range
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
-    if kmax > HERMITE_KMAX:
-        raise ValueError(f"kmax {kmax} exceeds the recurrence cap {HERMITE_KMAX}")
     c = [math.sqrt(2.0 / (k + 1)) for k in range(kmax)]
     c_prev = [math.sqrt(k / (k + 1.0)) for k in range(kmax)]
     size = min(kmax + 1, _HERMITE_BLOCK)
@@ -326,20 +311,14 @@ def _hermite_blocks(kmax: int, x: np.ndarray) -> Iterator[Tuple[int, np.ndarray]
     yield lo, buf[2:j]
 
 
-def _check_k(k) -> int:
-    """k as an int in 0..HERMITE_KMAX, the rows the recurrence reaches."""
-    k = operator.index(k)
-    if not 0 <= k <= HERMITE_KMAX:
-        raise ValueError(f"k must be in [0, {HERMITE_KMAX}], got {k}")
-    return k
-
-
 def phi(k: int, x):
     """k-th oscillator eigenfunction at x: a copy of the last row of the recurrence.
 
-    Refuses a k outside 0..HERMITE_KMAX and a NaN or infinite x.
+    Raises:
+        TypeError: k is a bool or not an integer.
+        ValueError: k outside [0, HERMITE_KMAX], or a NaN or infinite x.
     """
-    k = _check_k(k)
+    k = _count(k, "k", 0, HERMITE_KMAX)
     (x,), _ = _points(x, bound=_NEAR_X)
     for _, rows in _hermite_blocks(k, x.reshape(-1)):
         pass
@@ -356,34 +335,19 @@ def gauss_hermite(n: int = 128) -> Tuple[np.ndarray, np.ndarray]:
     hermgauss, which then returns zero or NaN weights with only a warning.
 
     Raises:
-        TypeError: n is not an integer, or is a bool.
-        ValueError: n outside 1.._MAX_NODES.
+        TypeError: n is a bool or not an integer.
+        ValueError: n outside [1, _MAX_NODES].
     """
-    if isinstance(n, bool):  # operator.index(True) is 1
-        raise TypeError("n must be an integer, not a bool")
-    return _gauss_hermite_rule(operator.index(n))
+    return _gauss_hermite_rule(_count(n, "n", 1, _MAX_NODES))
 
 
 @lru_cache(maxsize=8)
 def _gauss_hermite_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    if not 1 <= n <= _MAX_NODES:
-        raise ValueError(f"n must be in [1, {_MAX_NODES}]: from n = {_MAX_NODES + 1} "
-                         f"the Gauss-Hermite weights underflow, got {n}")
     x, w = np.polynomial.hermite.hermgauss(n)
     total = np.exp(np.log(w) + x * x)
     x.flags.writeable = False
     total.flags.writeable = False
     return x, total
-
-
-def _check_eta(eta: float) -> None:
-    """Refuse a NaN, infinite or overflowing eta (|eta| > _MAX_ETA).
-
-    Non-finite eta gives NaN or a bare limit; past _MAX_ETA the grid
-    exponents overflow on the gauss_hermite() nodes.
-    """
-    if not abs(eta) <= _MAX_ETA:
-        raise ValueError(f"eta must be finite with |eta| <= {_MAX_ETA}, got {eta}")
 
 
 def _points(*coordinates, bound: float = np.inf):
@@ -426,9 +390,12 @@ def psi_eta(eta: float, x1, x2):
     difference term drops out.  The exponent is formed in place in two
     buffers, one per square, with the rounding of the one-expression formula;
     _psi_eta_grid applies the same operations to cached node squares.
-    Refuses a NaN or infinite x1 or x2.
+
+    Raises:
+        TypeError: eta is a bool or not a real number.
+        ValueError: eta is not a finite number in [-350, 350], or a NaN or infinite x1 or x2.
     """
-    _check_eta(eta)
+    _real(eta, "eta", -_MAX_ETA, _MAX_ETA)
     (x1, x2), quiet = _points(x1, x2)
     with quiet:
         minus = np.subtract(x1, x2, out=np.empty(x1.shape))
@@ -440,10 +407,14 @@ def psi_eta(eta: float, x1, x2):
 
 
 def expansion_coefficient(eta: float, k: int) -> float:
-    """Closed-form expansion coefficient tanh(eta)**k / cosh(eta)."""
-    _check_eta(eta)
-    if operator.index(k) < 0:  # a float k would give a non-ladder power
-        raise ValueError("k must be >= 0")
+    """Closed-form expansion coefficient tanh(eta)**k / cosh(eta).
+
+    Raises:
+        TypeError: eta is a bool or not a real number, or k a bool or not an integer.
+        ValueError: eta is not a finite number in [-350, 350], or k < 0.
+    """
+    _real(eta, "eta", -_MAX_ETA, _MAX_ETA)
+    k = _count(k, "k", 0)
     return float(np.tanh(eta) ** k / np.cosh(eta))
 
 
@@ -469,8 +440,9 @@ def _psi_eta_grid(eta: float) -> np.ndarray:
     top one reversed on both axes, exact since x[::-1] == -x and psi_eta
     reads (x1 -+ x2)^2 only.  One entry: every caller walks k at a fixed eta,
     and each further grid would only stay resident (128 KiB, all a fresh eta allocates).
+    eta is a float, checked on a miss.
     """
-    _check_eta(eta)
+    eta = _real(eta, "eta", -_MAX_ETA, _MAX_ETA)
     minus, plus = _node_squares()
     grid = np.empty((2 * len(minus), minus.shape[1]))
     top, bottom = grid[:len(minus)], grid[len(minus):]
@@ -496,11 +468,17 @@ def expansion_overlap(eta: float, k: int) -> float:
     gauss_hermite() nodes.  The psi_eta grid depends on eta only, so it is
     built once per eta and reused across k, and the weighted row depends on
     k only, so it is built once per k; the result is bit for bit the one a
-    freshly built grid and row give.  Refuses a k outside 0..HERMITE_KMAX.
-    Contract: equals expansion_coefficient(eta, k).
+    freshly built grid and row give.  Contract: equals
+    expansion_coefficient(eta, k).
+
+    Raises:
+        TypeError: eta is a bool or not a real number, or k a bool or not an integer.
+        ValueError: eta is not a finite number in [-350, 350], or k outside [0, HERMITE_KMAX].
     """
-    weighted = _weighted_phi(_check_k(k))
-    return float(weighted @ _psi_eta_grid(float(eta)) @ weighted)
+    weighted = _weighted_phi(_count(k, "k", 0, HERMITE_KMAX))
+    # an exact float goes straight to the grid's cache, which checks it on a miss
+    grid = _psi_eta_grid(eta if type(eta) is float else _real(eta, "eta", -_MAX_ETA, _MAX_ETA))
+    return float(weighted @ grid @ weighted)
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +490,12 @@ def rho_reduced(eta: float, x, xp):
     rho(x, x') = (pi c)^{-1/2} exp(-(x + x')^2 / (4 c) - c (x - x')^2 / 4)
     with c = cosh 2eta; at eta = 0 this is the pure ground-state projector.
     The two terms stay apart, since c^2 overflows from |eta| ~ 178.
-    Refuses a NaN or infinite x or x'.
+
+    Raises:
+        TypeError: eta is a bool or not a real number.
+        ValueError: eta is not a finite number in [-350, 350], or a NaN or infinite x or x'.
     """
-    _check_eta(eta)
+    _real(eta, "eta", -_MAX_ETA, _MAX_ETA)
     (x, xp), quiet = _points(x, xp)
     c2 = np.cosh(2 * eta)
     with quiet:
@@ -529,8 +510,14 @@ def rho_series(eta: float, x, xp, kmax: int = 60):
     agrees with rho_reduced up to the series tail.  One recurrence runs over
     x and x' stacked together, and each block of its rows adds one weighted
     contraction sum_k w_k phi_k(x) phi_k(x') to the sum, so memory is
-    O(_HERMITE_BLOCK grid), not O(kmax grid).  Refuses a NaN or infinite x or x'.
+    O(_HERMITE_BLOCK grid), not O(kmax grid).
+
+    Raises:
+        TypeError: eta is a bool or not a real number, or kmax a bool or not an integer.
+        ValueError: eta is not a finite number in [-350, 350], kmax outside
+            [0, HERMITE_KMAX], or a NaN or infinite x or x'.
     """
+    kmax = _count(kmax, "kmax", 0, HERMITE_KMAX)
     w = series_weights(eta, kmax)
     points = np.stack(_points(x, xp, bound=_NEAR_X)[0])
     n = points[0].size
@@ -553,9 +540,13 @@ def rho_partial_trace(eta: float, x, xp):
     n x n grid has 2n - 1 distinct h in exact arithmetic; rounding of
     (x + x')/2 splits some (91 on a 21 x 21 linspace(-3, 3) grid).  The
     squares stay centred: expanded into t^2 - 2 t h + h^2 they cancel at
-    large eta.  Refuses a NaN or infinite x or x'.
+    large eta.
+
+    Raises:
+        TypeError: eta is a bool or not a real number.
+        ValueError: eta is not a finite number in [-350, 350], or a NaN or infinite x or x'.
     """
-    _check_eta(eta)
+    _real(eta, "eta", -_MAX_ETA, _MAX_ETA)
     (x, xp), quiet = _points(x, xp)
     t, w = gauss_hermite()
     with quiet:
@@ -589,9 +580,9 @@ def _ladder_logs(eta: float) -> Tuple[float, float]:
     term that ln(1 - q) drops once 1 - q rounds to 1; from there it is
     ln 4e - 2 log1p(e), e = e^{-2|eta|}, as 1 - q = 4e/(1 + e)^2 loses digits
     where q nears 1 (1.0 from |eta| ~ 19).  ln q is -inf at eta = 0, the pure state.
+    Refuses eta as the eta oracles do.
     """
-    _check_eta(eta)
-    eta = abs(float(eta))
+    eta = abs(_real(eta, "eta", -_MAX_ETA, _MAX_ETA))
     if eta == 0:
         return -math.inf, 0.0
     log_q = 2.0 * _log_tanh(eta)
@@ -601,22 +592,19 @@ def _ladder_logs(eta: float) -> Tuple[float, float]:
     return log_q, math.log(4.0 * e) - 2.0 * math.log1p(e)
 
 
-def _check_kmax(kmax: int) -> int:
-    """kmax as an int, refused past MAX_KMAX before any ladder is built."""
-    kmax = operator.index(kmax)
-    if kmax > MAX_KMAX:
-        raise ValueError(f"kmax={kmax} is more than MAX_KMAX = {MAX_KMAX} series terms")
-    return kmax
-
-
 def series_weights(eta: float, kmax: int = 200) -> np.ndarray:
     """Eigenvalue ladder w_k = exp(ln(1 - q) + k ln q), q = tanh^2 eta, k = 0..kmax.
 
     The terms ``moments`` sums.  Symmetric in eta (only |eta| enters);
     nonnegative and non-increasing; exactly (1, 0, 0, ...) at eta = 0; empty
-    for kmax < 0.  Refuses kmax > MAX_KMAX before allocating.
+    for kmax < 0.
+
+    Raises:
+        TypeError: eta is a bool or not a real number, or kmax a bool or not an integer.
+        ValueError: eta is not a finite number in [-350, 350], or kmax > MAX_KMAX,
+            before allocating.
     """
-    kmax, (log_q, log_head) = _check_kmax(kmax), _ladder_logs(eta)
+    kmax, (log_q, log_head) = _count(kmax, "kmax", hi=MAX_KMAX), _ladder_logs(eta)
     if log_q == -np.inf:
         return np.eye(1, max(kmax + 1, 0))[0]
     return np.exp(np.arange(kmax + 1) * log_q + log_head)
@@ -627,8 +615,12 @@ def series_tail_bound(eta: float, kmax: int = 200) -> float:
 
     0.0 for a kmax past the largest double, where (kmax + 1) ln q has no
     float and q^{kmax+1} rounds to 0.0 at every |eta| <= 350.
+
+    Raises:
+        TypeError: eta is a bool or not a real number, or kmax a bool or not an integer.
+        ValueError: eta is not a finite number in [-350, 350].
     """
-    kmax, (log_q, _) = operator.index(kmax), _ladder_logs(eta)
+    kmax, (log_q, _) = _count(kmax, "kmax"), _ladder_logs(eta)
     if kmax < 0:
         return 1.0
     if kmax >= sys.float_info.max:
@@ -645,7 +637,8 @@ def kmax_for_tail(eta: float) -> int:
     at eta = 1, about 380 at eta = 2, about 1.1 M at eta = 6.
 
     Raises:
-        ValueError: eta is not finite or |eta| > 350, or the count exceeds
+        TypeError: eta is a bool or not a real number.
+        ValueError: eta is not a finite number in [-350, 350], or the count exceeds
             ``MAX_KMAX`` (eta above about 7.3).
     """
     n = np.ceil(np.log(DEFAULT_TOLERANCE) / _ladder_logs(eta)[0]) - 1
@@ -678,10 +671,14 @@ def moments(eta: float, kmax: Optional[int] = None) -> SeriesMoments:
     times the whole ladder.  Contracts: purity = 1/cosh(2 eta) and entropy =
     cosh^2(eta) ln cosh^2(eta) - sinh^2(eta) ln sinh^2(eta), for a kmax up to
     the tail ``series_tail_bound``, whose excess over DEFAULT_TOLERANCE
-    triggers a warning.  Negative eta is folded to |eta|.  Refuses kmax > MAX_KMAX.
+    triggers a warning.  Negative eta is folded to |eta|.
+
+    Raises:
+        TypeError: eta is a bool or not a real number, or kmax a bool or not an integer.
+        ValueError: eta is not a finite number in [-350, 350], or kmax > MAX_KMAX.
     """
     if kmax is not None:
-        kmax = _check_kmax(kmax)  # before the tail warning
+        kmax = _count(kmax, "kmax", hi=MAX_KMAX)  # before the tail warning
         tail = series_tail_bound(eta, kmax)
         if tail > DEFAULT_TOLERANCE:
             warnings.warn(
@@ -723,14 +720,18 @@ class ThermalState:
 
     Its weights (1 - e^{-1/T}) e^{-k/T} are the reduced-state ladder of
     ``series_weights`` at tanh^2 eta = e^{-1/T}.  temperature = 0 is the
-    pure vacuum (the factory ``thermal_state`` rejects T <= 0).
+    pure vacuum (the factory ``thermal_state`` rejects T <= 0).  The
+    temperature is stored as the checked Python float, -0.0 as 0.0.
+
+    Raises:
+        TypeError: the temperature is a bool or not a real number.
+        ValueError: the temperature is not a finite number >= 0.
     """
 
     temperature: float
 
     def __post_init__(self):
-        if not 0 <= self.temperature < np.inf:
-            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
+        object.__setattr__(self, "temperature", _real(self.temperature, "temperature", 0) + 0.0)
 
     def entropy(self) -> float:
         """Closed form S(T) at the mean occupation v = 1/(e^{1/T} - 1).
@@ -743,20 +744,26 @@ class ThermalState:
 
 
 def thermal_state(T: float) -> ThermalState:
-    """Thermal state at finite T > 0; the T = 0 limit is ThermalState(0.0)."""
-    if not 0 < T < np.inf:
-        raise ValueError(f"temperature must be finite and > 0, got {T}")
-    return ThermalState(temperature=float(T))
+    """Thermal state at finite T > 0; the T = 0 limit is ThermalState(0.0).
+
+    Raises:
+        TypeError: T is a bool or not a real number.
+        ValueError: T is not a finite number > 0.
+    """
+    return ThermalState(_real(T, "temperature", 0, above=True))
 
 
 def wigner_radius(T: float) -> float:
     """Gaussian radius 1/sqrt(tanh(1/2T)) of the thermal Wigner function.
 
     Grows from 1 at T = 0; equals sqrt(cosh 2 eta) at the matching squeeze
-    parameter cosh(2 eta) = 1/tanh(1/2T).  Refuses negative or non-finite T.
+    parameter cosh(2 eta) = 1/tanh(1/2T).
+
+    Raises:
+        TypeError: T is a bool or not a real number.
+        ValueError: T is not a finite number >= 0.
     """
-    if not 0 <= T < np.inf:
-        raise ValueError(f"temperature must be finite and >= 0, got {T}")
+    _real(T, "temperature", 0)
     if T == 0:
         return 1.0
     return float(1.0 / np.sqrt(np.tanh(0.5 / T)))

@@ -28,8 +28,12 @@ The arithmetic is Python floats and ``math``, without numpy: sums are formed
 left to right in plain double precision (no fused multiply-add).  So
 ``oscsym simulate`` runs this pipeline without importing numpy.  The module
 also holds the constants the CLI's parser needs (``DEFAULT_TOLERANCE`` and
-the Fock limits), which ``algebra`` and ``fock`` re-export, and the one
-ln tanh eta rule that ``temperature_from_eta`` and the ``fock`` series ladder read.
+the Fock limits), which ``algebra`` and ``fock`` re-export, the one
+ln tanh eta rule that ``temperature_from_eta`` and the ``fock`` series ladder
+read, and the one checker per number kind that every module's public
+functions call: ``_count`` for an integer and ``_real`` for a real, each
+refusing a bool or a non-number with TypeError and a value outside its
+bounds with ValueError, in words that name the argument and the bounds.
 """
 
 from __future__ import annotations
@@ -53,12 +57,61 @@ _Rows = Sequence[Sequence[float]]
 DEFAULT_TOLERANCE = 1e-12
 MIN_NMAX = 6  # smallest nmax the check and CLI accept; the safe subspace is nonempty from 4
 MAX_NMAX = 256  # largest truncation the bracket check accepts (~0.15 s)
+_FLOAT_MAX = sys.float_info.max
 
 
-def _check_tolerance(tolerance: float) -> None:
-    """Refuse a tolerance that is not a finite number > 0: every checker's first step."""
-    if not 0 < tolerance < math.inf:
-        raise ValueError(f"tolerance must be a finite number > 0, got {tolerance}")
+def _bounds(lo, hi, above: bool = False) -> str:
+    """[lo, hi] ((lo, hi] when above) in the words of a refusal; a bound at or
+    past the largest double is left out."""
+    if -_FLOAT_MAX < lo and hi < _FLOAT_MAX:
+        return f"in {'(' if above else '['}{lo}, {hi}]"
+    if -_FLOAT_MAX < lo:
+        return f"{'>' if above else '>='} {lo}"
+    return f"<= {hi}" if hi < _FLOAT_MAX else ""
+
+
+def _count(value, name: str, lo: float = -math.inf, hi: float = math.inf) -> int:
+    """value as an int in [lo, hi], the one check of an integer argument.
+
+    Raises:
+        TypeError: value is a bool or not an integer (numpy integers are integers).
+        ValueError: value is outside [lo, hi], named with its bounds.
+    """
+    if type(value) is not int:
+        try:
+            if isinstance(value, bool):  # operator.index(True) is 1
+                raise TypeError
+            value = operator.index(value)
+        except TypeError:
+            raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must be {_bounds(lo, hi)}, got {value}")
+    return value
+
+
+def _real(value, name: str, lo: float = -_FLOAT_MAX, hi: float = _FLOAT_MAX,
+          above: bool = False) -> float:
+    """value as a float in [lo, hi], or (lo, hi] when above, the one check of a real argument.
+
+    The default bounds are the finite doubles, so +-inf is refused unless hi is inf.
+
+    Raises:
+        TypeError: value is a bool or not a real number (numpy reals are real numbers).
+        ValueError: value is NaN or outside its bounds, named with them.
+    """
+    # an int is compared exactly, also past the doubles; a float subclass
+    # (np.float64) needs no abstract-class check
+    if type(value) is not float and type(value) is not int:
+        if not isinstance(value, float):
+            import numbers  # here, so that a launch does not pay its import
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
+        value = float(value)
+    if not (lo < value <= hi if above else lo <= value <= hi):
+        bounds = _bounds(lo, hi, above)
+        rule = f"a {'finite ' if hi <= _FLOAT_MAX else ''}number {bounds}" if bounds else "finite"
+        raise ValueError(f"{name} must be {rule}, got {value}")
+    return float(value)
 
 
 #: the fifteen sl4r_4 members on (x1, p1, x2, p2), scale 1/2; sp4_4 is the
@@ -93,7 +146,8 @@ _VACUUM: _Rows = _FloatRows(tuple(0.5 * x for x in row) for row in _IDENTITY)
 _ASYMMETRIC = f"covariance must be finite and symmetric (within {DEFAULT_TOLERANCE:.0e})"
 _NOT_PD = "covariance must be positive definite"
 # the largest exponent whose exp is a finite double
-_LOG_MAX = math.log(sys.float_info.max)
+_LOG_MAX = math.log(_FLOAT_MAX)
+_THETA = "theta (eta for the coupling)"
 
 
 def _shape(m) -> tuple:
@@ -201,16 +255,18 @@ def is_canonical(m) -> bool:
 def _evaluate(flow, theta: float) -> _Rows:
     """M = u B1 + v B2 of a flow entry, (u, v) = (cos theta, sin theta) or (e^theta, e^-theta).
 
-    Refuses a NaN or infinite theta, which would give NaN rows or a bare math domain error.
+    Refuses what ``_real`` refuses, which would give NaN rows or a bare math
+    domain error, and a squeeze past _LOG_MAX, whose e^|theta| overflows.
     """
     rotation, pairs = flow
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise ValueError(f"theta (eta for the coupling) must be finite, got {theta}")
+    theta = _real(theta, _THETA)
     if rotation:
         u, v = math.cos(theta), math.sin(theta)
-    else:
+    elif abs(theta) <= _LOG_MAX:
         u, v = math.exp(theta), math.exp(-theta)
+    else:
+        raise OverflowError(f"{_THETA} must be in [-{_LOG_MAX}, {_LOG_MAX}] for a squeeze, "
+                            f"got {theta}")
     flat = tuple([u * x + v * y for x, y in pairs])
     return _FloatRows((flat[0:4], flat[4:8], flat[8:12], flat[12:16]))
 
@@ -225,8 +281,10 @@ def generator_to_transform(label: str, theta: float) -> _Rows:
     M(theta1 + theta2) = M(theta1) M(theta2) along each one-parameter flow.
 
     Raises:
+        TypeError: theta is a bool or not a real number.
         ValueError: unknown generator label, or a NaN or infinite theta.
-        OverflowError: a squeeze with e^|theta| above the largest double.
+        OverflowError: a squeeze with |theta| > ln(DBL_MAX) = 709.78, whose
+            e^|theta| passes the largest double.
     """
     if label not in _FLOWS:
         raise ValueError(f"unknown generator {label!r}; expected one of {list(_FLOWS)}")
@@ -251,8 +309,10 @@ def coupling_transform(eta: float) -> _Rows:
     reciprocally for the momenta).
 
     Raises:
+        TypeError: eta is a bool or not a real number.
         ValueError: a NaN or infinite eta.
-        OverflowError: e^|eta| above the largest double.
+        OverflowError: |eta| > ln(DBL_MAX) = 709.78, whose e^|eta| passes the
+            largest double.
     """
     return _evaluate(_COUPLING, eta)
 
@@ -368,18 +428,10 @@ def reduce_oscillator(state: GaussianState, keep: int) -> _Rows:
     pair of variables leaves exactly the corresponding diagonal sub-block.
 
     Raises:
-        TypeError: keep is not an integer, or is a bool.
-        ValueError: keep is an integer other than 1 and 2.
+        TypeError: keep is a bool or not an integer.
+        ValueError: keep is outside [1, 2].
     """
-    if isinstance(keep, bool):  # operator.index(True) is 1
-        raise TypeError("keep must be an integer, not a bool")
-    try:
-        keep = operator.index(keep)
-    except TypeError:
-        raise TypeError(f"keep must be an integer, got {keep!r}") from None
-    if keep not in (1, 2):
-        raise ValueError(f"keep must be 1 or 2, got {keep!r}")
-    return _block(state.cov, 0 if keep == 1 else 2)
+    return _block(state.cov, 0 if _count(keep, "keep", 1, 2) == 1 else 2)
 
 
 def _block(cov: _Rows, i: int) -> _Rows:
@@ -455,11 +507,13 @@ def occupation_entropy(v: float) -> float:
 
     As log1p(v) + v log1p(1/v): no cancellation at large v, exactly 0 at
     v = 0 and inf at v = inf; below v = 1, log1p(1/v) = log1p(v) - ln v keeps
-    1/v from overflowing.  Refuses a NaN or negative v with ValueError.
+    1/v from overflowing.
+
+    Raises:
+        TypeError: v is a bool or not a real number.
+        ValueError: v is NaN or negative.
     """
-    v = float(v)
-    if not v >= 0:  # NaN compares false
-        raise ValueError(f"mean occupation must be >= 0, got v = {v}")
+    v = _real(v, "v", 0, math.inf)
     if v == 0 or v == math.inf:
         return v + 0.0  # 0.0 for -0.0
     tail = math.log1p(1.0 / v) if v >= 1.0 else math.log1p(v) - math.log(v)
@@ -503,12 +557,14 @@ def eta_from_temperature(T: float) -> float:
     and as (log1p(e^{-x}) - ln(-expm1(-x)))/2 above, where e^{-x} nears 1.
     The second form cancels at large x, where -expm1(-x) rounds next to 1
     (2.5e7 ulp off at x = 19).  The result is within 2 (1 + x) ulp of the
-    exact value: the rounding of x itself reaches e^{-x} x-fold.  Rejects
-    T <= 0 and non-finite T; the T -> 0+ limit is eta -> 0+.
+    exact value: the rounding of x itself reaches e^{-x} x-fold.  The
+    T -> 0+ limit is eta -> 0+.
+
+    Raises:
+        TypeError: T is a bool or not a real number.
+        ValueError: T is not a finite number > 0.
     """
-    if not 0 < T < math.inf:
-        raise ValueError(f"temperature must be finite and > 0, got {T}")
-    x = 0.5 / float(T)
+    x = 0.5 / _real(T, "temperature", 0, above=True)
     if x > 0.5:
         return math.atanh(math.exp(-x))
     return 0.5 * (math.log1p(math.exp(-x)) - math.log(-math.expm1(-x)))
@@ -528,14 +584,15 @@ def temperature_from_eta(eta: float) -> float:
     """Inverse map T = -1/(2 ln tanh eta), from e^{-1/T} = tanh^2 eta.
 
     ln tanh eta is ``_log_tanh``'s, the one the ``fock`` series ladder
-    reads.  The result is within 3 ulp of the exact T.
-    Rejects eta <= 0 and non-finite eta; the eta -> 0+ limit is T -> 0+.
-    Also rejects eta above about 355.6, where T ~ e^{2 eta}/4 passes the
-    largest double.
+    reads.  The result is within 3 ulp of the exact T.  The eta -> 0+
+    limit is T -> 0+.
+
+    Raises:
+        TypeError: eta is a bool or not a real number.
+        ValueError: eta is not a finite number > 0, or above about 355.6, where
+            T ~ e^{2 eta}/4 passes the largest double.
     """
-    if not 0 < eta < math.inf:
-        raise ValueError(f"eta must be finite and > 0, got {eta}")
-    eta = float(eta)
+    eta = _real(eta, "eta", 0, above=True)
     log_tanh = _log_tanh(eta)
     # Python float division: an overflow is inf without a warning
     temperature = -0.5 / log_tanh if log_tanh else math.inf

@@ -207,6 +207,28 @@ def test_verify_nonpositive_tolerance_exits_2(capsys):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv,last", [
+    ("verify --suite fock --nmax 5", "--nmax must be in [6, 256] for the fock suite"),
+    ("verify --suite fock --nmax 257", "--nmax must be in [6, 256] for the fock suite"),
+    ("verify --suite sp4 --tolerance 0", "--tolerance must be > 0"),
+    ("verify --suite sp4 --tolerance -1", "--tolerance must be > 0"),
+    ("simulate --couple --temperature 0", "--temperature must be > 0"),
+    ("simulate --couple --temperature -1", "--temperature must be > 0"),
+    ("simulate --generator X --eta 1", "unknown generator 'X'; expected one of ['L1', 'L2', "
+     "'L3', 'S1', 'S2', 'S3', 'K1', 'K2', 'K3', 'Q1', 'Q2', 'Q3', 'G1', 'G2', 'G3']"),
+    ("simulate --couple --eta nan", "argument --eta: must be a finite number, got 'nan'"),
+])
+def test_cli_refuses_library_checked_arguments_in_its_own_words(argv, last, capsys):
+    # the CLI checks these before the library does, so its messages stay its own
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    prog = "oscsym simulate" if argv.endswith("nan") else "oscsym"
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"{prog}: error: {last}"
+
+
 def test_verify_out_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code = main(["verify", "--suite", "sp2", "--format", "json", "--out", str(path)])

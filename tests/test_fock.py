@@ -346,7 +346,7 @@ def test_k_refusals_name_k(k):
 
 
 def test_rho_series_refusal_names_kmax():
-    with pytest.raises(ValueError, match=f"^kmax 201 exceeds the recurrence cap {HERMITE_KMAX}$"):
+    with pytest.raises(ValueError, match=rf"^kmax must be in \[0, {HERMITE_KMAX}\], got 201$"):
         rho_series(0.5, 0.1, 0.2, HERMITE_KMAX + 1)
 
 
@@ -361,7 +361,7 @@ def test_phi_caps_recurrence_depth():
                                   lambda: rho_series(0.5, 0.1, 0.2, 3.5)])
 def test_non_integer_k_is_refused(call):
     # phi(0.5, 0.0) used to return phi_0(0) silently
-    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+    with pytest.raises(TypeError, match=r"^k(max)? must be an integer, got \d\.5$"):
         call()
     assert phi(np.int64(3), 0.3) == phi(3, 0.3)
 
@@ -697,7 +697,7 @@ def test_kmax_for_tail_clears_the_tail_up_to_eta_six():
     (19.0, "MAX_KMAX"),         # tanh^2 == 1.0, but ln q from e^{-2 eta}: 2.2e17 terms
     (float("nan"), "finite"),
     (float("inf"), "finite"),
-    (_MAX_ETA + 1.0, f"<= {_MAX_ETA}"),
+    (_MAX_ETA + 1.0, f"-{_MAX_ETA}, {_MAX_ETA}"),  # "eta must be a finite number in [-350, 350]"
 ])
 def test_kmax_for_tail_refuses_unbounded_series(eta, match):
     with pytest.raises(ValueError, match=match):
@@ -730,7 +730,8 @@ def test_eta_oracles_refuse_non_finite_eta(oracle, eta):
 @pytest.mark.parametrize("oracle", ETA_ORACLES)
 def test_eta_oracles_refuse_eta_past_the_bound(oracle, eta):
     # past the bound e^{2|eta|} times a squared node gap overflows
-    with pytest.raises(ValueError, match=f"<= {_MAX_ETA}"):
+    bound = rf"\[-{_MAX_ETA}, {_MAX_ETA}\]"
+    with pytest.raises(ValueError, match=rf"^eta must be a finite number in {bound}, got "):
         ETA_ORACLES[oracle](eta)
 
 
@@ -960,7 +961,8 @@ def test_series_refuse_kmax_past_the_cap_before_allocating(call):
         warnings.simplefilter("error")
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="MAX_KMAX"):
+            with pytest.raises(ValueError,
+                               match=f"^kmax must be <= {MAX_KMAX}, got {MAX_KMAX + 1}$"):
                 call(8.0, MAX_KMAX + 1)
             assert tracemalloc.get_traced_memory()[1] < 2 ** 16
         finally:
@@ -1183,6 +1185,16 @@ def test_thermal_state_rejects_nonpositive_temperature():
         thermal_state(0.0)
     with pytest.raises(ValueError):
         thermal_state(-1.0)
+
+
+@pytest.mark.parametrize("given", [-0.0, 0, 2, np.int64(2), np.float64(2.5)])
+def test_thermal_state_stores_the_checked_float(given):
+    # the temperature was stored as given: -0.0 stayed in the repr, an np.float64 stayed one
+    state = ThermalState(given)
+    assert type(state.temperature) is float and state.temperature == given
+    assert np.copysign(1.0, state.temperature) == 1.0
+    assert repr(state) == f"ThermalState(temperature={float(given) + 0.0!r})"
+    assert state == ThermalState(float(given))
 
 
 def test_thermal_vacuum_limit():

@@ -156,6 +156,31 @@ def test_flows_refuse_a_non_finite_parameter(flow, theta):
         coupling_transform(theta) if flow == "coupling" else generator_to_transform(flow, theta)
 
 
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flow", ["coupling", *FIFTEEN_LABELS])
+def test_squeezes_refuse_a_parameter_past_the_exp_range_by_name(flow):
+    # math.exp raised a bare "math range error" that named no argument;
+    # a rotation takes any finite theta
+    def transform(theta):
+        if flow == "coupling":
+            return coupling_transform(theta)
+        return generator_to_transform(flow, theta)
+
+    for theta in (_LOG_MAX, -_LOG_MAX):
+        assert all(map(math.isfinite, sum(transform(theta), ())))
+    for theta in (math.nextafter(_LOG_MAX, math.inf), -1e3, 1e300):
+        if flow[0] in "LS":
+            assert all(map(math.isfinite, sum(transform(theta), ())))
+            continue
+        bound = r"\[-709\.78\d*, 709\.78\d*\]"
+        with pytest.raises(OverflowError, match=rf"^theta \(eta for the coupling\) must be in "
+                                                rf"{bound} for a squeeze, got "):
+            transform(theta)
+
+
 @pytest.mark.parametrize("label", FIFTEEN_LABELS)
 @pytest.mark.parametrize("theta", [-6.0, -3.0, -0.7, 0.7, 3.0, 6.0])
 def test_transform_matches_high_precision_expm(label, theta):
@@ -513,7 +538,7 @@ def test_entropy_matches_series_oracle(eta):
 @pytest.mark.parametrize("v", [math.nan, -1.0, -1e-300])
 def test_occupation_entropy_refuses_nan_and_negative_occupation(v):
     # unchecked, NaN returned NaN and a negative v raised a bare math domain error
-    with pytest.raises(ValueError, match=f"v = {v}"):
+    with pytest.raises(ValueError, match=f"^v must be a number >= 0, got {v}$"):
         occupation_entropy(v)
 
 
