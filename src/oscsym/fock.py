@@ -357,10 +357,15 @@ def _points(*coordinates, bound: float = np.inf):
 
     Refuses NaN or infinite coordinates, each before broadcasting: unchecked, an
     infinite x gave 0.0 from the closed forms and phi_0 but NaN from the recurrence.
+    Refuses with TypeError what is not an integer or float array (a bool, str,
+    bytes, complex or object one), which a float cast would read or half-read.
     """
     points, far = [], False
     for x in coordinates:
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x)
+        if x.dtype.kind not in "iuf":
+            raise TypeError(f"coordinates must be real numbers, got dtype {x.dtype}")
+        x = x.astype(float, copy=False)
         top = np.abs(x).max(initial=0.0)
         if not top < np.inf:  # NaN compares false
             raise ValueError("coordinates must be finite, got NaN or inf")
@@ -595,9 +600,8 @@ def _ladder_logs(eta: float) -> Tuple[float, float]:
 def series_weights(eta: float, kmax: int = 200) -> np.ndarray:
     """Eigenvalue ladder w_k = exp(ln(1 - q) + k ln q), q = tanh^2 eta, k = 0..kmax.
 
-    The terms ``moments`` sums.  Symmetric in eta (only |eta| enters);
-    nonnegative and non-increasing; exactly (1, 0, 0, ...) at eta = 0; empty
-    for kmax < 0.
+    Symmetric in eta (only |eta| enters); nonnegative and non-increasing;
+    exactly (1, 0, 0, ...) at eta = 0; empty for kmax < 0.
 
     Raises:
         TypeError: eta is a bool or not a real number, or kmax a bool or not an integer.
@@ -658,20 +662,20 @@ def moments(eta: float, kmax: Optional[int] = None) -> SeriesMoments:
     """Purity and entropy of the reduced-state eigenvalue ladder.
 
     purity = sum w_k^2 and entropy = -sum w_k ln w_k over the whole ladder
-    w_k = (1 - q) q^k, or over its ``series_weights`` terms k <= kmax, whose
-    einsum they are below B = _SERIES_BLOCK terms.  Otherwise one block
-    v_j = q^j, j < n, is evaluated, n = B or, if sooner, where q^j underflows:
-    block m is that block times c^m, c = q^n, so the geometric sums of c^m
-    and m c^m give the whole ladder divided by its own sum,
-    purity = sum v^2 / (sum v)^2 (1 - c)/(1 + c) and entropy =
-    -ln(1 - q) - ln q sum j v / sum v - n ln q c/(1 - c), 1 - c = -expm1(n ln q).
-    So the rounding of ln(1 - q) (5.7e-14 from |eta| = 128) scales no weight
-    and no w^2 underflows; the sums are pairwise, as the block is flat near
-    q = 1.  A kmax past B keeps the whole ladder less its tail, q^{kmax+1}
-    times the whole ladder.  Contracts: purity = 1/cosh(2 eta) and entropy =
-    cosh^2(eta) ln cosh^2(eta) - sinh^2(eta) ln sinh^2(eta), for a kmax up to
-    the tail ``series_tail_bound``, whose excess over DEFAULT_TOLERANCE
-    triggers a warning.  Negative eta is folded to |eta|.
+    w_k = (1 - q) q^k, or over its ``series_weights`` terms k <= kmax.  One
+    block v_j = q^j, j < n, is evaluated, n = B = _SERIES_BLOCK or, if
+    sooner, kmax + 1 or where q^j underflows: block m is that block times
+    c^m, c = q^n, so the geometric sums of c^m and m c^m give the whole
+    ladder divided by its own sum, purity = sum v^2 / (sum v)^2 (1 - c)/(1 + c)
+    and entropy = -ln(1 - q) - ln q sum j v / sum v - n ln q c/(1 - c),
+    1 - c = -expm1(n ln q).  So the rounding of ln(1 - q) (5.7e-14 from
+    |eta| = 128) scales no weight and no w^2 underflows; the sums are
+    pairwise, as the block is flat near q = 1.  A kmax keeps the whole
+    ladder less its tail, q^{kmax+1} times the whole ladder; at
+    n = kmax + 1, c is that tail.  Contracts: purity = 1/cosh(2 eta) and
+    entropy = cosh^2(eta) ln cosh^2(eta) - sinh^2(eta) ln sinh^2(eta), for a
+    kmax up to the tail ``series_tail_bound``, whose excess over
+    DEFAULT_TOLERANCE triggers a warning.  Negative eta is folded to |eta|.
 
     Raises:
         TypeError: eta is a bool or not a real number, or kmax a bool or not an integer.
@@ -691,14 +695,8 @@ def moments(eta: float, kmax: Optional[int] = None) -> SeriesMoments:
         return SeriesMoments(purity=0.0, entropy=0.0)
     if log_q == -np.inf:  # the pure state, w = (1, 0, 0, ...)
         return SeriesMoments(purity=1.0, entropy=0.0)
-    if kmax is not None and kmax < _SERIES_BLOCK:
-        log_w = np.arange(kmax + 1) * log_q + log_head
-        w = np.exp(log_w)
-        # einsum's own loop, not a BLAS dot, whose split of the sum (and so
-        # its rounding) follows the thread count
-        return SeriesMoments(purity=float(np.einsum("i,i->", w, w)),
-                             entropy=float(-np.einsum("i,i->", w, log_w)))
-    n = min(_SERIES_BLOCK, math.ceil(_LOG_MAX / -log_q))  # q^j underflows from j = n
+    # q^j underflows from j = n; a shorter kmax ends the block at its last term
+    n = min(_SERIES_BLOCK, math.ceil(_LOG_MAX / -log_q), math.inf if kmax is None else kmax + 1)
     j = np.arange(n, dtype=float)
     v = np.multiply(j, log_q)
     np.exp(v, out=v)

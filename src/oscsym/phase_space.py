@@ -21,8 +21,9 @@ Conventions, fixed once and used everywhere:
 * Matrices are tuples of rows: 4x4 transforms and covariances
   (``GaussianState.cov``), 2x2 blocks.  Every function that takes a matrix
   also reads an ndarray (through ``.tolist()``) or nested sequences, and
-  refuses any other shape.  The rows the module itself returns are read as
-  they are, without a second float pass.
+  refuses any other shape and a str, bytes, bool or complex cell.  The rows
+  the module itself returns are read as they are, without a second float
+  pass.
 
 The arithmetic is Python floats and ``math``, without numpy: sums are formed
 left to right in plain double precision (no fused multiply-add).  So
@@ -160,15 +161,24 @@ def _shape(m) -> tuple:
 
 
 def _rows(m, n: int, what: str) -> _Rows:
-    """The float rows of an n x n ndarray or nested sequence; refuses any other shape.
+    """The float rows of an n x n ndarray or nested sequence; refuses any other shape
+    with ValueError, and a str, bytes, bool or complex cell, which float() would
+    read or refuse unnamed, with TypeError.
 
     n rows the module built are returned as they are.
     """
     if isinstance(m, _FloatRows) and len(m) == n:
         return m
     try:
-        rows = [[*map(float, row)] for row in (m.tolist() if hasattr(m, "tolist") else m)]
+        rows = [[*row] for row in (m.tolist() if hasattr(m, "tolist") else m)]
     except TypeError:  # a scalar, or a row that is one
+        rows = []
+    bad = next((x for row in rows for x in row if isinstance(x, (str, bytes, bool, complex))), None)
+    if bad is not None:
+        raise TypeError(f"{what} must hold real numbers, got {bad!r}")
+    try:
+        rows = [[*map(float, row)] for row in rows]
+    except TypeError:  # a cell that is a sequence or no number
         rows = []
     if [*map(len, rows)] != [n] * n:
         raise ValueError(f"{what} must be {n}x{n}, got {_shape(m)}")

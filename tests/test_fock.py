@@ -1,6 +1,7 @@
 """Fock realization, eigenfunction oracles, series and thermal states."""
 
 import json
+import math
 import sys
 import tracemalloc
 import warnings
@@ -782,7 +783,8 @@ def _geometric_sums(log_q, log_head, kmax):
     q, head = mp.exp(log_q), mp.exp(log_head)
     total = head * mp.expm1(n * log_q) / mp.expm1(log_q)
     purity = head ** 2 * mp.expm1(2 * n * log_q) / mp.expm1(2 * log_q)
-    k_q_k = q * (1 - n * q ** (n - 1) + (n - 1) * q ** n) / (1 - q) ** 2  # sum k q^k
+    # sum k q^k; its numerator cancels to about (n ln q)^2 / 2
+    k_q_k = q * (1 - n * q ** (n - 1) + (n - 1) * q ** n) / mp.expm1(log_q) ** 2
     return float(total), float(purity), float(-log_head * total - log_q * head * k_q_k)
 
 
@@ -868,16 +870,6 @@ def test_series_weights_past_eta_seven_match_high_precision(eta):
     assert (np.abs(w - want) <= 1e-14 * want).all()
 
 
-@pytest.mark.filterwarnings("ignore:series tail bound")
-@pytest.mark.parametrize("kmax", [0, 1, 200, _SERIES_BLOCK - 1])
-@pytest.mark.parametrize("eta", [0.0, 1e-10, 0.7, -3.0, 6.0, 7.5, 20.0, 350.0])
-def test_moments_sum_the_series_weights(eta, kmax):
-    # one ladder formula: within one block the purity is the weights' own sum
-    # of squares, bit for bit, summed by einsum as moments sums it
-    w = series_weights(eta, kmax)
-    assert np.einsum("i,i->", w, w) == moments(eta, kmax).purity
-
-
 def test_moments_entropy_keeps_the_vacuum_term_at_tiny_eta():
     # 1 - q rounds to 1 at q = tanh^2(1e-10) = 1e-20; log1p(-q) keeps the
     # -w_0 ln w_0 = q term that ln(1 - q) would drop (a 2 % loss)
@@ -913,33 +905,50 @@ def test_whole_ladder_allocates_one_block(eta):
 
 
 def _exact_truncated_sums(eta, kmax):
-    """60-digit purity and entropy of w_k = e^{ln(1 - q) + k ln q}, k = 0..kmax.
+    """900-digit purity and entropy of w_k = e^{ln(1 - q) + k ln q}, k = 0..kmax.
 
     Geometric closed forms at the two doubles ``_ladder_logs`` returns, so
-    they measure the summation, not the rounding of ln q.
+    they measure the summation, not the rounding of ln q.  The digits cover
+    the (n ln q)^2 cancellation of sum k q^k, ln q ~ -4 e^{-2|eta|}: 60
+    digits fall short from |eta| ~ 20.  The pure state eta = 0 is (1, 0).
     """
     log_q, log_head = _ladder_logs(eta)
-    with mp.workdps(60):
+    if log_q == -np.inf:
+        return 1.0, 0.0
+    with mp.workdps(900):
         return _geometric_sums(mp.mpf(log_q), mp.mpf(log_head), kmax)[1:]
 
 
+_TRUNCATIONS = [0, 1, 2, 200, _SERIES_BLOCK - 1, _SERIES_BLOCK, _SERIES_BLOCK + 1,
+                3 * _SERIES_BLOCK + 7, "tail", MAX_KMAX]
+_TRUNCATED_ETAS = [0.0, 1e-10, 0.7, -3.0, 4.0, 5.25, 6.0, 7.0, 7.3, 7.5, 20.0, 50.0, 100.0,
+                   350.0]
+
+
 @pytest.mark.filterwarnings("ignore:series tail bound")
-@pytest.mark.parametrize("kmax", [_SERIES_BLOCK - 1, _SERIES_BLOCK, _SERIES_BLOCK + 1,
-                                  3 * _SERIES_BLOCK + 7, "tail", MAX_KMAX])
-@pytest.mark.parametrize("eta", [4.0, 5.25, 6.0, 7.0, 7.3])
-def test_moments_match_exact_truncated_sums(eta, kmax):
-    # later blocks are the first block rescaled; the rescaled sums stay as
-    # close to the exact truncated ladder as a term-by-term pass
+@pytest.mark.parametrize("eta,kmax,rtol", [
+    *((eta, kmax, 1e-14) for eta in _TRUNCATED_ETAS for kmax in _TRUNCATIONS
+      if kmax != "tail" or abs(eta) <= 7.3),  # kmax_for_tail refuses past 7.3
+    (3.75, 12489, 2e-15),  # a term-by-term sum of the weights' purity is 9.6e-15 off here
+    (1.0, 16383, 2e-15),
+])
+def test_moments_match_exact_truncated_sums(eta, kmax, rtol):
+    # one rule for every kmax: the first block, rescaled per block and less
+    # its tail, stays within rtol of the exact truncated ladder
     kmax = kmax_for_tail(eta) if kmax == "tail" else kmax
     m = moments(eta, kmax)
-    _assert_rel_close((m.purity, m.entropy), _exact_truncated_sums(eta, kmax), 1e-14)
+    _assert_rel_close((m.purity, m.entropy), _exact_truncated_sums(eta, kmax), rtol)
 
 
 @pytest.mark.filterwarnings("ignore:series tail bound")
-@pytest.mark.parametrize("eta", [6.0, -7.3])
-@pytest.mark.parametrize("kmax", [_SERIES_BLOCK, "tail", MAX_KMAX])
+@pytest.mark.parametrize("eta,kmax", [
+    *((eta, kmax) for eta in (6.0, -7.3) for kmax in (_SERIES_BLOCK, "tail", MAX_KMAX)),
+    (1.0, 16383),  # q^j underflows from j = 1304
+    (3.75, 12489),  # the block ends at the last term
+])
 def test_moments_exponentiate_one_block_plus_a_scale_per_block(eta, kmax, monkeypatch):
     kmax = kmax_for_tail(eta) if kmax == "tail" else kmax
+    block = min(kmax + 1, math.ceil(_LOG_MAX / -_ladder_logs(eta)[0]), _SERIES_BLOCK)
     sizes, exp = [], np.exp
 
     def counted(x, *args, **kwargs):
@@ -949,9 +958,22 @@ def test_moments_exponentiate_one_block_plus_a_scale_per_block(eta, kmax, monkey
     monkeypatch.setattr(np, "exp", counted)
     moments(eta, kmax)
     monkeypatch.undo()
-    assert max(sizes) == _SERIES_BLOCK
+    assert max(sizes) == block
     # plus the tail bound's q^{kmax+1} and, past |eta| = 7, e^{-2|eta|} twice
-    assert sum(sizes) <= _SERIES_BLOCK + kmax / _SERIES_BLOCK + 3, sizes
+    assert sum(sizes) <= block + kmax / _SERIES_BLOCK + 3, sizes
+
+
+def test_moments_match_recorded_bits():
+    """Purity and entropy equal, bit for bit, those recorded (float.hex) when
+    every kmax took the one ladder rule: at the benchmark's series eta with
+    the kmax_for_tail truncation and with none, at (3.75, 12489) and at
+    (1.0, 16383).  The pairwise sums of ``moments`` are numpy's own loop, not
+    a BLAS call, so they must not follow the BLAS thread count."""
+    path = Path(__file__).parent / "data" / "moments_bits.json"
+    for key, bits in json.loads(path.read_text()).items():
+        eta, kmax = key.split(",")
+        m = moments(float(eta), None if kmax == "None" else int(kmax))
+        assert [m.purity.hex(), m.entropy.hex()] == bits, key
 
 
 @pytest.mark.parametrize("call", [series_weights, moments])

@@ -43,11 +43,11 @@ class Real(NamedTuple):
 
 
 class Points(NamedTuple):
-    """Coordinates, read by one reader that refuses what is not finite."""
+    """Coordinates, read by one reader that refuses what is not a finite real."""
 
 
 class Rows(NamedTuple):
-    """An n x n matrix, named ``what`` when its shape is refused."""
+    """An n x n matrix, named ``what`` when its shape or a cell is refused."""
     n: int
     what: str
 
@@ -171,20 +171,27 @@ def bad_values(kind):
             bad.append((math.nextafter(kind.hi, math.inf), ValueError, bounds))
         return bad
     if isinstance(kind, Points):
-        return [(v, ValueError, ()) for v in (math.nan, math.inf, -math.inf,
-                                              np.array([0.1, math.nan, 0.3]))]
+        return ([(v, ValueError, ()) for v in (math.nan, math.inf, -math.inf,
+                                               np.array([0.1, math.nan, 0.3]))]
+                + [(v, TypeError, ()) for v in (True, "1", 1 + 1j, np.array([1 + 1j]))])
     if isinstance(kind, Rows):
-        return [(v, ValueError, ()) for v in (True, 0.5, np.eye(kind.n - 1), np.eye(kind.n + 1),
-                                              [[0.5] * kind.n] * (kind.n - 1))]
+        n = kind.n
+        return ([(v, ValueError, ()) for v in (True, 0.5, np.eye(n - 1), np.eye(n + 1),
+                                               [[0.5] * n] * (n - 1))]
+                + [(v, TypeError, ()) for v in ("abcd", [[1] * (n - 1) + ["a"]] * n,
+                                                [["1"] * n] * n, np.eye(n, dtype=bool),
+                                                np.eye(n, dtype=complex) / 2)])
     return []
 
 
-def _pattern(kind) -> str:
-    """The start every refusal of the kind has: the argument it names."""
+def _pattern(kind, error) -> str:
+    """The start every refusal of the kind and error type has: the argument it names."""
     if isinstance(kind, Points):
-        return "^coordinates must be finite"
+        return ("^coordinates must be real numbers, got " if error is TypeError
+                else "^coordinates must be finite")
     if isinstance(kind, Rows):
-        return rf"^{kind.what} must be {kind.n}x{kind.n}, got "
+        return (rf"^{kind.what} must hold real numbers, got " if error is TypeError
+                else rf"^{kind.what} must be {kind.n}x{kind.n}, got ")
     return rf"^{re.escape(kind.noun)} must be "
 
 
@@ -229,7 +236,7 @@ def test_refusal_is_typed_and_names_the_argument(key, name, value, error, words)
             tracemalloc.stop()
     assert type(caught.value) is error, caught.value
     message = str(caught.value)
-    assert re.match(_pattern(kind), message), message
+    assert re.match(_pattern(kind, error), message), message
     assert all(word in message for word in words), message
     assert peak < 2 ** 16
 
